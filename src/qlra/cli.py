@@ -29,9 +29,9 @@ from .context import (
     random_hyperbolic_context,
     validate_context,
 )
-from .engine import born_violation_demo, expansion_consistency, run_qlra, verify_born_rule
-from .equivalence import check_consistency, proof_relation_residual
-from .errors import InfeasibleContextError, QlraError, RegimeError, StochasticityError
+from .engine import born_violation_demo, expansion_consistency, reconstruct, verify_born_rule
+from .equivalence import consistency_verdict, relation_residual
+from .errors import InfeasibleContextError, QlraError, RegimeError
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -100,7 +100,13 @@ def _profile_dict(profile) -> dict:
 
 
 def cmd_analyze(args, out) -> int:
-    tolerance = args.tolerance
+    try:  # --tolerance, else QLRA_TOLERANCE, else the default: it governs every check
+        tolerance = float(args.tolerance)
+    except ValueError:
+        tolerance = float("nan")
+    if not 0.0 < tolerance < float("inf"):
+        print(f"error: tolerance {args.tolerance!r} is not positive and finite", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     try:
         raw = json.loads(_read_input(args.input))
     except json.JSONDecodeError as exc:
@@ -135,13 +141,15 @@ def cmd_analyze(args, out) -> int:
 
     exit_code = EXIT_OK
     dir_reports = {}
+    states = {}
     regimes_ok = True
     for name, direction in directions.items():
         entry = {}
         profile = interference_coefficients(ctx, direction)
         entry.update(_profile_dict(profile))
         if profile.regime is Regime.HYPERBOLIC:
-            state = run_qlra(ctx, direction, sign_choice=args.sign_branch)
+            # Validated above, at the run's tolerance: build without re-checking.
+            state = states[name] = reconstruct(ctx, direction, args.sign_branch)
             born = verify_born_rule(state, ctx)
             entry["born_residuals"] = {
                 "conditioned": list(born.conditioned_residuals),
@@ -163,7 +171,8 @@ def cmd_analyze(args, out) -> int:
         return EXIT_REGIME
 
     if args.direction == "both":
-        verdict = check_consistency(ctx, tol=tolerance, sign_choice=args.sign_branch)
+        state_ba, state_ab = states["b_given_a"], states["a_given_b"]
+        verdict = consistency_verdict(ctx, state_ba, state_ab, tolerance)
         eq_entry = {
             "equivalent": verdict.equivalent,
             "gamma": verdict.gamma,
@@ -172,9 +181,7 @@ def cmd_analyze(args, out) -> int:
             "max_component_deviation": verdict.max_component_deviation,
         }
         if verdict.symmetry_holds:
-            eq_entry["proof_relation_residual"] = proof_relation_residual(
-                ctx, sign_choice=args.sign_branch
-            )
+            eq_entry["proof_relation_residual"] = relation_residual(state_ab, state_ba)
         report["equivalence"] = eq_entry
         if not verdict.equivalent:
             exit_code = EXIT_INCONSISTENT
@@ -186,6 +193,9 @@ def cmd_generate(args, out) -> int:
     if args.random:
         if args.p is not None or args.p_a1 is not None or args.lambda1 is not None:
             print("error: --random excludes --p/--p-a1/--lambda", file=sys.stderr)
+            return EXIT_INVALID_INPUT
+        if args.count < 1:
+            print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
             return EXIT_INVALID_INPUT
         rng = random.Random(args.seed)
         for _ in range(args.count):
@@ -263,9 +273,6 @@ def cmd_demo_violation(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    env_tol = os.environ.get("QLRA_TOLERANCE")
-    default_tol = float(env_tol) if env_tol else DEFAULT_TOLERANCE
-
     parser = argparse.ArgumentParser(
         prog="qlra",
         description=(
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run the full pipeline on a JSON context")
     p_an.add_argument("input", help="path to a context JSON file, or - for stdin")
-    p_an.add_argument("--tolerance", type=float, default=default_tol)
+    p_an.add_argument("--tolerance", default=os.environ.get("QLRA_TOLERANCE") or DEFAULT_TOLERANCE)
     p_an.add_argument(
         "--sign-branch",
         type=int,
@@ -322,9 +329,6 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         return args.func(args, out)
-    except (StochasticityError, InfeasibleContextError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except RegimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME

@@ -70,11 +70,21 @@ def _transpose(M: Matrix2) -> Matrix2:
     return ((M[0][0], M[1][0]), (M[0][1], M[1][1]))
 
 
-def _as_matrix(M) -> Matrix2:
-    rows = tuple(tuple(float(x) for x in row) for row in M)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise ValueError("transition matrix must be 2x2")
-    return rows
+def _as_pair(v, what: str, shape: str = "a 2-array") -> tuple[float, float]:
+    """Two finite floats, from anything float() takes; else ValueError naming `what`."""
+    try:
+        pair = tuple(map(float, v)) if isinstance(v, (list, tuple)) else ()
+    except (TypeError, ValueError, OverflowError):
+        pair = ()
+    if len(pair) != 2 or not all(map(math.isfinite, pair)):
+        raise ValueError(f"{what} must be {shape} of finite numbers, got {v!r}")
+    return pair
+
+
+def _as_matrix(M, what: str = "transition matrix") -> Matrix2:
+    if not (isinstance(M, (list, tuple)) and len(M) == 2):
+        raise ValueError(f"{what} must be a 2x2 array of finite numbers, got {M!r}")
+    return (_as_pair(M[0], what, "a 2x2 array"), _as_pair(M[1], what, "a 2x2 array"))
 
 
 @dataclass(frozen=True)
@@ -93,11 +103,13 @@ class ProbContext:
     p_a_given_b: Matrix2 | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p_a", tuple(float(x) for x in self.p_a))
-        object.__setattr__(self, "p_b", tuple(float(x) for x in self.p_b))
-        object.__setattr__(self, "p_b_given_a", _as_matrix(self.p_b_given_a))
+        # The one parse gate: shapes checked, entries made finite floats.
+        set_ = object.__setattr__
+        set_(self, "p_a", _as_pair(self.p_a, "field 'p_a'"))
+        set_(self, "p_b", _as_pair(self.p_b, "field 'p_b'"))
+        set_(self, "p_b_given_a", _as_matrix(self.p_b_given_a, "field 'P_b_given_a'"))
         if self.p_a_given_b is not None:
-            object.__setattr__(self, "p_a_given_b", _as_matrix(self.p_a_given_b))
+            set_(self, "p_a_given_b", _as_matrix(self.p_a_given_b, "field 'P_a_given_b'"))
 
     @property
     def a_given_b_defaulted(self) -> bool:
@@ -135,26 +147,9 @@ class ProbContext:
         for key in ("p_a", "p_b", "P_b_given_a"):
             if key not in d:
                 raise ValueError(f"missing required field {key!r}")
-        def pair(key):
-            v = d[key]
-            if not (isinstance(v, (list, tuple)) and len(v) == 2):
-                raise ValueError(f"field {key!r} must be a 2-array")
-            return tuple(float(x) for x in v)
-        def grid(key):
-            v = d[key]
-            if not (
-                isinstance(v, (list, tuple))
-                and len(v) == 2
-                and all(isinstance(r, (list, tuple)) and len(r) == 2 for r in v)
-            ):
-                raise ValueError(f"field {key!r} must be a 2x2 array")
-            return tuple(tuple(float(x) for x in r) for r in v)
-        return cls(
-            p_a=pair("p_a"),
-            p_b=pair("p_b"),
-            p_b_given_a=grid("P_b_given_a"),
-            p_a_given_b=grid("P_a_given_b") if "P_a_given_b" in d else None,
-        )
+        if "P_a_given_b" in d and d["P_a_given_b"] is None:  # only absence defaults
+            raise ValueError("field 'P_a_given_b' must be a 2x2 array of finite numbers, got None")
+        return cls(d["p_a"], d["p_b"], d["P_b_given_a"], d.get("P_a_given_b"))
 
 
 def is_doubly_stochastic(M: Matrix2, tol: float = 1e-9) -> bool:
@@ -196,6 +191,13 @@ def validate_context(ctx: ProbContext, tol: float = 1e-9) -> list[str]:
         if not is_doubly_stochastic(M, tol):
             violations.append(f"{name} is not doubly stochastic")
     return violations
+
+
+def require_valid(ctx: ProbContext, tol: float = 1e-9) -> None:
+    """Raise StochasticityError listing the violations unless ctx is valid at tol."""
+    violations = validate_context(ctx, tol)
+    if violations:
+        raise StochasticityError("invalid context: " + "; ".join(violations))
 
 
 def _classify(lam: tuple[float, float]) -> Regime:

@@ -21,10 +21,10 @@ from .context import (
     Regime,
     interference_coefficients,
     is_doubly_stochastic,
-    validate_context,
+    require_valid,
 )
 from .errors import RegimeError, StochasticityError
-from .linear import HVector2, inner_product, sq_norm
+from .linear import HVector2, inner_product
 
 __all__ = [
     "QlraState",
@@ -68,6 +68,10 @@ def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
         raise StochasticityError(
             "conditioning basis requires a doubly stochastic matrix"
         )
+    return _basis(M)
+
+
+def _basis(M: Matrix2) -> tuple[HVector2, HVector2]:
     e1 = HVector2(HNumber(math.sqrt(M[0][0])), HNumber(math.sqrt(M[1][0])))
     e2 = HVector2(HNumber(math.sqrt(M[0][1])), HNumber(-math.sqrt(M[1][1])))
     return (e1, e2)
@@ -84,14 +88,17 @@ def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> Ql
     where m are the conditioning marginals and sc = sign_choice.  Both
     phase branches satisfy Born's rule for all four probabilities.
     """
+    require_valid(ctx)
+    return reconstruct(ctx, direction, sign_choice)
+
+
+def reconstruct(ctx: ProbContext, direction: Direction, sign_choice: int) -> QlraState:
+    """run_qlra for a ctx that already passed validate_context; nothing is re-checked
+    (a defaulted a|b matrix is the transpose of a checked one).
+    """
     if sign_choice not in (1, -1):
         raise ValueError("sign_choice must be +1 or -1")
-    violations = validate_context(ctx)
-    if violations:
-        raise StochasticityError("invalid context: " + "; ".join(violations))
     M = ctx.matrix(direction)
-    if not is_doubly_stochastic(M):
-        raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")
     profile = interference_coefficients(ctx, direction)
     if profile.regime is not Regime.HYPERBOLIC:
         raise RegimeError(
@@ -110,7 +117,7 @@ def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> Ql
         psi=psi,
         direction=direction,
         profile=profile,
-        conditioning_basis=conditioning_basis(M),
+        conditioning_basis=_basis(M),
         conditioning_marginals=m,
         sign_choice=sign_choice,
     )

@@ -9,13 +9,13 @@ exactly when the two transition matrices are transposes of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .algebra import HNumber, h_arg
-from .context import Direction, Matrix2, ProbContext, is_doubly_stochastic
-from .engine import run_qlra
-from .errors import DegenerateStateError, StochasticityError
-from .linear import HMatrix2, HVector2, mat_apply, sq_norm
+from .algebra import h_arg
+from .context import Direction, Matrix2, ProbContext, require_valid
+from .engine import QlraState, conditioning_basis, reconstruct, run_qlra
+from .errors import DegenerateStateError
+from .linear import HMatrix2, HVector2, sq_norm
 
 __all__ = [
     "EquivalenceVerdict",
@@ -51,15 +51,8 @@ def transition_unitary(p_b_given_a: Matrix2) -> HMatrix2:
 
     Hyperbolic-unitary whenever P is doubly stochastic.
     """
-    P = p_b_given_a
-    if not is_doubly_stochastic(P):
-        raise StochasticityError("transition unitary requires a doubly stochastic matrix")
-    return HMatrix2(
-        (
-            (HNumber(math.sqrt(P[0][0])), HNumber(math.sqrt(P[0][1]))),
-            (HNumber(math.sqrt(P[1][0])), HNumber(-math.sqrt(P[1][1]))),
-        )
-    )
+    e1, e2 = conditioning_basis(p_b_given_a)
+    return HMatrix2(((e1.c1, e2.c1), (e1.c2, e2.c2)))
 
 
 def states_equivalent(v1: HVector2, v2: HVector2, tol: float = 1e-9) -> EquivalenceVerdict:
@@ -118,31 +111,31 @@ def check_consistency(
     transition matrices holds; the two answers agree (that is the
     consistency theorem).
     """
-    state_ba = run_qlra(ctx, Direction.B_GIVEN_A, sign_choice=sign_choice)
-    U = transition_unitary(ctx.p_b_given_a)
-    transported = mat_apply(U, state_ba.psi)
+    require_valid(ctx, tol)
+    state_ba = reconstruct(ctx, Direction.B_GIVEN_A, sign_choice)
+    state_ab = reconstruct(ctx, Direction.A_GIVEN_B, sign_choice)
+    return consistency_verdict(ctx, state_ba, state_ab, tol)
+
+
+def consistency_verdict(
+    ctx: ProbContext, state_ba: QlraState, state_ab: QlraState, tol: float
+) -> EquivalenceVerdict:
+    """check_consistency's comparison, for the two amplitudes of a validated context."""
+    # The transition unitary's columns are the b|a conditioning basis.
+    e1, e2 = state_ba.conditioning_basis
+    transported = e1.scale(state_ba.psi.c1) + e2.scale(state_ba.psi.c2)
     # The a|b construction carries its own +- phase-branch freedom
     # (cosh is even, so the phase difference of the two amplitude
     # components is only determined up to sign).  Either branch is a
     # representative of the same reconstruction; accept whichever one
     # the transported state matches.
-    verdict = None
-    for branch in (sign_choice, -sign_choice):
-        state_ab = run_qlra(ctx, Direction.A_GIVEN_B, sign_choice=branch)
-        candidate = states_equivalent(state_ab.psi, transported, tol=tol)
-        if verdict is None or (
-            candidate.max_component_deviation < verdict.max_component_deviation
-        ):
+    verdict = states_equivalent(state_ab.psi, transported, tol=tol)
+    if not verdict.equivalent:
+        other = reconstruct(ctx, Direction.A_GIVEN_B, -state_ab.sign_choice)
+        candidate = states_equivalent(other.psi, transported, tol=tol)
+        if candidate.max_component_deviation < verdict.max_component_deviation:
             verdict = candidate
-        if candidate.equivalent:
-            break
-    return EquivalenceVerdict(
-        equivalent=verdict.equivalent,
-        gamma=verdict.gamma,
-        sign=verdict.sign,
-        max_component_deviation=verdict.max_component_deviation,
-        symmetry_holds=_symmetry_holds(ctx, tol),
-    )
+    return replace(verdict, symmetry_holds=_symmetry_holds(ctx, tol))
 
 
 def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
@@ -154,7 +147,12 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
     vanishes exactly when the transpose symmetry holds.
     """
     state_ab = run_qlra(ctx, Direction.A_GIVEN_B, sign_choice=sign_choice)
-    state_ba = run_qlra(ctx, Direction.B_GIVEN_A, sign_choice=sign_choice)
+    state_ba = reconstruct(ctx, Direction.B_GIVEN_A, sign_choice)
+    return relation_residual(state_ab, state_ba)
+
+
+def relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:
+    """proof_relation_residual, for the two amplitudes of a validated context."""
     g1 = h_arg(state_ab.psi.c1)
     g2 = h_arg(state_ab.psi.c2)
     return abs(math.cosh(g2 - g1) - math.cosh(state_ba.profile.theta[0]))

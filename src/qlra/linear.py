@@ -80,9 +80,7 @@ def inner_product(u: HVector2, v: HVector2) -> HNumber:
 
 def sq_norm(v: HVector2) -> float:
     """<v, v>, which is always real; may be negative or zero."""
-    ip = inner_product(v, v)
-    assert abs(ip.hy) <= 1e-12 * max(1.0, abs(ip.re)), "j-part of <v,v> must vanish"
-    return ip.re
+    return inner_product(v, v).re
 
 
 def mat_apply(M: HMatrix2, v: HVector2) -> HVector2:

@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qlra
 from qlra.cli import main
 
 
@@ -28,6 +31,10 @@ CTX1 = {
 }
 
 
+# Column 0 of P_b_given_a sums to 1.0000001: valid at tolerance 1e-5, not at 1e-9.
+NEAR_STOCHASTIC = dict(CTX1, P_b_given_a=[[0.9, 0.1], [0.1000001, 0.9]])
+
+
 @pytest.fixture
 def ctx1_file(tmp_path):
     path = tmp_path / "ctx1.json"
@@ -49,6 +56,13 @@ def test_analyze_ctx1(ctx1_file):
     assert report["equivalence"]["equivalent"] is True
     assert report["equivalence"]["symmetry_holds"] is True
     assert report["equivalence"]["proof_relation_residual"] < 1e-9
+
+
+def test_analyze_ctx1_report_bytes(ctx1_file):
+    # Reports are byte-deterministic; this is the worked example's report.
+    code, text = run_cli(["analyze", ctx1_file])
+    assert code == 0
+    assert text == (Path(__file__).parent / "ctx1_report.json").read_text()
 
 
 def test_analyze_stdin():
@@ -76,11 +90,22 @@ def test_analyze_missing_field_exit_1(tmp_path):
     assert code == 1
 
 
-def test_analyze_malformed_json_exit_1(tmp_path):
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_analyze_malformed_json_exit_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _ = run_cli(["analyze", str(path)])
-    assert code == 1
+    texts = ["{not json"] + [
+        json.dumps(dict(CTX1, p_b=[0.9, bad])) for bad in (None, float("nan"), float("inf"))
+    ]
+    for text in texts:
+        path.write_text(text)
+        code, _ = run_cli(["analyze", str(path)])
+        assert code == 1
+        assert_one_error_line(capsys)
 
 
 def test_analyze_invalid_context_exit_1(tmp_path):
@@ -188,11 +213,38 @@ def test_tolerance_env(ctx1_file, monkeypatch):
     assert json.loads(text)["tolerance"] == pytest.approx(1e-6)
 
 
+def test_argument_errors_exit_1(ctx1_file, monkeypatch, capsys):
+    for tol in ("-1", "0", "nan", "inf", "abc"):
+        assert run_cli(["analyze", ctx1_file, "--tolerance", tol])[0] == 1
+        assert_one_error_line(capsys)
+    for count in ("0", "-1"):
+        assert run_cli(["generate", "--random", "--count", count])[0] == 1
+        assert_one_error_line(capsys)
+    monkeypatch.setenv("QLRA_TOLERANCE", "abc")
+    assert run_cli(["analyze", ctx1_file])[0] == 1
+    assert_one_error_line(capsys)
+
+
+def test_tolerance_governs_every_check(tmp_path):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(NEAR_STOCHASTIC))
+    code, text = run_cli(["analyze", str(path), "--tolerance", "1e-5"])
+    assert code == 0
+    assert json.loads(text)["equivalence"]["equivalent"] is True
+    code, text = run_cli(["analyze", str(path)])
+    assert code == 1
+    assert json.loads(text)["validation"]["valid"] is False
+
+
 def test_module_entry_point(ctx1_file):
+    # The child imports the qlra under test, wherever pytest found it.
+    src = str(Path(qlra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "qlra.cli", "analyze", ctx1_file],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["equivalence"]["equivalent"] is True

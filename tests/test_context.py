@@ -207,7 +207,26 @@ def test_from_dict_errors():
         ProbContext.from_dict(
             {"p_a": [0.5, 0.5], "p_b": [0.9, 0.1], "P_b_given_a": [0.9, 0.1]}
         )
+    for bad in (None, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="'p_b'.*finite"):
+            ProbContext.from_dict(
+                {"p_a": [0.5, 0.5], "p_b": [0.9, bad], "P_b_given_a": [[0.9, 0.1], [0.1, 0.9]]}
+            )
+        with pytest.raises(ValueError, match="'P_a_given_b'.*finite"):
+            ProbContext.from_dict(
+                {
+                    "p_a": [0.5, 0.5],
+                    "p_b": [0.9, 0.1],
+                    "P_b_given_a": [[0.9, 0.1], [0.1, 0.9]],
+                    "P_a_given_b": [[0.9, 0.1], [bad, 0.9]],
+                }
+            )
 
 
 def test_dict_roundtrip(ctx1):
     assert ProbContext.from_dict(ctx1.to_dict()) == ctx1
+    # Whatever float() reads is a number, quoted numbers included.
+    quoted = ProbContext.from_dict(
+        {"p_a": ["0.5", "0.5"], "p_b": [0.9, 0.1], "P_b_given_a": [[0.9, "0.1"], [0.1, 0.9]]}
+    )
+    assert quoted.p_a == (0.5, 0.5) and quoted.p_b_given_a[0][1] == 0.1

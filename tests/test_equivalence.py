@@ -143,6 +143,20 @@ def test_check_consistency_ctx1(ctx1):
     assert proof_relation_residual(ctx1) < 1e-9
 
 
+def test_check_consistency_validates_at_its_tolerance(ctx1):
+    # Column 0 of the b|a matrix sums to 1.0000001: valid at 1e-5, not at 1e-9.
+    ctx = ProbContext(
+        p_a=ctx1.p_a,
+        p_b=ctx1.p_b,
+        p_b_given_a=((0.9, 0.1), (0.1000001, 0.9)),
+        p_a_given_b=ctx1.p_a_given_b,
+    )
+    verdict = check_consistency(ctx, tol=1e-5)
+    assert verdict.equivalent and verdict.symmetry_holds
+    with pytest.raises(StochasticityError):
+        check_consistency(ctx)
+
+
 def test_check_consistency_asymmetric(ctx1):
     ctx = ProbContext(
         p_a=ctx1.p_a,

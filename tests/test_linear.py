@@ -46,6 +46,13 @@ def test_sq_norm_examples():
     assert sq_norm(HVector2(HNumber(1, 1), HNumber(0))) == 0.0
 
 
+@given(vectors)
+def test_self_inner_product_is_real(v):
+    # Each j-part of <v, v> is x*(-y) + y*x, exactly 0.0 in IEEE arithmetic,
+    # so sq_norm can return the real part alone.
+    assert inner_product(v, v).hy == 0.0
+
+
 def test_mat_apply():
     v = HVector2(HNumber(2, 1), HNumber(-1, 3))
     assert mat_apply(identity(), v) == v
