@@ -1,8 +1,12 @@
 """Arithmetic in the two-dimensional hyperbolic (split-complex) algebra.
 
-Elements have the form z = x + j*y with j**2 = 1.  The algebra is
-commutative but has zero divisors on the null cone x = +-y, so inversion
-and the argument are partial operations.
+Elements have the form z = x + j*y with j**2 = 1.  They are stored in
+null-cone coordinates u = x + y, v = x - y (the idempotent basis
+(1 +- j)/2), where the algebra is R (+) R: products are componentwise,
+conjugation swaps u and v, and |z|^2 = u*v is one product, with no
+cancelling x^2 - y^2.  The algebra is commutative but has zero divisors
+on the null cone u*v = 0, so inversion and the argument are partial
+operations.
 """
 
 from __future__ import annotations
@@ -21,78 +25,113 @@ __all__ = [
     "h_close",
 ]
 
+_isfinite = math.isfinite
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class HNumber:
-    """A split-complex number re + j*hy, with j**2 = 1."""
+    """A split-complex number re + j*hy, with j**2 = 1.
 
-    re: float
-    hy: float = 0.0
+    Stored as u = re + hy, v = re - hy; ``re`` and ``hy`` are derived
+    from them, so HNumber(re, hy).hy can differ from hy by rounding when
+    |re| >> |hy|.  Every construction rejects non-finite coordinates.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.hy)):
-            raise ValueError(f"non-finite components: {self.re!r}, {self.hy!r}")
+    u: float
+    v: float
 
-    @staticmethod
-    def _coerce(other) -> "HNumber":
-        if isinstance(other, HNumber):
-            return other
-        if isinstance(other, (int, float)):
-            return HNumber(float(other))
-        return NotImplemented
+    def __init__(self, re: float, hy: float = 0.0):
+        re, hy = float(re), float(hy)
+        u, v = re + hy, re - hy
+        if not (_isfinite(u) and _isfinite(v)):
+            raise ValueError(f"non-finite components: {re!r}, {hy!r}")
+        _set_u(self, u)
+        _set_v(self, v)
+
+    @property
+    def re(self) -> float:
+        return 0.5 * self.u + 0.5 * self.v
+
+    @property
+    def hy(self) -> float:
+        return 0.5 * self.u - 0.5 * self.v
+
+    def __repr__(self) -> str:
+        return f"HNumber(re={self.re!r}, hy={self.hy!r})"
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HNumber(self.re + other.re, self.hy + other.hy)
+        if other.__class__ is not HNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _hn(self.u + other.u, self.v + other.v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HNumber(self.re - other.re, self.hy - other.hy)
+        if other.__class__ is not HNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _hn(self.u - other.u, self.v - other.v)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # (x1 + j y1)(x2 + j y2) = x1 x2 + y1 y2 + j (x1 y2 + x2 y1)
-        return HNumber(
-            self.re * other.re + self.hy * other.hy,
-            self.re * other.hy + other.re * self.hy,
-        )
+        if other.__class__ is not HNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _hn(self.u * other.u, self.v * other.v)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return HNumber(-self.re, -self.hy)
+        return _hn(-self.u, -self.v)
 
     def conj(self) -> "HNumber":
-        """Hyperbolic conjugate: flips the sign of the j component."""
-        return HNumber(self.re, -self.hy)
+        """Hyperbolic conjugate x - j*y: swaps u and v."""
+        return _hn(self.v, self.u)
 
     def sq_modulus(self) -> float:
-        """z * conj(z) = x^2 - y^2.  May be negative or zero."""
-        return self.re * self.re - self.hy * self.hy
+        """z * conj(z) = u*v = x^2 - y^2.  May be negative or zero."""
+        return self.u * self.v
 
     def inv(self) -> "HNumber":
-        """Multiplicative inverse conj(z) / |z|^2.
+        """Multiplicative inverse (1/u, 1/v).
 
         Raises ZeroDivisorError on the null cone, where no inverse exists.
         """
-        m = self.sq_modulus()
-        if m == 0.0:
+        if self.u == 0.0 or self.v == 0.0:
             raise ZeroDivisorError(f"{self} lies on the null cone; not invertible")
-        return HNumber(self.re / m, -self.hy / m)
+        return _hn(1.0 / self.u, 1.0 / self.v)
+
+
+_new = object.__new__
+_set_u = HNumber.u.__set__
+_set_v = HNumber.v.__set__
+
+
+def _hn(u: float, v: float) -> HNumber:
+    """The HNumber with null-cone coordinates (u, v); ValueError unless both are finite."""
+    if not (_isfinite(u) and _isfinite(v)):
+        raise ValueError(f"non-finite null-cone coordinates: {u!r}, {v!r}")
+    z = _new(HNumber)
+    _set_u(z, u)
+    _set_v(z, v)
+    return z
+
+
+def _coerce(x):
+    """A real scalar as an HNumber; NotImplemented for anything else."""
+    if isinstance(x, (int, float)):
+        x = float(x)
+        return _hn(x, x)
+    return NotImplemented
 
 
 ONE = HNumber(1.0)
@@ -100,24 +139,33 @@ J = HNumber(0.0, 1.0)
 
 
 def exp_j(theta: float) -> HNumber:
-    """Hyperbolic exponential e^{j*theta} = cosh(theta) + j*sinh(theta).
+    """Hyperbolic exponential e^{j*theta} = cosh(theta) + j*sinh(theta) = (e^theta, e^-theta).
 
     The result has squared modulus 1 (a point on the unit hyperbola).
-    OverflowError propagates when |theta| exceeds the range of cosh.
+    OverflowError propagates when |theta| exceeds the range of exp.
     """
-    return HNumber(math.cosh(theta), math.sinh(theta))
+    return _hn(math.exp(theta), math.exp(-theta))
 
 
 def h_arg(z: HNumber) -> float:
-    """Argument of z on the positive cone: arctanh(y/x) = 0.5*ln((x+y)/(x-y)).
+    """Argument of z on the positive cone: arctanh(y/x) = 0.5*ln(u/v).
 
-    Defined for x^2 - y^2 > 0, on both branches x > 0 and x < 0; satisfies
+    Defined for u*v > 0, on both branches x > 0 and x < 0; satisfies
     z = sign(x) * sqrt(|z|^2) * exp_j(h_arg(z)).
     """
-    if z.sq_modulus() <= 0.0:
+    u, v = z.u, z.v
+    if u * v <= 0.0:
         raise ArgDomainError(f"argument undefined for {z}: x^2 - y^2 <= 0")
-    # (x+y)/(x-y) is positive on both branches of the cone.
-    return 0.5 * math.log((z.re + z.hy) / (z.re - z.hy))
+    return _arg(u, v)
+
+
+def _arg(u: float, v: float) -> float:
+    """h_arg on null-cone coordinates with u*v > 0.
+
+    u/v is positive on both branches of the cone; its logarithm is taken
+    as a difference so that the ratio cannot overflow.
+    """
+    return 0.5 * (math.log(abs(u)) - math.log(abs(v)))
 
 
 def h_close(a: HNumber, b: HNumber, rel: float = 1e-9, abs_: float = 1e-12) -> bool:

@@ -108,8 +108,13 @@ def cmd_analyze(args, out) -> int:
         print(f"error: tolerance {args.tolerance!r} is not positive and finite", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        raw = json.loads(_read_input(args.input))
-    except json.JSONDecodeError as exc:
+        text = _read_input(args.input)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read input: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, or an integer past the digit limit
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
@@ -272,8 +277,16 @@ def cmd_demo_violation(args, out) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 1, invalid input: argparse's 2 is "not hyperbolic" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qlra",
         description=(
             "Reconstruct hyperbolic-valued probability amplitudes from "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import HNumber, exp_j
+from .algebra import HNumber, _hn, exp_j
 from .context import (
     Direction,
     InterferenceProfile,
@@ -24,7 +24,7 @@ from .context import (
     require_valid,
 )
 from .errors import RegimeError, StochasticityError
-from .linear import HVector2, inner_product
+from .linear import HVector2, _vec, inner_product
 
 __all__ = [
     "QlraState",
@@ -72,8 +72,11 @@ def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
 
 
 def _basis(M: Matrix2) -> tuple[HVector2, HVector2]:
-    e1 = HVector2(HNumber(math.sqrt(M[0][0])), HNumber(math.sqrt(M[1][0])))
-    e2 = HVector2(HNumber(math.sqrt(M[0][1])), HNumber(-math.sqrt(M[1][1])))
+    (m00, m01), (m10, m11) = M
+    r00, r01, r10, r11 = math.sqrt(m00), math.sqrt(m01), math.sqrt(m10), math.sqrt(m11)
+    # A real number r has null-cone coordinates (r, r).
+    e1 = _vec(_hn(r00, r00), _hn(r10, r10))
+    e2 = _vec(_hn(r01, r01), _hn(-r11, -r11))
     return (e1, e2)
 
 
@@ -108,10 +111,12 @@ def reconstruct(ctx: ProbContext, direction: Direction, sign_choice: int) -> Qlr
     m, _ = ctx.marginals(direction)
     s = profile.epsilon[0]
     phase = exp_j(sign_choice * profile.theta[0])
-    term = lambda i, j: math.sqrt(m[j] * M[i][j])
-    psi = HVector2(
-        HNumber(term(0, 0)) + (s * phase) * HNumber(term(0, 1)),
-        HNumber(term(1, 0)) - (s * phase) * HNumber(term(1, 1)),
+    pu, pv = s * phase.u, s * phase.v  # s*phase in null-cone coordinates
+    a00, a01 = math.sqrt(m[0] * M[0][0]), math.sqrt(m[1] * M[0][1])
+    a10, a11 = math.sqrt(m[0] * M[1][0]), math.sqrt(m[1] * M[1][1])
+    psi = _vec(
+        _hn(a00 + pu * a01, a00 + pv * a01),
+        _hn(a10 - pu * a11, a10 - pv * a11),
     )
     return QlraState(
         psi=psi,
@@ -158,12 +163,23 @@ def expansion_consistency(state: QlraState) -> float:
     m = state.conditioning_marginals
     s = state.profile.epsilon[0]
     phase = exp_j(state.sign_choice * state.profile.theta[0])
+    r1 = math.sqrt(m[0])
+    r2 = s * math.sqrt(m[1])
+    ku, kv = r2 * phase.u, r2 * phase.v
     e1, e2 = state.conditioning_basis
-    expanded = e1.scale(math.sqrt(m[0])) + e2.scale((s * phase) * HNumber(math.sqrt(m[1])))
-    diff = state.psi - expanded
+    p1, p2 = state.psi.c1, state.psi.c2
     return max(
-        abs(diff.c1.re), abs(diff.c1.hy), abs(diff.c2.re), abs(diff.c2.hy)
+        component_gap(p1.u - (r1 * e1.c1.u + ku * e2.c1.u), p1.v - (r1 * e1.c1.v + kv * e2.c1.v)),
+        component_gap(p2.u - (r1 * e1.c2.u + ku * e2.c2.u), p2.v - (r1 * e1.c2.v + kv * e2.c2.v)),
     )
+
+
+def component_gap(du: float, dv: float) -> float:
+    """max(|re|, |hy|) of the difference whose null-cone coordinates are (du, dv).
+
+    re, hy = (du + dv)/2, (du - dv)/2, and max(|a + b|, |a - b|) = |a| + |b|.
+    """
+    return 0.5 * (abs(du) + abs(dv))
 
 
 @dataclass(frozen=True)

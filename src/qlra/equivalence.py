@@ -9,13 +9,13 @@ exactly when the two transition matrices are transposes of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .algebra import h_arg
+from .algebra import _arg, h_arg
 from .context import Direction, Matrix2, ProbContext, require_valid
-from .engine import QlraState, conditioning_basis, reconstruct, run_qlra
+from .engine import QlraState, component_gap, conditioning_basis, reconstruct, run_qlra
 from .errors import DegenerateStateError
-from .linear import HMatrix2, HVector2, sq_norm
+from .linear import HMatrix2, HVector2
 
 __all__ = [
     "EquivalenceVerdict",
@@ -63,33 +63,43 @@ def states_equivalent(v1: HVector2, v2: HVector2, tol: float = 1e-9) -> Equivale
     equivalence requires it to have unit squared modulus and to map v2
     onto v1 componentwise within tol.
     """
-    for name, v in (("v1", v1), ("v2", v2)):
-        n = sq_norm(v)
+    return _equivalent(_coords(v1), _coords(v2), tol)
+
+
+# A vector (c1, c2) as the null-cone coordinates (c1.u, c1.v, c2.u, c2.v).
+Coords = tuple[float, float, float, float]
+
+
+def _coords(v: HVector2) -> Coords:
+    return (v.c1.u, v.c1.v, v.c2.u, v.c2.v)
+
+
+def _equivalent(a: Coords, b: Coords, tol: float, symmetry_holds: bool | None = None) -> EquivalenceVerdict:
+    """states_equivalent on the null-cone coordinates (u1, v1, u2, v2) of two vectors."""
+    for name, (u1, v1, u2, v2) in (("v1", a), ("v2", b)):
+        n = u1 * v1 + u2 * v2
         if abs(n - 1.0) > max(tol, 1e-6):
             raise ValueError(f"{name} is not a unit vector (sq_norm={n!r})")
-    comps2 = v2.components()
-    mods = [abs(c.sq_modulus()) for c in comps2]
-    k = 0 if mods[0] >= mods[1] else 1
-    if mods[k] < _NULL_CONE_FLOOR:
+    au1, av1, au2, av2 = a
+    bu1, bv1, bu2, bv2 = b
+    mod1, mod2 = abs(bu1 * bv1), abs(bu2 * bv2)
+    if max(mod1, mod2) < _NULL_CONE_FLOOR:
         raise DegenerateStateError(
             "every component of v2 lies (numerically) on the null cone"
         )
-    c = v1.components()[k] * comps2[k].inv()
-    mapped = v2.scale(c)
-    diff = v1 - mapped
-    deviation = max(abs(diff.c1.re), abs(diff.c1.hy), abs(diff.c2.re), abs(diff.c2.hy))
-    unit_multiplier = abs(c.sq_modulus() - 1.0) <= tol
-    equivalent = unit_multiplier and deviation <= tol
-    if not equivalent:
-        return EquivalenceVerdict(
-            equivalent=False, gamma=None, sign=None, max_component_deviation=deviation
-        )
-    # |c|^2 = 1 forces |c.re| >= 1, so the sign is unambiguous.
-    s = 1 if c.re > 0 else -1
-    gamma = h_arg(s * c)
-    return EquivalenceVerdict(
-        equivalent=True, gamma=gamma, sign=s, max_component_deviation=deviation
+    # The multiplier c = a_k / b_k, componentwise in null-cone coordinates.
+    cu, cv = (au1 / bu1, av1 / bv1) if mod1 >= mod2 else (au2 / bu2, av2 / bv2)
+    deviation = max(
+        component_gap(au1 - cu * bu1, av1 - cv * bv1),
+        component_gap(au2 - cu * bu2, av2 - cv * bv2),
     )
+    sq_mod = cu * cv
+    # |c|^2 within tol of 1, on the cone where the argument is defined.
+    unit_multiplier = abs(sq_mod - 1.0) <= tol and sq_mod > 0.0
+    if not (unit_multiplier and deviation <= tol):
+        return EquivalenceVerdict(False, None, None, deviation, symmetry_holds)
+    # cu and cv share a sign, the sign of c.re = (cu + cv)/2.
+    return EquivalenceVerdict(True, _arg(cu, cv), 1 if cu > 0 else -1, deviation, symmetry_holds)
 
 
 def _symmetry_holds(ctx: ProbContext, tol: float) -> bool:
@@ -123,19 +133,26 @@ def consistency_verdict(
     """check_consistency's comparison, for the two amplitudes of a validated context."""
     # The transition unitary's columns are the b|a conditioning basis.
     e1, e2 = state_ba.conditioning_basis
-    transported = e1.scale(state_ba.psi.c1) + e2.scale(state_ba.psi.c2)
+    p1, p2 = state_ba.psi.c1, state_ba.psi.c2
+    transported = (
+        p1.u * e1.c1.u + p2.u * e2.c1.u,
+        p1.v * e1.c1.v + p2.v * e2.c1.v,
+        p1.u * e1.c2.u + p2.u * e2.c2.u,
+        p1.v * e1.c2.v + p2.v * e2.c2.v,
+    )
+    symmetry_holds = _symmetry_holds(ctx, tol)
     # The a|b construction carries its own +- phase-branch freedom
     # (cosh is even, so the phase difference of the two amplitude
     # components is only determined up to sign).  Either branch is a
     # representative of the same reconstruction; accept whichever one
     # the transported state matches.
-    verdict = states_equivalent(state_ab.psi, transported, tol=tol)
+    verdict = _equivalent(_coords(state_ab.psi), transported, tol, symmetry_holds)
     if not verdict.equivalent:
         other = reconstruct(ctx, Direction.A_GIVEN_B, -state_ab.sign_choice)
-        candidate = states_equivalent(other.psi, transported, tol=tol)
+        candidate = _equivalent(_coords(other.psi), transported, tol, symmetry_holds)
         if candidate.max_component_deviation < verdict.max_component_deviation:
             verdict = candidate
-    return replace(verdict, symmetry_holds=_symmetry_holds(ctx, tol))
+    return verdict
 
 
 def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:

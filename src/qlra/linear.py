@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import HNumber
+from .algebra import HNumber, _hn
 
 __all__ = [
     "HVector2",
@@ -30,27 +30,41 @@ def _as_h(x) -> HNumber:
     return x if isinstance(x, HNumber) else HNumber(float(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HVector2:
+    """A vector (c1, c2) over the algebra; the constructor turns real entries into HNumbers."""
+
     c1: HNumber
     c2: HNumber
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", _as_h(self.c1))
-        object.__setattr__(self, "c2", _as_h(self.c2))
+    def __init__(self, c1, c2):
+        _set_c1(self, _as_h(c1))
+        _set_c2(self, _as_h(c2))
 
     def __add__(self, other: "HVector2") -> "HVector2":
-        return HVector2(self.c1 + other.c1, self.c2 + other.c2)
+        return _vec(self.c1 + other.c1, self.c2 + other.c2)
 
     def __sub__(self, other: "HVector2") -> "HVector2":
-        return HVector2(self.c1 - other.c1, self.c2 - other.c2)
+        return _vec(self.c1 - other.c1, self.c2 - other.c2)
 
     def scale(self, c) -> "HVector2":
         c = _as_h(c)
-        return HVector2(c * self.c1, c * self.c2)
+        return _vec(c * self.c1, c * self.c2)
 
     def components(self) -> tuple[HNumber, HNumber]:
         return (self.c1, self.c2)
+
+
+_set_c1 = HVector2.c1.__set__
+_set_c2 = HVector2.c2.__set__
+
+
+def _vec(c1: HNumber, c2: HNumber) -> HVector2:
+    """The HVector2 (c1, c2) of two HNumbers, taken as they are."""
+    v = object.__new__(HVector2)
+    _set_c1(v, c1)
+    _set_c2(v, c2)
+    return v
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,9 @@ def inner_product(u: HVector2, v: HVector2) -> HNumber:
     Conjugate-symmetric and linear in the first argument; indefinite, so
     null vectors exist.
     """
-    return u.c1 * v.c1.conj() + u.c2 * v.c2.conj()
+    # conj swaps the null-cone coordinates; products are componentwise.
+    a1, a2, b1, b2 = u.c1, u.c2, v.c1, v.c2
+    return _hn(a1.u * b1.v + a2.u * b2.v, a1.v * b1.u + a2.v * b2.u)
 
 
 def sq_norm(v: HVector2) -> float:
@@ -84,9 +100,11 @@ def sq_norm(v: HVector2) -> float:
 
 
 def mat_apply(M: HMatrix2, v: HVector2) -> HVector2:
-    return HVector2(
-        M[0][0] * v.c1 + M[0][1] * v.c2,
-        M[1][0] * v.c1 + M[1][1] * v.c2,
+    (m00, m01), (m10, m11) = M.entries
+    x1, x2 = v.c1, v.c2
+    return _vec(
+        _hn(m00.u * x1.u + m01.u * x2.u, m00.v * x1.v + m01.v * x2.v),
+        _hn(m10.u * x1.u + m11.u * x2.u, m10.v * x1.v + m11.v * x2.v),
     )
 
 

@@ -108,6 +108,36 @@ def test_analyze_malformed_json_exit_1(tmp_path, capsys):
         assert_one_error_line(capsys)
 
 
+def test_analyze_unreadable_input_exit_1(tmp_path, capsys):
+    paths = {
+        "missing": tmp_path / "missing.json",
+        "directory": tmp_path,
+        "long integer": tmp_path / "long.json",
+        "not utf-8": tmp_path / "latin1.json",
+        "deep nesting": tmp_path / "deep.json",
+    }
+    paths["long integer"].write_text('{"p_a": [1' + "0" * 5000 + ", 0]}")
+    paths["not utf-8"].write_bytes(b'{"p_a": "\xff"}')
+    paths["deep nesting"].write_text("[" * 100_000 + "]" * 100_000)
+    for path in paths.values():
+        code, _ = run_cli(["analyze", str(path)])
+        assert code == 1
+        assert_one_error_line(capsys)
+
+
+def test_usage_errors_exit_1(ctx1_file, capsys):
+    # Exit 2 means "not hyperbolic"; a usage error is invalid input.
+    for argv in (["analyze", ctx1_file, "--sign-branch", "2"], ["analyze"], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qlra") and "error: " in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+
+
 def test_analyze_invalid_context_exit_1(tmp_path):
     ctx = dict(CTX1, p_a=[0.7, 0.2])
     path = tmp_path / "invalid.json"

@@ -7,17 +7,24 @@ from qlra import (
     Direction,
     HNumber,
     HVector2,
+    InfeasibleContextError,
     ProbContext,
+    Regime,
     RegimeError,
     StochasticityError,
     born_violation_demo,
     conditioning_basis,
     expansion_consistency,
     exp_j,
+    generate_hyperbolic_context,
+    h_arg,
     inner_product,
+    interference_coefficients,
+    lambda_feasible_range,
     random_hyperbolic_context,
     run_qlra,
     sq_norm,
+    validate_context,
     verify_born_rule,
 )
 
@@ -147,6 +154,39 @@ def test_mismatched_expansion_is_incoherent(ctx1):
         sign_choice=-1,
     )
     assert expansion_consistency(flipped) > 0.1
+
+
+def _extreme_contexts():
+    """Valid contexts over an extreme (p, p_a1) grid, lambda near the edges and mid of each band."""
+    for p in (1e-9, 1e-6, 1e-3, 0.3, 0.5, 1 - 1e-6):
+        for p_a1 in (1e-9, 1e-6, 0.2, 0.5, 0.9, 1 - 1e-6):
+            for lo, hi in lambda_feasible_range(p, p_a1):
+                inset = 1e-9 * (hi - lo)
+                for lam in (lo + inset, 0.5 * (lo + hi), hi - inset):
+                    try:
+                        ctx = generate_hyperbolic_context(p, p_a1, lam)
+                    except (InfeasibleContextError, RegimeError):
+                        continue
+                    if not validate_context(ctx):
+                        yield ctx
+
+
+def test_born_rule_extreme_conditioning():
+    # |lambda| = cosh(theta) reaches 5e8 here; null-cone arithmetic
+    # keeps every residual at rounding level.
+    checked = 0
+    for ctx in _extreme_contexts():
+        for direction in Direction:
+            if interference_coefficients(ctx, direction).regime is not Regime.HYPERBOLIC:
+                continue
+            report = verify_born_rule(run_qlra(ctx, direction), ctx)
+            assert max(report.conditioned_residuals) <= 1e-12
+            assert max(report.conditioning_residuals) <= 1e-12
+            checked += 1
+    assert checked >= 300
+    for theta in (k / 4 for k in range(-2800, 2801)):
+        assert abs(exp_j(theta).sq_modulus() - 1.0) <= 1e-12
+        assert h_arg(exp_j(theta)) == pytest.approx(theta, rel=1e-12, abs=1e-12)
 
 
 @given(
