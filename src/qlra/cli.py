@@ -154,7 +154,7 @@ def cmd_analyze(args, out) -> int:
         entry.update(_profile_dict(profile))
         if profile.regime is Regime.HYPERBOLIC:
             # Validated above, at the run's tolerance: build without re-checking.
-            state = states[name] = reconstruct(ctx, direction, args.sign_branch)
+            state = states[name] = reconstruct(ctx, direction, profile, args.sign_branch)
             born = verify_born_rule(state, ctx)
             entry["born_residuals"] = {
                 "conditioned": list(born.conditioned_residuals),
@@ -224,7 +224,7 @@ def _parse_grid(spec: str) -> list[float]:
         a, b, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-    if step <= 0 or b < a:
+    if not (0.0 < step < float("inf") and float("-inf") < a <= b < float("inf")):
         raise ValueError(f"bad grid {spec!r}")
     n = int(round((b - a) / step))
     values = [a + i * step for i in range(n + 1)]

@@ -152,20 +152,25 @@ class ProbContext:
         return cls(d["p_a"], d["p_b"], d["P_b_given_a"], d.get("P_a_given_b"))
 
 
+def _line_sums(M: Matrix2) -> dict[str, float]:
+    """The row and column sums of M, by name."""
+    (a, b), (c, d) = M
+    return {"row 0": a + b, "row 1": c + d, "column 0": a + c, "column 1": b + d}
+
+
 def is_doubly_stochastic(M: Matrix2, tol: float = 1e-9) -> bool:
     """All row sums and column sums equal 1 within tol, entries nonnegative."""
     M = _as_matrix(M)
     if any(x < -tol for row in M for x in row):
         return False
-    sums = [M[0][0] + M[0][1], M[1][0] + M[1][1], M[0][0] + M[1][0], M[0][1] + M[1][1]]
-    return all(abs(s - 1.0) <= tol for s in sums)
+    return all(abs(s - 1.0) <= tol for s in _line_sums(M).values())
 
 
 def validate_context(ctx: ProbContext, tol: float = 1e-9) -> list[str]:
     """Return a list of violated invariants; empty means valid.
 
-    Checks marginal normalization, strict positivity, column
-    stochasticity of both matrices, and double stochasticity.
+    Checks marginal normalization, strict positivity, and the double
+    stochasticity of both matrices (one violation each, naming the sums off).
     """
     violations = []
     for name, pair in (("p_a", ctx.p_a), ("p_b", ctx.p_b)):
@@ -184,12 +189,9 @@ def validate_context(ctx: ProbContext, tol: float = 1e-9) -> list[str]:
                 x = M[i][j]
                 if not (POSITIVITY_MARGIN <= x <= 1.0 - POSITIVITY_MARGIN):
                     violations.append(f"{name}[{i}][{j}]={x!r} outside (0,1)")
-        for j in range(2):
-            s = M[0][j] + M[1][j]
-            if abs(s - 1.0) > tol:
-                violations.append(f"{name} column {j} not stochastic (sum={s!r})")
-        if not is_doubly_stochastic(M, tol):
-            violations.append(f"{name} is not doubly stochastic")
+        off = [f"{line} sum={s!r}" for line, s in _line_sums(M).items() if abs(s - 1.0) > tol]
+        if off:
+            violations.append(f"{name} is not doubly stochastic ({', '.join(off)})")
     return violations
 
 

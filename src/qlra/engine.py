@@ -92,17 +92,19 @@ def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> Ql
     phase branches satisfy Born's rule for all four probabilities.
     """
     require_valid(ctx)
-    return reconstruct(ctx, direction, sign_choice)
+    return reconstruct(ctx, direction, interference_coefficients(ctx, direction), sign_choice)
 
 
-def reconstruct(ctx: ProbContext, direction: Direction, sign_choice: int) -> QlraState:
-    """run_qlra for a ctx that already passed validate_context; nothing is re-checked
-    (a defaulted a|b matrix is the transpose of a checked one).
+def reconstruct(
+    ctx: ProbContext, direction: Direction, profile: InterferenceProfile, sign_choice: int
+) -> QlraState:
+    """run_qlra for a ctx that already passed validate_context, given the direction's
+    interference profile; nothing is re-checked (a defaulted a|b matrix is the
+    transpose of a checked one).
     """
     if sign_choice not in (1, -1):
         raise ValueError("sign_choice must be +1 or -1")
     M = ctx.matrix(direction)
-    profile = interference_coefficients(ctx, direction)
     if profile.regime is not Regime.HYPERBOLIC:
         raise RegimeError(
             f"{direction.value} data is {profile.regime.value}, not hyperbolic "

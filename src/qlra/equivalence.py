@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import _arg, h_arg
-from .context import Direction, Matrix2, ProbContext, require_valid
+from .context import Direction, Matrix2, ProbContext, interference_coefficients, require_valid
 from .engine import QlraState, component_gap, conditioning_basis, reconstruct, run_qlra
 from .errors import DegenerateStateError
 from .linear import HMatrix2, HVector2
@@ -122,8 +122,9 @@ def check_consistency(
     consistency theorem).
     """
     require_valid(ctx, tol)
-    state_ba = reconstruct(ctx, Direction.B_GIVEN_A, sign_choice)
-    state_ab = reconstruct(ctx, Direction.A_GIVEN_B, sign_choice)
+    ba, ab = Direction.B_GIVEN_A, Direction.A_GIVEN_B
+    state_ba = reconstruct(ctx, ba, interference_coefficients(ctx, ba), sign_choice)
+    state_ab = reconstruct(ctx, ab, interference_coefficients(ctx, ab), sign_choice)
     return consistency_verdict(ctx, state_ba, state_ab, tol)
 
 
@@ -145,11 +146,12 @@ def consistency_verdict(
     # (cosh is even, so the phase difference of the two amplitude
     # components is only determined up to sign).  Either branch is a
     # representative of the same reconstruction; accept whichever one
-    # the transported state matches.
-    verdict = _equivalent(_coords(state_ab.psi), transported, tol, symmetry_holds)
+    # the transported state matches.  The other branch, exp_j(-theta)
+    # for exp_j(theta), is the conjugate amplitude: u and v swap.
+    u1, v1, u2, v2 = _coords(state_ab.psi)
+    verdict = _equivalent((u1, v1, u2, v2), transported, tol, symmetry_holds)
     if not verdict.equivalent:
-        other = reconstruct(ctx, Direction.A_GIVEN_B, -state_ab.sign_choice)
-        candidate = _equivalent(_coords(other.psi), transported, tol, symmetry_holds)
+        candidate = _equivalent((v1, u1, v2, u2), transported, tol, symmetry_holds)
         if candidate.max_component_deviation < verdict.max_component_deviation:
             verdict = candidate
     return verdict
@@ -164,7 +166,8 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
     vanishes exactly when the transpose symmetry holds.
     """
     state_ab = run_qlra(ctx, Direction.A_GIVEN_B, sign_choice=sign_choice)
-    state_ba = reconstruct(ctx, Direction.B_GIVEN_A, sign_choice)
+    ba = Direction.B_GIVEN_A
+    state_ba = reconstruct(ctx, ba, interference_coefficients(ctx, ba), sign_choice)
     return relation_residual(state_ab, state_ba)
 
 

@@ -8,6 +8,10 @@ from pathlib import Path
 import pytest
 
 import qlra
+import qlra.cli
+import qlra.context
+import qlra.engine
+import qlra.equivalence
 from qlra.cli import main
 
 
@@ -160,6 +164,41 @@ def test_analyze_asymmetric_exit_3(tmp_path):
     assert report["equivalence"]["symmetry_holds"] is False
 
 
+# Symmetric, with lambda_1 of the same sign in both directions: the
+# transported b|a state matches the other a|b phase branch, not the first.
+# (CTX1's lambda_1 signs differ and its first branch matches.)
+SAME_SIGN = {
+    "p_a": [0.1, 0.9],
+    "p_b": [0.05, 0.95],
+    "P_b_given_a": [[0.7, 0.3], [0.3, 0.7]],
+    "P_a_given_b": [[0.7, 0.3], [0.3, 0.7]],
+}
+
+
+@pytest.mark.parametrize("ctx, comparisons", [(CTX1, 1), (SAME_SIGN, 2)])
+def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    profile = counted(qlra.context.interference_coefficients)
+    for module in (qlra.cli, qlra.engine, qlra.equivalence):
+        monkeypatch.setattr(module, "interference_coefficients", profile)
+    monkeypatch.setattr(qlra.equivalence, "_equivalent", counted(qlra.equivalence._equivalent))
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(ctx))
+    code, text = run_cli(["analyze", str(path)])
+    assert code == 0 and json.loads(text)["equivalence"]["equivalent"] is True
+    assert calls.count("interference_coefficients") == 2
+    # One comparison when the first a|b phase branch matches, two when it misses.
+    assert calls.count("_equivalent") == comparisons
+
+
 def test_analyze_direction_filter(ctx1_file):
     code, text = run_cli(["analyze", ctx1_file, "--direction", "b_given_a"])
     assert code == 0
@@ -225,6 +264,15 @@ def test_sweep_grid_shape():
     rows = text.strip().splitlines()[1:]
     assert len(rows) == 81
     assert "nan" not in text.lower()
+
+
+@pytest.mark.parametrize("flag", ["--p-grid", "--pa-grid"])
+@pytest.mark.parametrize("spec", ["0:inf:0.1", "nan:0.9:0.1", "0.1:0.9:inf"])
+def test_sweep_non_finite_grid_exit_1(flag, spec, capsys):
+    argv = {"--p-grid": "0.1:0.9:0.1", "--pa-grid": "0.1:0.9:0.1", flag: spec}
+    code, text = run_cli(["sweep", *(x for kv in argv.items() for x in kv)])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == f"error: bad grid {spec!r}\n"
 
 
 def test_demo_violation():

@@ -41,6 +41,21 @@ def test_not_doubly_stochastic_reported():
     assert not any("column" in v for v in violations)
 
 
+def test_one_violation_per_non_doubly_stochastic_matrix():
+    # Columns of P_b_given_a are off; rows and one column of P_a_given_b are.
+    ctx = ProbContext(
+        p_a=(0.5, 0.5),
+        p_b=(0.5, 0.5),
+        p_b_given_a=((0.7, 0.3), (0.4, 0.6)),
+        p_a_given_b=((0.7, 0.7), (0.4, 0.3)),
+    )
+    assert validate_context(ctx) == [
+        f"P_b_given_a is not doubly stochastic (column 0 sum={0.7 + 0.4!r}, column 1 sum={0.3 + 0.6!r})",
+        f"P_a_given_b is not doubly stochastic (row 0 sum={0.7 + 0.7!r}, row 1 sum={0.4 + 0.3!r}, "
+        f"column 0 sum={0.7 + 0.4!r})",
+    ]
+
+
 def test_is_doubly_stochastic():
     assert is_doubly_stochastic(((0.9, 0.1), (0.1, 0.9)))
     for p in (0.05, 0.3, 0.5, 0.99):

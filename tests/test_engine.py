@@ -189,6 +189,23 @@ def test_born_rule_extreme_conditioning():
         assert h_arg(exp_j(theta)) == pytest.approx(theta, rel=1e-12, abs=1e-12)
 
 
+def test_other_phase_branch_is_conjugate(rng):
+    # exp_j(-theta) swaps the null-cone coordinates of exp_j(theta), so the
+    # other branch's amplitude is the conjugate one, to the last bit.
+    contexts = [random_hyperbolic_context(rng) for _ in range(200)]
+    checked = 0
+    for ctx in contexts + list(_extreme_contexts()):
+        for direction in Direction:
+            if interference_coefficients(ctx, direction).regime is not Regime.HYPERBOLIC:
+                continue
+            plus, minus = run_qlra(ctx, direction, 1).psi, run_qlra(ctx, direction, -1).psi
+            assert (minus.c1.u, minus.c1.v, minus.c2.u, minus.c2.v) == (
+                plus.c1.v, plus.c1.u, plus.c2.v, plus.c2.u
+            )
+            checked += 1
+    assert checked >= 700
+
+
 @given(
     st.floats(min_value=1e-3, max_value=10),
     st.floats(min_value=1e-3, max_value=10),
