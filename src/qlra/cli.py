@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -56,31 +57,19 @@ def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON serialization with 12-significant-digit floats."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, (list, tuple)) and obj:
         items = [dumps(x, indent + 1) for x in obj]
         if all("\n" not in it and len(it) < 40 for it in items):
             return "[" + ", ".join(items) + "]"
         return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if isinstance(obj, dict) and obj:
         items = [
             f"{json.dumps(str(k))}: {dumps(v, indent + 1)}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "}"
-    raise TypeError(f"unserializable object of type {type(obj).__name__}")
+    return json.dumps(obj)
 
 
 def _read_input(path: str) -> str:
@@ -88,15 +77,6 @@ def _read_input(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _profile_dict(profile) -> dict:
-    return {
-        "lambda": list(profile.lam),
-        "epsilon": list(profile.epsilon),
-        "theta": list(profile.theta),
-        "regime": profile.regime.value,
-    }
 
 
 def cmd_analyze(args, out) -> int:
@@ -137,24 +117,23 @@ def cmd_analyze(args, out) -> int:
         print(dumps(report), file=out)
         return EXIT_INVALID_INPUT
 
-    directions = {
-        "b_given_a": Direction.B_GIVEN_A,
-        "a_given_b": Direction.A_GIVEN_B,
-    }
-    if args.direction != "both":
-        directions = {args.direction: directions[args.direction]}
-
     exit_code = EXIT_OK
     dir_reports = {}
     states = {}
     regimes_ok = True
-    for name, direction in directions.items():
-        entry = {}
+    for direction in Direction:
+        if args.direction not in ("both", direction.value):
+            continue
         profile = interference_coefficients(ctx, direction)
-        entry.update(_profile_dict(profile))
+        entry = {
+            "lambda": list(profile.lam),
+            "epsilon": list(profile.epsilon),
+            "theta": list(profile.theta),
+            "regime": profile.regime.value,
+        }
         if profile.regime is Regime.HYPERBOLIC:
             # Validated above, at the run's tolerance: build without re-checking.
-            state = states[name] = reconstruct(ctx, direction, profile, args.sign_branch)
+            state = states[direction] = reconstruct(ctx, direction, profile, args.sign_branch)
             born = verify_born_rule(state, ctx)
             entry["born_residuals"] = {
                 "conditioned": list(born.conditioned_residuals),
@@ -168,7 +147,7 @@ def cmd_analyze(args, out) -> int:
                 f"regime is {profile.regime.value}: |lambda| <= 1 for at least "
                 "one outcome; hyperbolic reconstruction not applicable"
             )
-        dir_reports[name] = entry
+        dir_reports[direction.value] = entry
     report["directions"] = dir_reports
 
     if not regimes_ok:
@@ -176,7 +155,7 @@ def cmd_analyze(args, out) -> int:
         return EXIT_REGIME
 
     if args.direction == "both":
-        state_ba, state_ab = states["b_given_a"], states["a_given_b"]
+        state_ba, state_ab = states[Direction.B_GIVEN_A], states[Direction.A_GIVEN_B]
         verdict = consistency_verdict(ctx, state_ba, state_ab, tolerance)
         eq_entry = {
             "equivalent": verdict.equivalent,
@@ -224,11 +203,15 @@ def _parse_grid(spec: str) -> list[float]:
         a, b, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-    if not (0.0 < step < float("inf") and float("-inf") < a <= b < float("inf")):
+    count = (b - a) / step
+    if not (0.0 < step < float("inf") and float("-inf") < a <= b and count < float("inf")):
         raise ValueError(f"bad grid {spec!r}")
-    n = int(round((b - a) / step))
-    values = [a + i * step for i in range(n + 1)]
-    return [v for v in values if 0.0 < v < 1.0]
+    # Only the points a + i*step with i from -a/step to (1 - a)/step can lie in
+    # (0, 1); the filter drops what rounding puts on or past either end.
+    n = round(count)
+    first = math.floor(min(max(-a / step, 0.0), n))
+    last = math.ceil(min(max((1.0 - a) / step, 0.0), n))
+    return [v for v in (a + i * step for i in range(first, last + 1)) if 0.0 < v < 1.0]
 
 
 def cmd_sweep(args, out) -> int:
@@ -309,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument(
         "--direction",
-        choices=("b_given_a", "a_given_b", "both"),
+        choices=(*(d.value for d in Direction), "both"),
         default="both",
     )
     p_an.set_defaults(func=cmd_analyze)

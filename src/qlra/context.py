@@ -247,12 +247,17 @@ def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-1
 
     Requires the direction's matrix to be doubly stochastic, under which
     the cancellation is an algebraic identity and the mixed
-    hyper-trigonometric regime cannot occur.
+    hyper-trigonometric regime cannot occur.  The sum is compared in
+    probability units, times the smaller denominator of the two lam[i], so
+    rounding in the probabilities does not grow with |lam|.
     """
-    if not is_doubly_stochastic(ctx.matrix(direction), tol=max(tol, 1e-9)):
+    M = ctx.matrix(direction)
+    if not is_doubly_stochastic(M, tol=max(tol, 1e-9)):
         raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")
     profile = interference_coefficients(ctx, direction)
-    return abs(profile.lam[0] + profile.lam[1]) <= tol
+    p_cond, _ = ctx.marginals(direction)
+    denominator = min(2.0 * math.sqrt((p_cond[0] * M[i][0]) * (p_cond[1] * M[i][1])) for i in range(2))
+    return abs(profile.lam[0] + profile.lam[1]) * denominator <= tol
 
 
 def _band(p: float, p_a1: float) -> tuple[float, float, float, float]:

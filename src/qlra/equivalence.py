@@ -61,7 +61,8 @@ def states_equivalent(v1: HVector2, v2: HVector2, tol: float = 1e-9) -> Equivale
     Both vectors must have unit squared norm within tol.  The multiplier
     is extracted from the component of v2 farthest from the null cone;
     equivalence requires it to have unit squared modulus and to map v2
-    onto v1 componentwise within tol.
+    onto v1 componentwise within tol times the largest null-cone
+    coordinate of either vector (at least 1).
     """
     return _equivalent(_coords(v1), _coords(v2), tol)
 
@@ -96,7 +97,9 @@ def _equivalent(a: Coords, b: Coords, tol: float, symmetry_holds: bool | None = 
     sq_mod = cu * cv
     # |c|^2 within tol of 1, on the cone where the argument is defined.
     unit_multiplier = abs(sq_mod - 1.0) <= tol and sq_mod > 0.0
-    if not (unit_multiplier and deviation <= tol):
+    # Coordinates of size cosh(theta) carry rounding errors of that size.
+    scale = max(1.0, *map(abs, a + b))
+    if not (unit_multiplier and deviation <= tol * scale):
         return EquivalenceVerdict(False, None, None, deviation, symmetry_holds)
     # cu and cv share a sign, the sign of c.re = (cu + cv)/2.
     return EquivalenceVerdict(True, _arg(cu, cv), 1 if cu > 0 else -1, deviation, symmetry_holds)
@@ -131,7 +134,10 @@ def check_consistency(
 def consistency_verdict(
     ctx: ProbContext, state_ba: QlraState, state_ab: QlraState, tol: float
 ) -> EquivalenceVerdict:
-    """check_consistency's comparison, for the two amplitudes of a validated context."""
+    """check_consistency's comparison, for the two amplitudes of a validated context.
+
+    Both amplitudes must be built on the same sign_choice.
+    """
     # The transition unitary's columns are the b|a conditioning basis.
     e1, e2 = state_ba.conditioning_basis
     p1, p2 = state_ba.psi.c1, state_ba.psi.c2
@@ -141,20 +147,18 @@ def consistency_verdict(
         p1.u * e1.c2.u + p2.u * e2.c2.u,
         p1.v * e1.c2.v + p2.v * e2.c2.v,
     )
-    symmetry_holds = _symmetry_holds(ctx, tol)
-    # The a|b construction carries its own +- phase-branch freedom
-    # (cosh is even, so the phase difference of the two amplitude
-    # components is only determined up to sign).  Either branch is a
-    # representative of the same reconstruction; accept whichever one
-    # the transported state matches.  The other branch, exp_j(-theta)
-    # for exp_j(theta), is the conjugate amplitude: u and v swap.
+    # The theorem fixes the a|b phase sign sc' that reconstruct leaves free.
+    # A DS P is [[p, q], [q, p]], so U = [[sqrt p, sqrt q], [sqrt q, -sqrt p]] has U^2 = I,
+    # and a symmetric context has psi_ab = U (sqrt p_b1, eps_ab exp_j(sc' theta_ab) sqrt p_b2):
+    # U psi_ba = c psi_ab then means psi_ba = c (sqrt p_b1, eps_ab exp_j(sc' theta_ab) sqrt p_b2).
+    # The j-part of psi_ba,2 conj(psi_ba,1) is -eps_ba sc sinh(theta_ba) sqrt(p_a1 p_a2) by
+    # reconstruct (p + q = 1) and eps_ab sc' sinh(theta_ab) sqrt(p_b1 p_b2) by the right side
+    # (|c| = 1), so sc' = -eps_ba eps_ab sc.  With one sc for both, equal signs of lambda_1
+    # call for the other branch: the conjugate amplitude, u and v swapped.
     u1, v1, u2, v2 = _coords(state_ab.psi)
-    verdict = _equivalent((u1, v1, u2, v2), transported, tol, symmetry_holds)
-    if not verdict.equivalent:
-        candidate = _equivalent((v1, u1, v2, u2), transported, tol, symmetry_holds)
-        if candidate.max_component_deviation < verdict.max_component_deviation:
-            verdict = candidate
-    return verdict
+    if state_ba.profile.epsilon[0] == state_ab.profile.epsilon[0]:
+        u1, v1, u2, v2 = v1, u1, v2, u2
+    return _equivalent((u1, v1, u2, v2), transported, tol, _symmetry_holds(ctx, tol))
 
 
 def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from qlra import ProbContext
+from qlra import (
+    InfeasibleContextError,
+    ProbContext,
+    RegimeError,
+    generate_hyperbolic_context,
+    lambda_feasible_range,
+    validate_context,
+)
 
 
 @pytest.fixture
@@ -22,3 +29,21 @@ def ctx1() -> ProbContext:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def extreme_contexts() -> list[ProbContext]:
+    """Valid contexts over an extreme (p, p_a1) grid, lambda near the edges and mid of each band."""
+    contexts = []
+    for p in (1e-9, 1e-6, 1e-3, 0.3, 0.5, 1 - 1e-6):
+        for p_a1 in (1e-9, 1e-6, 0.2, 0.5, 0.9, 1 - 1e-6):
+            for lo, hi in lambda_feasible_range(p, p_a1):
+                inset = 1e-9 * (hi - lo)
+                for lam in (lo + inset, 0.5 * (lo + hi), hi - inset):
+                    try:
+                        ctx = generate_hyperbolic_context(p, p_a1, lam)
+                    except (InfeasibleContextError, RegimeError):
+                        continue
+                    if not validate_context(ctx):
+                        contexts.append(ctx)
+    return contexts

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -165,8 +166,8 @@ def test_analyze_asymmetric_exit_3(tmp_path):
 
 
 # Symmetric, with lambda_1 of the same sign in both directions: the
-# transported b|a state matches the other a|b phase branch, not the first.
-# (CTX1's lambda_1 signs differ and its first branch matches.)
+# transported b|a state matches the other a|b phase branch.
+# (CTX1's lambda_1 signs differ and the a|b amplitude as built matches.)
 SAME_SIGN = {
     "p_a": [0.1, 0.9],
     "p_b": [0.05, 0.95],
@@ -175,7 +176,7 @@ SAME_SIGN = {
 }
 
 
-@pytest.mark.parametrize("ctx, comparisons", [(CTX1, 1), (SAME_SIGN, 2)])
+@pytest.mark.parametrize("ctx, comparisons", [(CTX1, 1), (SAME_SIGN, 1)])
 def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypatch):
     calls = []
 
@@ -195,7 +196,7 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
     code, text = run_cli(["analyze", str(path)])
     assert code == 0 and json.loads(text)["equivalence"]["equivalent"] is True
     assert calls.count("interference_coefficients") == 2
-    # One comparison when the first a|b phase branch matches, two when it misses.
+    # One comparison: the signs of lambda_1 decide the a|b phase branch.
     assert calls.count("_equivalent") == comparisons
 
 
@@ -267,12 +268,26 @@ def test_sweep_grid_shape():
 
 
 @pytest.mark.parametrize("flag", ["--p-grid", "--pa-grid"])
-@pytest.mark.parametrize("spec", ["0:inf:0.1", "nan:0.9:0.1", "0.1:0.9:inf"])
+@pytest.mark.parametrize("spec", ["0:inf:0.1", "nan:0.9:0.1", "0.1:0.9:inf", "0:1e300:1e-300"])
 def test_sweep_non_finite_grid_exit_1(flag, spec, capsys):
     argv = {"--p-grid": "0.1:0.9:0.1", "--pa-grid": "0.1:0.9:0.1", flag: spec}
     code, text = run_cli(["sweep", *(x for kv in argv.items() for x in kv)])
     assert code == 1 and text == ""
     assert capsys.readouterr().err == f"error: bad grid {spec!r}\n"
+
+
+def test_sweep_skips_points_outside_unit_interval():
+    # 12 million grid points, 2 of them in (0, 1): only those are built.
+    tracemalloc.start()
+    try:
+        assert qlra.cli._parse_grid("-3e6:0.5:0.25") == [0.25, 0.5]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    code, text = run_cli(["sweep", "--p-grid=-3e6:0.5:0.25", "--pa-grid", "0.5:0.5:0.1"])
+    assert code == 0
+    assert [row.split(",")[0] for row in text.splitlines()[1:]] == ["0.25", "0.5"]
 
 
 def test_demo_violation():

@@ -120,6 +120,15 @@ def test_proposition1(ctx1):
         check_proposition1(bad, Direction.B_GIVEN_A)
 
 
+def test_proposition1_extreme_grid(extreme_contexts):
+    # lam1 + lam2 is compared in probability units: at |lambda| up to 5e8
+    # the raw sum is rounding of the probabilities divided by a tiny
+    # denominator.
+    for ctx in extreme_contexts:
+        for direction in Direction:
+            assert check_proposition1(ctx, direction)
+
+
 def test_proposition1_random(rng):
     # Any doubly stochastic context with valid marginals cancels exactly.
     for _ in range(200):

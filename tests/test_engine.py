@@ -7,7 +7,6 @@ from qlra import (
     Direction,
     HNumber,
     HVector2,
-    InfeasibleContextError,
     ProbContext,
     Regime,
     RegimeError,
@@ -16,15 +15,12 @@ from qlra import (
     conditioning_basis,
     expansion_consistency,
     exp_j,
-    generate_hyperbolic_context,
     h_arg,
     inner_product,
     interference_coefficients,
-    lambda_feasible_range,
     random_hyperbolic_context,
     run_qlra,
     sq_norm,
-    validate_context,
     verify_born_rule,
 )
 
@@ -156,26 +152,11 @@ def test_mismatched_expansion_is_incoherent(ctx1):
     assert expansion_consistency(flipped) > 0.1
 
 
-def _extreme_contexts():
-    """Valid contexts over an extreme (p, p_a1) grid, lambda near the edges and mid of each band."""
-    for p in (1e-9, 1e-6, 1e-3, 0.3, 0.5, 1 - 1e-6):
-        for p_a1 in (1e-9, 1e-6, 0.2, 0.5, 0.9, 1 - 1e-6):
-            for lo, hi in lambda_feasible_range(p, p_a1):
-                inset = 1e-9 * (hi - lo)
-                for lam in (lo + inset, 0.5 * (lo + hi), hi - inset):
-                    try:
-                        ctx = generate_hyperbolic_context(p, p_a1, lam)
-                    except (InfeasibleContextError, RegimeError):
-                        continue
-                    if not validate_context(ctx):
-                        yield ctx
-
-
-def test_born_rule_extreme_conditioning():
+def test_born_rule_extreme_conditioning(extreme_contexts):
     # |lambda| = cosh(theta) reaches 5e8 here; null-cone arithmetic
     # keeps every residual at rounding level.
     checked = 0
-    for ctx in _extreme_contexts():
+    for ctx in extreme_contexts:
         for direction in Direction:
             if interference_coefficients(ctx, direction).regime is not Regime.HYPERBOLIC:
                 continue
@@ -189,12 +170,12 @@ def test_born_rule_extreme_conditioning():
         assert h_arg(exp_j(theta)) == pytest.approx(theta, rel=1e-12, abs=1e-12)
 
 
-def test_other_phase_branch_is_conjugate(rng):
+def test_other_phase_branch_is_conjugate(rng, extreme_contexts):
     # exp_j(-theta) swaps the null-cone coordinates of exp_j(theta), so the
     # other branch's amplitude is the conjugate one, to the last bit.
     contexts = [random_hyperbolic_context(rng) for _ in range(200)]
     checked = 0
-    for ctx in contexts + list(_extreme_contexts()):
+    for ctx in contexts + extreme_contexts:
         for direction in Direction:
             if interference_coefficients(ctx, direction).regime is not Regime.HYPERBOLIC:
                 continue

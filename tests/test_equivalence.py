@@ -233,3 +233,45 @@ def test_transported_state_matches_unitary_application(ctx1):
     U = transition_unitary(ctx1.p_b_given_a)
     transported = mat_apply(U, state.psi)
     assert sq_norm(transported) == pytest.approx(1.0, abs=1e-12)
+
+
+def _min_abs_lambda(ctx):
+    return min(abs(x) for d in Direction for x in interference_coefficients(ctx, d).lam)
+
+
+def test_check_consistency_extreme_symmetric(extreme_contexts):
+    # Symmetric contexts up to |lambda| = 5e8: the deviation bound scales
+    # with the coordinates, whose rounding errors grow like cosh(theta).
+    # Within 1e-6 of |lambda| = 1 the data fix theta too loosely to decide.
+    contexts = [ctx for ctx in extreme_contexts if _min_abs_lambda(ctx) - 1.0 >= 1e-6]
+    assert len(contexts) == 140
+    for ctx in contexts:
+        verdict = check_consistency(ctx)
+        assert verdict.equivalent and verdict.symmetry_holds
+
+
+def test_phase_branch_follows_lambda_signs(rng, extreme_contexts):
+    # The theorem fixes the a|b branch: sc' = -eps_ba * eps_ab * sc.
+    contexts = [random_hyperbolic_context(rng) for _ in range(200)]
+    contexts += [ctx for ctx in extreme_contexts if _min_abs_lambda(ctx) - 1.0 >= 1e-6]
+    checked = discriminating = 0
+    for ctx in contexts:
+        U = transition_unitary(ctx.p_b_given_a)
+        eps_ba, eps_ab = (interference_coefficients(ctx, d).epsilon[0] for d in Direction)
+        for sc in (1, -1):
+            transported = mat_apply(U, run_qlra(ctx, Direction.B_GIVEN_A, sc).psi)
+            branch = -eps_ba * eps_ab * sc
+            picked = states_equivalent(run_qlra(ctx, Direction.A_GIVEN_B, branch).psi, transported)
+            assert picked.equivalent
+            # check_consistency compares exactly this pair.
+            verdict = check_consistency(ctx, sign_choice=sc)
+            assert (verdict.equivalent, verdict.gamma, verdict.sign, verdict.max_component_deviation) == (
+                picked.equivalent, picked.gamma, picked.sign, picked.max_component_deviation
+            )
+            other = run_qlra(ctx, Direction.A_GIVEN_B, -branch)
+            if other.profile.theta[0] > 1e-3:
+                assert not states_equivalent(other.psi, transported).equivalent
+                discriminating += 1
+            checked += 1
+    assert checked == 680
+    assert discriminating >= 600
