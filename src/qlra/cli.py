@@ -43,14 +43,12 @@ DEFAULT_TOLERANCE = 1e-9
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value in report: {x!r}")
     s = format(x, ".12g")
     # Keep the output valid JSON: bare exponents and integers are fine,
     # but normalize "-0" away for reproducibility.
-    if s == "-0":
-        s = "0"
-    return s
+    return "0" if s == "-0" else s
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -70,6 +68,89 @@ def dumps(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "}"
     return json.dumps(obj)
+
+
+# The writer below knows the shape of the `analyze` report, so it formats it in
+# one pass; it must give the bytes dumps gives, and the tests hold it to that.
+_str = json.encoder.encode_basestring_ascii
+
+
+def _pair(x) -> str:
+    """dumps of a list of two floats: each is at most 19 characters, so always inline."""
+    return f"[{_fmt_float(x[0])}, {_fmt_float(x[1])}]"
+
+
+def _matrix(M) -> str:
+    """dumps of a 2x2 float matrix at indent 2 of the report."""
+    r0, r1 = _pair(M[0]), _pair(M[1])
+    if len(r0) < 40 and len(r1) < 40:
+        return f"[{r0}, {r1}]"
+    return f"[\n      {r0},\n      {r1}\n    ]"
+
+
+def _direction_json(entry: dict) -> str:
+    """dumps of one entry of the report's "directions", at indent 2."""
+    e0, e1 = entry["epsilon"]
+    head = (
+        f'{{\n      "lambda": {_pair(entry["lambda"])},\n      "epsilon": [{e0}, {e1}],\n'
+        f'      "theta": {_pair(entry["theta"])},\n      "regime": {_str(entry["regime"])},\n'
+    )
+    if "error" in entry:
+        return f'{head}      "error": {_str(entry["error"])}\n    }}'
+    born = entry["born_residuals"]
+    return (
+        f'{head}      "born_residuals": {{\n'
+        f'        "conditioned": {_pair(born["conditioned"])},\n'
+        f'        "conditioning": {_pair(born["conditioning"])},\n'
+        f'        "max": {_fmt_float(born["max"])}\n      }},\n'
+        f'      "expansion_deviation": {_fmt_float(entry["expansion_deviation"])}\n    }}'
+    )
+
+
+def _report_json(report: dict) -> str:
+    """dumps(report) for a report that cmd_analyze builds, written in one pass."""
+    inp, validation = report["input"], report["validation"]
+    parts = [
+        f'{{\n  "tool": {_str(report["tool"])},\n  "version": {_str(report["version"])},\n'
+        f'  "tolerance": {_fmt_float(report["tolerance"])},\n'
+        f'  "sign_branch": {report["sign_branch"]},\n'
+        f'  "input": {{\n    "p_a": {_pair(inp["p_a"])},\n    "p_b": {_pair(inp["p_b"])},\n'
+        f'    "P_b_given_a": {_matrix(inp["P_b_given_a"])}'
+    ]
+    if "P_a_given_b" in inp:
+        parts.append(f',\n    "P_a_given_b": {_matrix(inp["P_a_given_b"])}')
+    violations = [_str(v) for v in validation["violations"]]
+    if not violations:
+        listed = "[]"
+    elif all(len(v) < 40 for v in violations):
+        listed = f"[{', '.join(violations)}]"
+    else:
+        listed = "[\n" + ",\n".join("      " + v for v in violations) + "\n    ]"
+    parts.append(
+        f'\n  }},\n  "p_a_given_b_defaulted": {"true" if report["p_a_given_b_defaulted"] else "false"},\n'
+        f'  "validation": {{\n    "valid": {"true" if validation["valid"] else "false"},\n'
+        f'    "violations": {listed}\n  }}'
+    )
+    if "directions" in report:
+        entries = ",\n".join(
+            f"    {_str(name)}: {_direction_json(entry)}" for name, entry in report["directions"].items()
+        )
+        parts.append(f',\n  "directions": {{\n{entries}\n  }}')
+    if "equivalence" in report:
+        eq = report["equivalence"]
+        gamma, sign = eq["gamma"], eq["sign"]
+        parts.append(
+            f',\n  "equivalence": {{\n    "equivalent": {"true" if eq["equivalent"] else "false"},\n'
+            f'    "gamma": {"null" if gamma is None else _fmt_float(gamma)},\n'
+            f'    "sign": {"null" if sign is None else sign},\n'
+            f'    "symmetry_holds": {"true" if eq["symmetry_holds"] else "false"},\n'
+            f'    "max_component_deviation": {_fmt_float(eq["max_component_deviation"])}'
+        )
+        if "proof_relation_residual" in eq:
+            parts.append(f',\n    "proof_relation_residual": {_fmt_float(eq["proof_relation_residual"])}')
+        parts.append("\n  }")
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def _read_input(path: str) -> str:
@@ -114,7 +195,7 @@ def cmd_analyze(args, out) -> int:
     violations = validate_context(ctx, tol=tolerance)
     report["validation"] = {"valid": not violations, "violations": violations}
     if violations:
-        print(dumps(report), file=out)
+        print(_report_json(report), file=out)
         return EXIT_INVALID_INPUT
 
     exit_code = EXIT_OK
@@ -151,7 +232,7 @@ def cmd_analyze(args, out) -> int:
     report["directions"] = dir_reports
 
     if not regimes_ok:
-        print(dumps(report), file=out)
+        print(_report_json(report), file=out)
         return EXIT_REGIME
 
     if args.direction == "both":
@@ -169,7 +250,7 @@ def cmd_analyze(args, out) -> int:
         report["equivalence"] = eq_entry
         if not verdict.equivalent:
             exit_code = EXIT_INCONSISTENT
-    print(dumps(report), file=out)
+    print(_report_json(report), file=out)
     return exit_code
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import _arg, h_arg
 from .context import Direction, Matrix2, ProbContext, interference_coefficients, require_valid
 from .engine import QlraState, component_gap, conditioning_basis, reconstruct, run_qlra
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, QlraError
 from .linear import HMatrix2, HVector2
 
 __all__ = [
@@ -28,6 +28,15 @@ __all__ = [
 # Components with |z|^2 below this cannot anchor the multiplier
 # extraction: division degenerates near the null cone.
 _NULL_CONE_FLOOR = 1e-6
+
+
+class _NotUnitVectorError(QlraError, ValueError):
+    """A compared state lacks unit squared norm.
+
+    A QlraError, so `qlra analyze` reports it as invalid input: a context
+    accepted at a loose tolerance can carry doubly stochastic slack that
+    reconstruction amplifies past the norm check.
+    """
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ def _equivalent(a: Coords, b: Coords, tol: float, symmetry_holds: bool | None = 
     for name, (u1, v1, u2, v2) in (("v1", a), ("v2", b)):
         n = u1 * v1 + u2 * v2
         if abs(n - 1.0) > max(tol, 1e-6):
-            raise ValueError(f"{name} is not a unit vector (sq_norm={n!r})")
+            raise _NotUnitVectorError(f"{name} is not a unit vector (sq_norm={n!r})")
     au1, av1, au2, av2 = a
     bu1, bv1, bu2, bv2 = b
     mod1, mod2 = abs(bu1 * bv1), abs(bu2 * bv2)

@@ -1,12 +1,15 @@
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qlra
 import qlra.cli
@@ -14,6 +17,7 @@ import qlra.context
 import qlra.engine
 import qlra.equivalence
 from qlra.cli import main
+from qlra.context import random_hyperbolic_context
 
 
 def run_cli(argv, stdin_text=None):
@@ -85,6 +89,7 @@ def test_analyze_trigonometric_exit_2(tmp_path):
     report = json.loads(text)
     assert report["directions"]["b_given_a"]["regime"] == "trigonometric"
     assert "error" in report["directions"]["b_given_a"]
+    assert text == (Path(__file__).parent / "ctx_trig_report.json").read_text()
 
 
 def test_analyze_missing_field_exit_1(tmp_path):
@@ -152,6 +157,7 @@ def test_analyze_invalid_context_exit_1(tmp_path):
     report = json.loads(text)
     assert report["validation"]["valid"] is False
     assert report["validation"]["violations"]
+    assert text == (Path(__file__).parent / "ctx_invalid_report.json").read_text()
 
 
 def test_analyze_asymmetric_exit_3(tmp_path):
@@ -341,3 +347,131 @@ def test_module_entry_point(ctx1_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["equivalence"]["equivalent"] is True
+
+
+@pytest.fixture
+def written_reports(monkeypatch):
+    """Holds every report analyze writes to dumps's bytes, the reference; collects the reports."""
+    writer, reports = qlra.cli._report_json, []
+
+    def checked(report):
+        text = writer(report)
+        assert text == qlra.cli.dumps(report)
+        reports.append(text)
+        return text
+
+    monkeypatch.setattr(qlra.cli, "_report_json", checked)
+    return reports
+
+
+def _random_context(rng):
+    """A random hyperbolic context, kept or given another a|b matrix, a defaulted one or other p_a."""
+    d = random_hyperbolic_context(rng).to_dict()
+    kind = rng.randrange(4)
+    if kind == 1:
+        p = rng.random()
+        d["P_a_given_b"] = [[p, 1 - p], [1 - p, p]]
+    elif kind == 2:
+        d.pop("P_a_given_b", None)
+    elif kind == 3:
+        d["p_a"] = [rng.random(), rng.random()]
+    return d
+
+
+LONG = -1.23456789012e-100  # 19 characters: a row of two is past the 40-character inline width
+
+
+def test_report_writer_matches_dumps(written_reports):
+    cases = [
+        CTX1,
+        SAME_SIGN,
+        dict(CTX1, p_a=[0.7, 0.7]),  # one short violation: stays inline
+        dict(CTX1, p_a=[0.7, 0.2]),
+        dict(CTX1, p_b=[0.5, 0.5]),  # trigonometric
+        dict(CTX1, P_a_given_b=[[0.85, 0.15], [0.15, 0.85]]),  # asymmetric
+        {k: v for k, v in CTX1.items() if k != "P_a_given_b"},
+        dict(CTX1, P_b_given_a=[[LONG, LONG], [0.1, 0.9]]),  # multi-line matrix
+    ]
+    rng = random.Random(20100)
+    codes = set()
+    for ctx in cases + [_random_context(rng) for _ in range(200)]:
+        for branch in ("1", "-1"):
+            for direction in ("both", "b_given_a", "a_given_b"):
+                argv = ["analyze", "-", "--sign-branch", branch, "--direction", direction]
+                codes.add(run_cli(argv, stdin_text=json.dumps(ctx))[0])
+    assert codes == {0, 1, 2, 3}
+    written = "".join(written_reports)
+    assert '"violations": ["p_a does not sum to 1 (sum=1.4)"]' in written
+    assert '"violations": [\n' in written
+    assert '"P_b_given_a": [\n      [-1.23456789012e-100, -1.23456789012e-100],' in written
+    assert '"gamma": null,\n    "sign": null,' in written
+    assert '"p_a_given_b_defaulted": true' in written
+
+
+def test_report_writer_rejects_non_finite(monkeypatch):
+    writer, reports = qlra.cli._report_json, []
+    monkeypatch.setattr(qlra.cli, "_report_json", lambda report: reports.append(report) or "")
+    run_cli(["analyze", "-"], stdin_text=json.dumps(CTX1))
+    (report,) = reports
+    ba = report["directions"]["b_given_a"]
+    for bad in (
+        dict(report, tolerance=math.nan),
+        dict(report, input=dict(report["input"], p_a=[0.5, math.inf])),
+        dict(report, directions=dict(report["directions"], b_given_a=dict(ba, expansion_deviation=-math.inf))),
+    ):
+        for write in (writer, qlra.cli.dumps):
+            with pytest.raises(ValueError, match="non-finite"):
+                write(bad)
+
+
+# Valid at tolerance 1e-5 only through the slack in P[1][1]; reconstruction
+# amplifies that slack past the norm check of the equivalence test.
+NEAR_BOUNDARY = {
+    "p_a": [0.8442311007486719, 0.15576889925132809],
+    "p_b": [0.9123679931255559, 0.08763200687444406],
+    "P_b_given_a": [[0.5788179148487274, 0.42117745447079646], [0.42117745447079646, 0.5788225455292035]],
+    "P_a_given_b": [[0.5788179148487274, 0.42117745447079646], [0.42117745447079646, 0.5788225455292035]],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def analyze_inputs(draw):
+    """(input text, tolerance): arbitrary JSON, or a context within about the tolerance of valid."""
+    tol = 10.0 ** draw(st.floats(-12, -3))
+    slack = st.floats(-0.9 * tol, 0.9 * tol)
+    prob = st.floats(1e-12, 1 - 1e-12)
+
+    def pair():
+        x = draw(prob)
+        return [x, 1 - x + draw(slack)]
+
+    def matrix():
+        p = draw(prob)
+        return [[p, 1 - p], [1 - p + draw(slack), p + draw(slack)]]
+
+    ctx = {"p_a": pair(), "p_b": pair(), "P_b_given_a": matrix()}
+    a_given_b = draw(st.sampled_from(("transpose", "other", "absent", "arbitrary")))
+    if a_given_b == "transpose":
+        ctx["P_a_given_b"] = [list(r) for r in zip(*ctx["P_b_given_a"])]
+    elif a_given_b == "other":
+        ctx["P_a_given_b"] = matrix()
+    elif a_given_b == "arbitrary":
+        ctx["P_a_given_b"] = draw(json_values)
+    return json.dumps(draw(st.one_of(st.just(ctx), json_values))), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(analyze_inputs())
+@example((json.dumps(NEAR_BOUNDARY), 1e-5))
+def test_analyze_fuzz_exits_with_a_documented_code(case):
+    text, tol = case
+    code, out = run_cli(["analyze", "-", "--tolerance", repr(tol)], stdin_text=text)
+    assert code in (0, 1, 2, 3)
+    if out:
+        json.loads(out)
