@@ -12,7 +12,6 @@ operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ArgDomainError, ZeroDivisorError
 
@@ -28,7 +27,11 @@ __all__ = [
 _isfinite = math.isfinite
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+def _read_only(self, name, *value):
+    """__setattr__ and __delattr__ of an immutable slots class."""
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 class HNumber:
     """A split-complex number re + j*hy, with j**2 = 1.
 
@@ -37,8 +40,8 @@ class HNumber:
     |re| >> |hy|.  Every construction rejects non-finite coordinates.
     """
 
-    u: float
-    v: float
+    __slots__ = ("u", "v")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, re: float, hy: float = 0.0):
         re, hy = float(re), float(hy)
@@ -58,6 +61,17 @@ class HNumber:
 
     def __repr__(self) -> str:
         return f"HNumber(re={self.re!r}, hy={self.hy!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not HNumber:
+            return NotImplemented
+        return self.u == other.u and self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
+
+    def __reduce__(self):
+        return _hn, (self.u, self.v)
 
     def __add__(self, other):
         if other.__class__ is not HNumber:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InfeasibleContextError, RegimeError, StochasticityError
@@ -50,20 +50,17 @@ class Regime(Enum):
     HYPER_TRIGONOMETRIC = "hyper_trigonometric"
 
 
-@dataclass(frozen=True)
-class InterferenceProfile:
+class InterferenceProfile(namedtuple("InterferenceProfile", "lam epsilon theta regime")):
     """Per-outcome interference coefficients and their phase decomposition.
 
     lam[i] is the normalized deviation of the observed marginal from the
     classical total-probability value.  In the hyperbolic regime
     lam = epsilon * cosh(theta); in the trigonometric regime
-    lam = cos(theta).
+    lam = cos(theta).  Fields: lam, theta (float pairs), epsilon (a pair
+    of +-1) and regime (a Regime).
     """
 
-    lam: tuple[float, float]
-    epsilon: tuple[int, int]
-    theta: tuple[float, float]
-    regime: Regime
+    __slots__ = ()
 
 
 def _transpose(M: Matrix2) -> Matrix2:
@@ -87,8 +84,7 @@ def _as_matrix(M, what: str = "transition matrix") -> Matrix2:
     return (_as_pair(M[0], what, "a 2x2 array"), _as_pair(M[1], what, "a 2x2 array"))
 
 
-@dataclass(frozen=True)
-class ProbContext:
+class ProbContext(namedtuple("ProbContext", "p_a p_b p_b_given_a p_a_given_b")):
     """Marginals and transition matrices for two dichotomous observables.
 
     ``p_b_given_a[i][j]`` is the probability of b-outcome i given
@@ -97,19 +93,19 @@ class ProbContext:
     ``p_b_given_a``; ``a_given_b_defaulted`` records that assumption.
     """
 
-    p_a: tuple[float, float]
-    p_b: tuple[float, float]
-    p_b_given_a: Matrix2
-    p_a_given_b: Matrix2 | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, p_a, p_b, p_b_given_a, p_a_given_b=None):
         # The one parse gate: shapes checked, entries made finite floats.
-        set_ = object.__setattr__
-        set_(self, "p_a", _as_pair(self.p_a, "field 'p_a'"))
-        set_(self, "p_b", _as_pair(self.p_b, "field 'p_b'"))
-        set_(self, "p_b_given_a", _as_matrix(self.p_b_given_a, "field 'P_b_given_a'"))
-        if self.p_a_given_b is not None:
-            set_(self, "p_a_given_b", _as_matrix(self.p_a_given_b, "field 'P_a_given_b'"))
+        p_a = _as_pair(p_a, "field 'p_a'")
+        p_b = _as_pair(p_b, "field 'p_b'")
+        p_b_given_a = _as_matrix(p_b_given_a, "field 'P_b_given_a'")
+        if p_a_given_b is not None:
+            p_a_given_b = _as_matrix(p_a_given_b, "field 'P_a_given_b'")
+        return tuple.__new__(cls, (p_a, p_b, p_b_given_a, p_a_given_b))
+
+    # _replace builds through _make: both go through the parse gate.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def a_given_b_defaulted(self) -> bool:

@@ -10,7 +10,7 @@ is essential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import HNumber, _hn, exp_j
 from .context import (
@@ -38,9 +38,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QlraState:
-    """A reconstructed amplitude in the conditioned observable's basis.
+class QlraState(namedtuple(
+    "QlraState", "psi direction profile conditioning_basis conditioning_marginals sign_choice", defaults=(1,)
+)):
+    """A reconstructed amplitude ``psi`` (an HVector2) in the conditioned observable's basis.
 
     ``conditioning_basis`` holds the other observable's eigenvectors in
     the same coordinates; ``conditioning_marginals`` are the marginals
@@ -49,12 +50,7 @@ class QlraState:
     phase: the amplitude uses exp_j(sign_choice * theta).
     """
 
-    psi: HVector2
-    direction: Direction
-    profile: InterferenceProfile
-    conditioning_basis: tuple[HVector2, HVector2]
-    conditioning_marginals: tuple[float, float]
-    sign_choice: int = 1
+    __slots__ = ()
 
 
 def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
@@ -120,22 +116,13 @@ def reconstruct(
         _hn(a00 + pu * a01, a00 + pv * a01),
         _hn(a10 - pu * a11, a10 - pv * a11),
     )
-    return QlraState(
-        psi=psi,
-        direction=direction,
-        profile=profile,
-        conditioning_basis=_basis(M),
-        conditioning_marginals=m,
-        sign_choice=sign_choice,
-    )
+    return QlraState(psi, direction, profile, _basis(M), m, sign_choice)
 
 
-@dataclass(frozen=True)
-class BornReport:
-    """Absolute deviations from Born's rule for all four probabilities."""
+class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_residuals")):
+    """Absolute deviations from Born's rule for all four probabilities, as two float pairs."""
 
-    conditioned_residuals: tuple[float, float]
-    conditioning_residuals: tuple[float, float]
+    __slots__ = ()
 
     @property
     def max_residual(self) -> float:
@@ -184,8 +171,9 @@ def component_gap(du: float, dv: float) -> float:
     return 0.5 * (abs(du) + abs(dv))
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(namedtuple(
+    "ViolationReport", "p q matrix basis_overlap basis_overlap_sq lambda_relation_residual"
+)):
     """Diagnostics for the non-doubly-stochastic counterexample.
 
     With transition matrix [[p, p], [q, q]] (q = 1 - p) the two
@@ -194,12 +182,7 @@ class ViolationReport:
     The interference coefficients are locked to lam1 = -(q/p)*lam2.
     """
 
-    p: float
-    q: float
-    matrix: Matrix2
-    basis_overlap: float
-    basis_overlap_sq: float
-    lambda_relation_residual: float
+    __slots__ = ()
 
 
 def born_violation_demo(p: float) -> ViolationReport:
@@ -225,11 +208,4 @@ def born_violation_demo(p: float) -> ViolationReport:
         ctx = ProbContext(p_a=p_a, p_b=(p_b1, 1.0 - p_b1), p_b_given_a=M)
         prof = interference_coefficients(ctx, Direction.B_GIVEN_A)
         worst = max(worst, abs(prof.lam[0] + (q / p) * prof.lam[1]))
-    return ViolationReport(
-        p=p,
-        q=q,
-        matrix=M,
-        basis_overlap=overlap.re,
-        basis_overlap_sq=overlap.sq_modulus(),
-        lambda_relation_residual=worst,
-    )
+    return ViolationReport(p, q, M, overlap.re, overlap.sq_modulus(), worst)

@@ -9,7 +9,7 @@ exactly when the two transition matrices are transposes of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import _arg, h_arg
 from .context import Direction, Matrix2, ProbContext, interference_coefficients, require_valid
@@ -39,20 +39,18 @@ class _NotUnitVectorError(QlraError, ValueError):
     """
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(namedtuple(
+    "EquivalenceVerdict", "equivalent gamma sign max_component_deviation symmetry_holds", defaults=(None,)
+)):
     """Outcome of comparing two states up to a +-exp_j(gamma) multiplier.
 
+    ``gamma`` (a float) and ``sign`` (+-1) are None unless ``equivalent``.
     ``symmetry_holds`` is the transpose condition on the transition
     matrices; it is None when the comparison was made on bare vectors
     with no matrices in play.
     """
 
-    equivalent: bool
-    gamma: float | None
-    sign: int | None
-    max_component_deviation: float
-    symmetry_holds: bool | None = None
+    __slots__ = ()
 
 
 def transition_unitary(p_b_given_a: Matrix2) -> HMatrix2:

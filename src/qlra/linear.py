@@ -9,9 +9,9 @@ setting needs nothing larger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import HNumber, _hn
+from .algebra import HNumber, _hn, _read_only
 
 __all__ = [
     "HVector2",
@@ -30,16 +30,29 @@ def _as_h(x) -> HNumber:
     return x if isinstance(x, HNumber) else HNumber(float(x))
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class HVector2:
     """A vector (c1, c2) over the algebra; the constructor turns real entries into HNumbers."""
 
-    c1: HNumber
-    c2: HNumber
+    __slots__ = ("c1", "c2")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, c1, c2):
         _set_c1(self, _as_h(c1))
         _set_c2(self, _as_h(c2))
+
+    def __repr__(self) -> str:
+        return f"HVector2(c1={self.c1!r}, c2={self.c2!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not HVector2:
+            return NotImplemented
+        return self.c1 == other.c1 and self.c2 == other.c2
+
+    def __hash__(self) -> int:
+        return hash((self.c1, self.c2))
+
+    def __reduce__(self):
+        return _vec, (self.c1, self.c2)
 
     def __add__(self, other: "HVector2") -> "HVector2":
         return _vec(self.c1 + other.c1, self.c2 + other.c2)
@@ -67,17 +80,19 @@ def _vec(c1: HNumber, c2: HNumber) -> HVector2:
     return v
 
 
-@dataclass(frozen=True)
-class HMatrix2:
+class HMatrix2(namedtuple("HMatrix2", "entries")):
     """Row-major 2x2 matrix; rows index the output basis, columns the input."""
 
-    entries: tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(_as_h(e) for e in row) for row in self.entries)
+    def __new__(cls, entries):
+        rows = tuple(tuple(_as_h(e) for e in row) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("HMatrix2 requires a 2x2 grid of entries")
-        object.__setattr__(self, "entries", rows)
+        return tuple.__new__(cls, (rows,))
+
+    # _replace builds through _make: both go through the check in __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __getitem__(self, idx: int) -> tuple[HNumber, HNumber]:
         return self.entries[idx]

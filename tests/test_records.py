@@ -1,0 +1,179 @@
+"""The package's records and values: construction, immutability, equality, and import footprint.
+
+HNumber and HVector2 are slots classes; the other records are named
+tuples.  None of them may need ``dataclasses`` at import.
+"""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qlra
+from qlra import (
+    BornReport,
+    Direction,
+    EquivalenceVerdict,
+    HMatrix2,
+    HNumber,
+    HVector2,
+    InterferenceProfile,
+    ProbContext,
+    QlraState,
+    Regime,
+    ViolationReport,
+)
+
+M = ((0.9, 0.1), (0.1, 0.9))
+PSI = HVector2(HNumber(1.2, 0.3), HNumber(-0.4, 0.5))
+PROFILE = InterferenceProfile((4 / 3, -4 / 3), (1, -1), (0.79, 0.79), Regime.HYPERBOLIC)
+BASIS = (HVector2(0.9, 0.1), HVector2(0.1, -0.9))
+
+# (class, positional arguments, the same as keywords)
+RECORDS = [
+    (HNumber, (1.5, -0.25), {"re": 1.5, "hy": -0.25}),
+    (HVector2, (HNumber(1.0, 2.0), HNumber(3.0)), {"c1": HNumber(1.0, 2.0), "c2": HNumber(3.0)}),
+    (HMatrix2, (((1, 2), (3, 4)),), {"entries": ((1, 2), (3, 4))}),
+    (
+        InterferenceProfile,
+        PROFILE,
+        {"lam": PROFILE.lam, "epsilon": PROFILE.epsilon, "theta": PROFILE.theta, "regime": PROFILE.regime},
+    ),
+    (
+        ProbContext,
+        ((0.5, 0.5), (0.9, 0.1), M, M),
+        {"p_a": (0.5, 0.5), "p_b": (0.9, 0.1), "p_b_given_a": M, "p_a_given_b": M},
+    ),
+    (
+        QlraState,
+        (PSI, Direction.B_GIVEN_A, PROFILE, BASIS, (0.5, 0.5), -1),
+        {
+            "psi": PSI,
+            "direction": Direction.B_GIVEN_A,
+            "profile": PROFILE,
+            "conditioning_basis": BASIS,
+            "conditioning_marginals": (0.5, 0.5),
+            "sign_choice": -1,
+        },
+    ),
+    (
+        BornReport,
+        ((1e-16, 2e-16), (3e-16, 0.0)),
+        {"conditioned_residuals": (1e-16, 2e-16), "conditioning_residuals": (3e-16, 0.0)},
+    ),
+    (
+        ViolationReport,
+        (0.3, 0.7, M, 0.1, 0.01, 1e-17),
+        {
+            "p": 0.3,
+            "q": 0.7,
+            "matrix": M,
+            "basis_overlap": 0.1,
+            "basis_overlap_sq": 0.01,
+            "lambda_relation_residual": 1e-17,
+        },
+    ),
+    (
+        EquivalenceVerdict,
+        (True, 0.25, -1, 1e-16, True),
+        {"equivalent": True, "gamma": 0.25, "sign": -1, "max_component_deviation": 1e-16, "symmetry_holds": True},
+    ),
+]
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+def fields(obj) -> tuple[str, ...]:
+    return getattr(obj, "_fields", None) or obj.__slots__
+
+
+@pytest.mark.parametrize("cls, args, kwargs", RECORDS, ids=IDS)
+def test_construction_by_position_and_keyword(cls, args, kwargs):
+    a, b = cls(*args), cls(**kwargs)
+    assert a == b and hash(a) == hash(b)
+    assert copy.copy(a) == a and copy.deepcopy(a) == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("cls, args, kwargs", RECORDS, ids=IDS)
+def test_fields_cannot_be_assigned(cls, args, kwargs):
+    obj = cls(*args)
+    for name in fields(obj):
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+def test_defaults():
+    assert QlraState(PSI, Direction.A_GIVEN_B, PROFILE, BASIS, (0.5, 0.5)).sign_choice == 1
+    assert EquivalenceVerdict(False, None, None, 0.5).symmetry_holds is None
+    ctx = ProbContext((0.5, 0.5), (0.9, 0.1), M)
+    assert ctx.p_a_given_b is None and ctx.a_given_b_defaulted
+    assert ctx.a_given_b() == M
+
+
+def test_record_methods_and_properties():
+    assert BornReport((1e-16, 4e-16), (3e-16, 0.0)).max_residual == 4e-16
+    assert HMatrix2(((1, 2), (3, 4)))[1] == (HNumber(3.0), HNumber(4.0))
+
+
+def test_values_are_equal_only_to_their_own_class():
+    z = HNumber(1.0)
+    assert z != 1.0 and z != (1.0, 1.0)
+    assert HVector2(z, z) != (z, z)
+    assert HNumber(1.0, 2.0) != HNumber(1.0, 2.5)
+    assert {HNumber(0.5, 0.5), HNumber(0.5, 0.5)} == {HNumber(0.5, 0.5)}
+
+
+def test_reprs():
+    assert repr(HNumber(1.0, -2.0)) == "HNumber(re=1.0, hy=-2.0)"
+    assert repr(HVector2(HNumber(0.5, 0.25), 3)) == (
+        "HVector2(c1=HNumber(re=0.5, hy=0.25), c2=HNumber(re=3.0, hy=0.0))"
+    )
+
+
+def test_prob_context_parses_every_construction(ctx1):
+    assert ProbContext.from_dict(ctx1.to_dict()) == ctx1
+    assert ProbContext(["0.5", 0.5], [0.9, 0.1], [[0.9, 0.1], [0.1, 0.9]]).p_a == (0.5, 0.5)
+    assert ctx1._replace(p_b=(0.8, 0.2)).p_b == (0.8, 0.2)
+    with pytest.raises(ValueError, match="field 'p_a'"):
+        ctx1._replace(p_a=("x", 1))
+    with pytest.raises(ValueError, match="field 'P_a_given_b'"):
+        ProbContext._make(((0.5, 0.5), (0.9, 0.1), M, ((0.9, float("nan")), (0.1, 0.9))))
+
+
+def test_matrix_parses_every_construction():
+    M2 = HMatrix2(((1, 2), (3, 4)))
+    assert M2._make((((0, 1), (1, 0)),))[0] == (HNumber(0.0), HNumber(1.0))
+    with pytest.raises(ValueError, match="2x2"):
+        M2._replace(entries=((1, 2, 3), (4, 5, 6)))
+    with pytest.raises(ValueError, match="2x2"):
+        HMatrix2._make((((1, 2),),))
+
+
+def _imported_modules(code: str) -> set[str]:
+    # The child imports the qlra under test, wherever pytest found it.
+    src = str(Path(qlra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys{code}; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    added = _imported_modules(", qlra.cli") - _imported_modules("")
+    assert "qlra.cli" in added
+    assert not {"dataclasses", "inspect"} & added
