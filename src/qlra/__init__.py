@@ -48,17 +48,7 @@ from .errors import (
     StochasticityError,
     ZeroDivisorError,
 )
-from .linear import (
-    HMatrix2,
-    HVector2,
-    identity,
-    inner_product,
-    is_h_unitary,
-    mat_adjoint,
-    mat_apply,
-    mat_mul,
-    sq_norm,
-)
+from .linear import HVector2, inner_product, mat_apply, sq_norm
 
 __all__ = [
     "__version__",
@@ -68,14 +58,9 @@ __all__ = [
     "exp_j",
     "h_arg",
     "HVector2",
-    "HMatrix2",
     "inner_product",
     "sq_norm",
     "mat_apply",
-    "mat_mul",
-    "mat_adjoint",
-    "identity",
-    "is_h_unitary",
     "Direction",
     "Regime",
     "InterferenceProfile",

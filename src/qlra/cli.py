@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 
 from . import __version__
@@ -262,6 +261,8 @@ def cmd_generate(args, out) -> int:
         if args.count < 1:
             print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
             return EXIT_INVALID_INPUT
+        import random  # here, not at the top: no other command needs it
+
         rng = random.Random(args.seed)
         for _ in range(args.count):
             ctx = random_hyperbolic_context(rng)
@@ -317,27 +318,30 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_demo_violation(args, out) -> int:
+    # A tiny p can fail in the demo (a degenerate denominator) or overflow a
+    # reported value (basis_overlap_sq); either way that p is unusable input.
     try:
         rep = born_violation_demo(args.p)
-    except ValueError as exc:
+        report = {
+            "tool": "qlra",
+            "version": __version__,
+            "p": rep.p,
+            "q": rep.q,
+            "matrix": [list(r) for r in rep.matrix],
+            "basis_overlap": rep.basis_overlap,
+            "basis_overlap_sq": rep.basis_overlap_sq,
+            "lambda_relation_residual": rep.lambda_relation_residual,
+            "note": (
+                "basis_overlap = p - q^2/p; nonzero overlap means the "
+                "conditioning basis is not orthogonal and the reconstruction "
+                "cannot satisfy the squared-modulus rule for both observables"
+            ),
+        }
+        text = dumps(report)
+    except (ValueError, QlraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    report = {
-        "tool": "qlra",
-        "version": __version__,
-        "p": rep.p,
-        "q": rep.q,
-        "matrix": [list(r) for r in rep.matrix],
-        "basis_overlap": rep.basis_overlap,
-        "basis_overlap_sq": rep.basis_overlap_sq,
-        "lambda_relation_residual": rep.lambda_relation_residual,
-        "note": (
-            "basis_overlap = p - q^2/p; nonzero overlap means the "
-            "conditioning basis is not orthogonal and the reconstruction "
-            "cannot satisfy the squared-modulus rule for both observables"
-        ),
-    }
-    print(dumps(report), file=out)
+    print(text, file=out)
     return EXIT_OK
 
 

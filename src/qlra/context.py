@@ -9,7 +9,6 @@ interference regime, and generates feasible hyperbolic contexts.
 from __future__ import annotations
 
 import math
-import random
 from collections import namedtuple
 from enum import Enum
 
@@ -286,7 +285,9 @@ def generate_hyperbolic_context(p: float, p_a1: float, lambda1: float) -> ProbCo
 
     The b|a matrix is [[p, 1-p], [1-p, p]] and the a|b matrix its
     transpose (identical, by symmetry); the b-marginal is chosen so the
-    interference formula reproduces lambda1 exactly.
+    interference formula reproduces lambda1 exactly.  A context that
+    validate_context rejects (say, p within POSITIVITY_MARGIN of 0)
+    raises InfeasibleContextError naming the violations.
     """
     if not (0.0 < p < 1.0 and 0.0 < p_a1 < 1.0):
         raise ValueError("p and p_a1 must lie in (0,1)")
@@ -301,12 +302,16 @@ def generate_hyperbolic_context(p: float, p_a1: float, lambda1: float) -> ProbCo
             f"feasible range: {intervals or 'empty'}"
         )
     M = ((p, 1.0 - p), (1.0 - p, p))
-    return ProbContext(
+    ctx = ProbContext(
         p_a=(p_a1, 1.0 - p_a1),
         p_b=(p_b1, 1.0 - p_b1),
         p_b_given_a=M,
         p_a_given_b=_transpose(M),
     )
+    violations = validate_context(ctx)
+    if violations:
+        raise InfeasibleContextError("generated context is invalid: " + "; ".join(violations))
+    return ctx
 
 
 def random_hyperbolic_context(
@@ -335,8 +340,6 @@ def random_hyperbolic_context(
         try:
             ctx = generate_hyperbolic_context(p, p_a1, lam1)
         except InfeasibleContextError:
-            continue
-        if validate_context(ctx):
             continue
         if require_both_hyperbolic:
             mirrored = interference_coefficients(ctx, Direction.A_GIVEN_B)

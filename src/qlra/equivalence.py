@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import _arg, h_arg
+from .algebra import HNumber, _arg, h_arg
 from .context import Direction, Matrix2, ProbContext, interference_coefficients, require_valid
 from .engine import QlraState, component_gap, conditioning_basis, reconstruct, run_qlra
 from .errors import DegenerateStateError, QlraError
-from .linear import HMatrix2, HVector2
+from .linear import HVector2, mat_apply
 
 __all__ = [
     "EquivalenceVerdict",
@@ -53,13 +53,20 @@ class EquivalenceVerdict(namedtuple(
     __slots__ = ()
 
 
-def transition_unitary(p_b_given_a: Matrix2) -> HMatrix2:
-    """Basis-change matrix [[sqrt(P00), sqrt(P01)], [sqrt(P10), -sqrt(P11)]].
+def transition_unitary(p_b_given_a: Matrix2) -> tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]]:
+    """Basis-change matrix [[sqrt(P00), sqrt(P01)], [sqrt(P10), -sqrt(P11)]], row-major.
 
-    Hyperbolic-unitary whenever P is doubly stochastic.
+    Its columns are the b|a conditioning basis, orthonormal under
+    inner_product because P is doubly stochastic (StochasticityError
+    otherwise), so the matrix is hyperbolic-unitary.
     """
-    e1, e2 = conditioning_basis(p_b_given_a)
-    return HMatrix2(((e1.c1, e2.c1), (e1.c2, e2.c2)))
+    return _columns(conditioning_basis(p_b_given_a))
+
+
+def _columns(basis: tuple[HVector2, HVector2]) -> tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]]:
+    """The row-major 2x2 matrix whose columns are the two basis vectors."""
+    e1, e2 = basis
+    return ((e1.c1, e2.c1), (e1.c2, e2.c2))
 
 
 def states_equivalent(v1: HVector2, v2: HVector2, tol: float = 1e-9) -> EquivalenceVerdict:
@@ -146,14 +153,7 @@ def consistency_verdict(
     Both amplitudes must be built on the same sign_choice.
     """
     # The transition unitary's columns are the b|a conditioning basis.
-    e1, e2 = state_ba.conditioning_basis
-    p1, p2 = state_ba.psi.c1, state_ba.psi.c2
-    transported = (
-        p1.u * e1.c1.u + p2.u * e2.c1.u,
-        p1.v * e1.c1.v + p2.v * e2.c1.v,
-        p1.u * e1.c2.u + p2.u * e2.c2.u,
-        p1.v * e1.c2.v + p2.v * e2.c2.v,
-    )
+    transported = _coords(mat_apply(_columns(state_ba.conditioning_basis), state_ba.psi))
     # The theorem fixes the a|b phase sign sc' that reconstruct leaves free.
     # A DS P is [[p, q], [q, p]], so U = [[sqrt p, sqrt q], [sqrt q, -sqrt p]] has U^2 = I,
     # and a symmetric context has psi_ab = U (sqrt p_b1, eps_ab exp_j(sc' theta_ab) sqrt p_b2):

@@ -1,28 +1,20 @@
 """Two-dimensional module over the hyperbolic algebra.
 
-Vectors and 2x2 matrices with split-complex entries, the indefinite
-conjugate-symmetric inner product (linear in the first argument), and a
-hyperbolic-unitarity test.  Dimension is fixed at 2: the dichotomous
-setting needs nothing larger.
+Vectors with split-complex entries, the indefinite conjugate-symmetric
+inner product (linear in the first argument), and the action of a 2x2
+matrix, given as a row-major tuple of entries, on a vector.  Dimension
+is fixed at 2: the dichotomous setting needs nothing larger.
 """
 
 from __future__ import annotations
-
-import math
-from collections import namedtuple
 
 from .algebra import HNumber, _hn, _read_only
 
 __all__ = [
     "HVector2",
-    "HMatrix2",
     "inner_product",
     "sq_norm",
     "mat_apply",
-    "mat_mul",
-    "mat_adjoint",
-    "identity",
-    "is_h_unitary",
 ]
 
 
@@ -80,24 +72,6 @@ def _vec(c1: HNumber, c2: HNumber) -> HVector2:
     return v
 
 
-class HMatrix2(namedtuple("HMatrix2", "entries")):
-    """Row-major 2x2 matrix; rows index the output basis, columns the input."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries):
-        rows = tuple(tuple(_as_h(e) for e in row) for row in entries)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("HMatrix2 requires a 2x2 grid of entries")
-        return tuple.__new__(cls, (rows,))
-
-    # _replace builds through _make: both go through the check in __new__.
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __getitem__(self, idx: int) -> tuple[HNumber, HNumber]:
-        return self.entries[idx]
-
-
 def inner_product(u: HVector2, v: HVector2) -> HNumber:
     """<u, v> = u1*conj(v1) + u2*conj(v2).
 
@@ -114,53 +88,11 @@ def sq_norm(v: HVector2) -> float:
     return inner_product(v, v).re
 
 
-def mat_apply(M: HMatrix2, v: HVector2) -> HVector2:
-    (m00, m01), (m10, m11) = M.entries
+def mat_apply(M: tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]], v: HVector2) -> HVector2:
+    """M v for the row-major matrix M = ((m00, m01), (m10, m11))."""
+    (m00, m01), (m10, m11) = M
     x1, x2 = v.c1, v.c2
     return _vec(
         _hn(m00.u * x1.u + m01.u * x2.u, m00.v * x1.v + m01.v * x2.v),
         _hn(m10.u * x1.u + m11.u * x2.u, m10.v * x1.v + m11.v * x2.v),
     )
-
-
-def mat_mul(A: HMatrix2, B: HMatrix2) -> HMatrix2:
-    rows = tuple(
-        tuple(
-            A[i][0] * B[0][j] + A[i][1] * B[1][j]
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-    return HMatrix2(rows)
-
-
-def mat_adjoint(M: HMatrix2) -> HMatrix2:
-    """Transpose with entrywise hyperbolic conjugation."""
-    return HMatrix2(
-        (
-            (M[0][0].conj(), M[1][0].conj()),
-            (M[0][1].conj(), M[1][1].conj()),
-        )
-    )
-
-
-def identity() -> HMatrix2:
-    return HMatrix2(((HNumber(1.0), HNumber(0.0)), (HNumber(0.0), HNumber(1.0))))
-
-
-def is_h_unitary(M: HMatrix2, tol: float = 1e-12) -> bool:
-    """True iff M*adj(M) and adj(M)*M equal the identity entrywise within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    adj = mat_adjoint(M)
-    for prod in (mat_mul(M, adj), mat_mul(adj, M)):
-        for i in range(2):
-            for j in range(2):
-                want = 1.0 if i == j else 0.0
-                e = prod[i][j]
-                if not (
-                    math.isclose(e.re, want, rel_tol=0.0, abs_tol=tol)
-                    and math.isclose(e.hy, 0.0, rel_tol=0.0, abs_tol=tol)
-                ):
-                    return False
-    return True

@@ -241,9 +241,14 @@ def test_generate_ctx1_roundtrip():
     assert code2 == 0
 
 
-def test_generate_infeasible():
+def test_generate_infeasible(capsys):
     code, _ = run_cli(["generate", "--p", "0.5", "--p-a1", "0.5", "--lambda", "1.5"])
     assert code == 1
+    # p_b1 is feasible, but a matrix entry or an a-marginal is within the positivity margin.
+    for p, p_a1 in (("1e-13", "0.5"), ("0.5", "1e-13")):
+        capsys.readouterr()
+        assert run_cli(["generate", "--p", p, "--p-a1", p_a1, "--lambda", "1.5"]) == (1, "")
+        assert_one_error_line(capsys)
 
 
 def test_generate_random_reanalyzable():
@@ -312,13 +317,17 @@ def test_sweep_skips_points_outside_unit_interval():
     assert [row.split(",")[0] for row in text.splitlines()[1:]] == ["0.25", "0.5"]
 
 
-def test_demo_violation():
+def test_demo_violation(capsys):
     code, text = run_cli(["demo-violation", "--p", "0.7"])
     assert code == 0
     report = json.loads(text)
     assert report["basis_overlap"] == pytest.approx(0.571429, abs=1e-6)
-    code, _ = run_cli(["demo-violation", "--p", "0.5"])
-    assert code == 1
+    # p = 0.5 is doubly stochastic; at the tiny p, basis_overlap_sq overflows,
+    # a denominator degenerates, and a component overflows.
+    for p in ("0.5", "1e-160", "1e-200", "1e-320"):
+        capsys.readouterr()
+        assert run_cli(["demo-violation", "--p", p]) == (1, "")
+        assert_one_error_line(capsys)
 
 
 def test_tolerance_env(ctx1_file, monkeypatch):

@@ -158,6 +158,11 @@ def test_generate_mirror():
 def test_generate_infeasible():
     with pytest.raises(InfeasibleContextError):
         generate_hyperbolic_context(0.5, 0.5, 1.5)
+    # A feasible p_b1, but entries within the positivity margin: validate_context rejects them.
+    with pytest.raises(InfeasibleContextError, match=r"P_b_given_a\[0\]\[0\]=1e-13 outside"):
+        generate_hyperbolic_context(1e-13, 0.5, 1.5)
+    with pytest.raises(InfeasibleContextError, match=r"p_a\[0\]=1e-13 outside"):
+        generate_hyperbolic_context(0.5, 1e-13, 1.5)
     with pytest.raises(RegimeError):
         generate_hyperbolic_context(0.9, 0.5, 0.5)
     with pytest.raises(ValueError):

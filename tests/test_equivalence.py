@@ -14,7 +14,6 @@ from qlra import (
     exp_j,
     inner_product,
     interference_coefficients,
-    is_h_unitary,
     mat_apply,
     proof_relation_residual,
     random_hyperbolic_context,
@@ -25,6 +24,7 @@ from qlra import (
     validate_context,
     Regime,
 )
+from test_linear import columns_orthonormal
 
 
 def perturbed_a_given_b(ctx: ProbContext, rng: random.Random, min_delta=0.01):
@@ -53,12 +53,12 @@ def test_transition_unitary_values():
     assert U[0][0].re == pytest.approx(0.948683, abs=1e-6)
     assert U[0][1].re == pytest.approx(0.316228, abs=1e-6)
     assert U[1][1].re == pytest.approx(-0.948683, abs=1e-6)
-    assert is_h_unitary(U, tol=1e-12)
+    assert columns_orthonormal(U, tol=1e-12)
 
 
 def test_transition_unitary_balanced():
     U = transition_unitary(((0.5, 0.5), (0.5, 0.5)))
-    assert is_h_unitary(U, tol=1e-12)
+    assert columns_orthonormal(U, tol=1e-12)
 
 
 def test_transition_unitary_rejects_non_doubly_stochastic():
@@ -69,7 +69,7 @@ def test_transition_unitary_rejects_non_doubly_stochastic():
 def test_transition_unitary_random(rng):
     for _ in range(300):
         p = rng.uniform(0.001, 0.999)
-        assert is_h_unitary(transition_unitary(((p, 1 - p), (1 - p, p))), tol=1e-12)
+        assert columns_orthonormal(transition_unitary(((p, 1 - p), (1 - p, p))), tol=1e-12)
 
 
 def _unit_vector(rng):

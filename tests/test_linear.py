@@ -3,30 +3,30 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qlra import (
-    HMatrix2,
-    HNumber,
-    HVector2,
-    exp_j,
-    identity,
-    inner_product,
-    is_h_unitary,
-    mat_adjoint,
-    mat_apply,
-    mat_mul,
-    sq_norm,
-)
+from qlra import HNumber, HVector2, exp_j, inner_product, mat_apply, sq_norm
 from qlra.algebra import h_close
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 hnums = st.builds(HNumber, coord, coord)
 vectors = st.builds(HVector2, hnums, hnums)
-matrices = st.builds(
-    lambda a, b, c, d: HMatrix2(((a, b), (c, d))), hnums, hnums, hnums, hnums
-)
 
 E1 = HVector2(HNumber(1), HNumber(0))
 E2 = HVector2(HNumber(0), HNumber(1))
+
+
+def columns_orthonormal(M, tol: float) -> bool:
+    """<e_i, e_j> = delta_ij within tol, real and j parts, for the columns e_i of a row-major 2x2 M.
+
+    For a square M over the commutative algebra this is the whole of
+    hyperbolic unitarity: adj(M) M = I implies M adj(M) = I.
+    """
+    cols = [HVector2(M[0][k], M[1][k]) for k in range(2)]
+    for i in range(2):
+        for j in range(2):
+            z = inner_product(cols[i], cols[j])
+            if abs(z.re - (1.0 if i == j else 0.0)) > tol or abs(z.hy) > tol:
+                return False
+    return True
 
 
 def test_inner_product_examples():
@@ -55,42 +55,19 @@ def test_self_inner_product_is_real(v):
 
 def test_mat_apply():
     v = HVector2(HNumber(2, 1), HNumber(-1, 3))
-    assert mat_apply(identity(), v) == v
+    identity = ((HNumber(1), HNumber(0)), (HNumber(0), HNumber(1)))
+    assert mat_apply(identity, v) == v
     # Balanced doubly stochastic transition matrix: columns read off.
     r = math.sqrt(0.5)
-    M = HMatrix2(((HNumber(r), HNumber(r)), (HNumber(r), HNumber(-r))))
+    M = ((HNumber(r), HNumber(r)), (HNumber(r), HNumber(-r)))
     out = mat_apply(M, E1)
     assert out.c1.re == pytest.approx(r) and out.c2.re == pytest.approx(r)
-
-
-def test_mat_adjoint():
-    M = HMatrix2(((HNumber(1), HNumber(2)), (HNumber(2), HNumber(3))))
-    assert mat_adjoint(M) == M
-    N = HMatrix2(((HNumber(0), HNumber(0, 1)), (HNumber(0), HNumber(0))))
-    assert mat_adjoint(N) == HMatrix2(
-        ((HNumber(0), HNumber(0)), (HNumber(0, -1), HNumber(0)))
-    )
-
-
-@given(matrices)
-def test_adjoint_involution(M):
-    assert mat_adjoint(mat_adjoint(M)) == M
-
-
-def test_is_h_unitary():
-    assert is_h_unitary(identity())
-    p = 0.8
-    M = HMatrix2(
-        (
-            (HNumber(math.sqrt(p)), HNumber(math.sqrt(1 - p))),
-            (HNumber(math.sqrt(1 - p)), HNumber(-math.sqrt(p))),
-        )
-    )
-    assert is_h_unitary(M)
-    shear = HMatrix2(((HNumber(1), HNumber(1)), (HNumber(0), HNumber(1))))
-    assert not is_h_unitary(shear)
-    with pytest.raises(ValueError):
-        is_h_unitary(identity(), tol=0.0)
+    assert columns_orthonormal(M, tol=1e-12)
+    # Row i of M applied to v: (j, 0; 0, 2) maps (x1, x2) to (j*x1, 2*x2).
+    out = mat_apply(((HNumber(0, 1), HNumber(0)), (HNumber(0), HNumber(2))), v)
+    assert out == HVector2(HNumber(0, 1) * v.c1, HNumber(2) * v.c2)
+    shear = ((HNumber(1), HNumber(1)), (HNumber(0), HNumber(1)))
+    assert not columns_orthonormal(shear, tol=1e-12)
 
 
 @given(vectors, vectors)
@@ -107,13 +84,6 @@ def test_first_argument_linearity(a, b, u, w, v):
     assert h_close(lhs, rhs, rel=1e-12, abs_=1e-6)
 
 
-@given(matrices, vectors, vectors)
-def test_adjoint_pairing(M, u, v):
-    lhs = inner_product(mat_apply(M, u), v)
-    rhs = inner_product(u, mat_apply(mat_adjoint(M), v))
-    assert h_close(lhs, rhs, rel=1e-12, abs_=1e-6)
-
-
 @given(
     st.floats(min_value=0.01, max_value=0.99),
     st.floats(min_value=-3, max_value=3, allow_nan=False),
@@ -121,13 +91,11 @@ def test_adjoint_pairing(M, u, v):
 )
 def test_unitary_preserves_sq_norm(p, theta, v):
     phase = exp_j(theta)
-    M = HMatrix2(
-        (
-            (phase * HNumber(math.sqrt(p)), phase * HNumber(math.sqrt(1 - p))),
-            (HNumber(math.sqrt(1 - p)), HNumber(-math.sqrt(p))),
-        )
+    M = (
+        (phase * HNumber(math.sqrt(p)), phase * HNumber(math.sqrt(1 - p))),
+        (HNumber(math.sqrt(1 - p)), HNumber(-math.sqrt(p))),
     )
-    assert is_h_unitary(M, tol=1e-10)
+    assert columns_orthonormal(M, tol=1e-10)
     before = sq_norm(v)
     after = sq_norm(mat_apply(M, v))
     assert after == pytest.approx(before, rel=1e-10, abs=1e-7)

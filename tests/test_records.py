@@ -1,7 +1,8 @@
 """The package's records and values: construction, immutability, equality, and import footprint.
 
 HNumber and HVector2 are slots classes; the other records are named
-tuples.  None of them may need ``dataclasses`` at import.
+tuples.  None of them may need ``dataclasses`` at import, and importing
+``qlra.cli`` loads no ``random`` either.
 """
 
 import copy
@@ -18,7 +19,6 @@ from qlra import (
     BornReport,
     Direction,
     EquivalenceVerdict,
-    HMatrix2,
     HNumber,
     HVector2,
     InterferenceProfile,
@@ -37,7 +37,6 @@ BASIS = (HVector2(0.9, 0.1), HVector2(0.1, -0.9))
 RECORDS = [
     (HNumber, (1.5, -0.25), {"re": 1.5, "hy": -0.25}),
     (HVector2, (HNumber(1.0, 2.0), HNumber(3.0)), {"c1": HNumber(1.0, 2.0), "c2": HNumber(3.0)}),
-    (HMatrix2, (((1, 2), (3, 4)),), {"entries": ((1, 2), (3, 4))}),
     (
         InterferenceProfile,
         PROFILE,
@@ -122,7 +121,6 @@ def test_defaults():
 
 def test_record_methods_and_properties():
     assert BornReport((1e-16, 4e-16), (3e-16, 0.0)).max_residual == 4e-16
-    assert HMatrix2(((1, 2), (3, 4)))[1] == (HNumber(3.0), HNumber(4.0))
 
 
 def test_values_are_equal_only_to_their_own_class():
@@ -150,21 +148,12 @@ def test_prob_context_parses_every_construction(ctx1):
         ProbContext._make(((0.5, 0.5), (0.9, 0.1), M, ((0.9, float("nan")), (0.1, 0.9))))
 
 
-def test_matrix_parses_every_construction():
-    M2 = HMatrix2(((1, 2), (3, 4)))
-    assert M2._make((((0, 1), (1, 0)),))[0] == (HNumber(0.0), HNumber(1.0))
-    with pytest.raises(ValueError, match="2x2"):
-        M2._replace(entries=((1, 2, 3), (4, 5, 6)))
-    with pytest.raises(ValueError, match="2x2"):
-        HMatrix2._make((((1, 2),),))
-
-
 def _imported_modules(code: str) -> set[str]:
     # The child imports the qlra under test, wherever pytest found it.
     src = str(Path(qlra.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys{code}; print(' '.join(sorted(sys.modules)))"],
+        [sys.executable, "-S", "-c", f"import sys{code}; print(' '.join(sorted(sys.modules)))"],
         capture_output=True,
         text=True,
         env=env,
@@ -174,6 +163,7 @@ def _imported_modules(code: str) -> set[str]:
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
+    # -S: no site, which on some installs loads random itself and hides qlra's import.
     added = _imported_modules(", qlra.cli") - _imported_modules("")
     assert "qlra.cli" in added
-    assert not {"dataclasses", "inspect"} & added
+    assert not {"dataclasses", "inspect", "random"} & added
