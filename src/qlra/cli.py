@@ -75,7 +75,7 @@ _str = json.encoder.encode_basestring_ascii
 
 
 def _pair(x) -> str:
-    """dumps of a list of two floats: each is at most 19 characters, so always inline."""
+    """dumps of a list or tuple of two floats: each is at most 19 characters, so always inline."""
     return f"[{_fmt_float(x[0])}, {_fmt_float(x[1])}]"
 
 
@@ -206,9 +206,9 @@ def cmd_analyze(args, out) -> int:
             continue
         profile = interference_coefficients(ctx, direction)
         entry = {
-            "lambda": list(profile.lam),
-            "epsilon": list(profile.epsilon),
-            "theta": list(profile.theta),
+            "lambda": profile.lam,
+            "epsilon": profile.epsilon,
+            "theta": profile.theta,
             "regime": profile.regime.value,
         }
         if profile.regime is Regime.HYPERBOLIC:
@@ -216,8 +216,8 @@ def cmd_analyze(args, out) -> int:
             state = states[direction] = reconstruct(ctx, direction, profile, args.sign_branch)
             born = verify_born_rule(state, ctx)
             entry["born_residuals"] = {
-                "conditioned": list(born.conditioned_residuals),
-                "conditioning": list(born.conditioning_residuals),
+                "conditioned": born.conditioned_residuals,
+                "conditioning": born.conditioning_residuals,
                 "max": born.max_residual,
             }
             entry["expansion_deviation"] = expansion_consistency(state)

@@ -4,7 +4,8 @@ Given a valid context in the hyperbolic regime, builds a normalized
 split-complex amplitude whose squared moduli reproduce the marginals of
 both observables (Born's rule), for either conditioning order.  Also
 reproduces the classic counterexample showing why double stochasticity
-is essential.
+is essential.  A state holds floats, which the checks read; HVector2s are
+built only by ``conditioning_basis`` and QlraState's properties.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import HNumber, _hn, exp_j
+from .algebra import HNumber, _hn
 from .context import (
     Direction,
     InterferenceProfile,
@@ -39,18 +40,29 @@ __all__ = [
 
 
 class QlraState(namedtuple(
-    "QlraState", "psi direction profile conditioning_basis conditioning_marginals sign_choice", defaults=(1,)
+    "QlraState", "amplitude direction profile basis_roots conditioning_marginals sign_choice", defaults=(1,)
 )):
-    """A reconstructed amplitude ``psi`` (an HVector2) in the conditioned observable's basis.
+    """A reconstructed amplitude ``psi`` in the conditioned observable's basis, as floats.
 
-    ``conditioning_basis`` holds the other observable's eigenvectors in
-    the same coordinates; ``conditioning_marginals`` are the marginals
-    of the conditioning observable (the coefficients of the basis
-    expansion).  ``sign_choice`` selects the branch of the hyperbolic
+    ``amplitude`` is psi in null-cone coordinates (u1, v1, u2, v2), and ``basis_roots``
+    the roots (r00, r01, r10, r11) of the transition matrix: the other observable's
+    eigenvectors, ``conditioning_basis``, are (r00, r10) and (r01, -r11).  The ``psi`` and
+    ``conditioning_basis`` properties build HVector2s on each access.
+    ``conditioning_marginals`` are the conditioning observable's marginals (the basis
+    expansion's coefficients); ``sign_choice`` selects the branch of the hyperbolic
     phase: the amplitude uses exp_j(sign_choice * theta).
     """
 
     __slots__ = ()
+
+    @property
+    def psi(self) -> HVector2:
+        u1, v1, u2, v2 = self.amplitude
+        return _vec(_hn(u1, v1), _hn(u2, v2))
+
+    @property
+    def conditioning_basis(self) -> tuple[HVector2, HVector2]:
+        return _basis_vectors(self.basis_roots)
 
 
 def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
@@ -64,16 +76,24 @@ def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
         raise StochasticityError(
             "conditioning basis requires a doubly stochastic matrix"
         )
-    return _basis(M)
+    return _basis_vectors(tuple(math.sqrt(x) for row in M for x in row))
 
 
-def _basis(M: Matrix2) -> tuple[HVector2, HVector2]:
-    (m00, m01), (m10, m11) = M
-    r00, r01, r10, r11 = math.sqrt(m00), math.sqrt(m01), math.sqrt(m10), math.sqrt(m11)
+def _basis_vectors(roots: tuple[float, float, float, float]) -> tuple[HVector2, HVector2]:
+    r00, r01, r10, r11 = roots
     # A real number r has null-cone coordinates (r, r).
     e1 = _vec(_hn(r00, r00), _hn(r10, r10))
     e2 = _vec(_hn(r01, r01), _hn(-r11, -r11))
     return (e1, e2)
+
+
+def _require_finite(*coords: float) -> None:
+    """algebra._hn's check on each null-cone pair (u, v) of coords: ValueError names the first bad one."""
+    if math.isfinite(sum(coords)):  # an inf or nan term makes the sum inf or nan
+        return
+    for u, v in zip(coords[::2], coords[1::2]):
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise ValueError(f"non-finite null-cone coordinates: {u!r}, {v!r}")
 
 
 def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> QlraState:
@@ -108,15 +128,17 @@ def reconstruct(
         )
     m, _ = ctx.marginals(direction)
     s = profile.epsilon[0]
-    phase = exp_j(sign_choice * profile.theta[0])
-    pu, pv = s * phase.u, s * phase.v  # s*phase in null-cone coordinates
+    t = sign_choice * profile.theta[0]
+    eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
+    pu, pv = s * eu, s * ev
     a00, a01 = math.sqrt(m[0] * M[0][0]), math.sqrt(m[1] * M[0][1])
     a10, a11 = math.sqrt(m[0] * M[1][0]), math.sqrt(m[1] * M[1][1])
-    psi = _vec(
-        _hn(a00 + pu * a01, a00 + pv * a01),
-        _hn(a10 - pu * a11, a10 - pv * a11),
-    )
-    return QlraState(psi, direction, profile, _basis(M), m, sign_choice)
+    amplitude = (a00 + pu * a01, a00 + pv * a01, a10 - pu * a11, a10 - pv * a11)
+    (m00, m01), (m10, m11) = M
+    r00, r01, r10, r11 = roots = (math.sqrt(m00), math.sqrt(m01), math.sqrt(m10), math.sqrt(m11))
+    # The checks that exp_j, psi and conditioning_basis make on their null-cone coordinates.
+    _require_finite(eu, ev, *amplitude, r00, r00, r10, r10, r01, r01, -r11, -r11)
+    return QlraState(amplitude, direction, profile, roots, m, sign_choice)
 
 
 class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_residuals")):
@@ -130,17 +152,18 @@ class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_re
 
 
 def verify_born_rule(state: QlraState, ctx: ProbContext) -> BornReport:
-    """Check |psi_i|^2 and |<psi, e_k>|^2 against both marginal pairs."""
+    """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs."""
     m_cond, m_out = ctx.marginals(state.direction)
-    comps = state.psi.components()
-    conditioned = tuple(
-        abs(comps[i].sq_modulus() - m_out[i]) for i in range(2)
+    u1, v1, u2, v2 = state.amplitude
+    r00, r01, r10, r11 = state.basis_roots
+    # For the real e_k, conj(e_k) = e_k: <psi, e_k> = psi_1*e_k1 + psi_2*e_k2.
+    iu1, iv1 = u1 * r00 + u2 * r10, v1 * r00 + v2 * r10
+    iu2, iv2 = u1 * r01 - u2 * r11, v1 * r01 - v2 * r11
+    _require_finite(iu1, iv1, iu2, iv2)
+    return BornReport(
+        (abs(u1 * v1 - m_out[0]), abs(u2 * v2 - m_out[1])),
+        (abs(iu1 * iv1 - m_cond[0]), abs(iu2 * iv2 - m_cond[1])),
     )
-    conditioning = tuple(
-        abs(inner_product(state.psi, state.conditioning_basis[k]).sq_modulus() - m_cond[k])
-        for k in range(2)
-    )
-    return BornReport(conditioned_residuals=conditioned, conditioning_residuals=conditioning)
 
 
 def expansion_consistency(state: QlraState) -> float:
@@ -151,15 +174,17 @@ def expansion_consistency(state: QlraState) -> float:
     """
     m = state.conditioning_marginals
     s = state.profile.epsilon[0]
-    phase = exp_j(state.sign_choice * state.profile.theta[0])
+    t = state.sign_choice * state.profile.theta[0]
+    eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
+    _require_finite(eu, ev)
     r1 = math.sqrt(m[0])
     r2 = s * math.sqrt(m[1])
-    ku, kv = r2 * phase.u, r2 * phase.v
-    e1, e2 = state.conditioning_basis
-    p1, p2 = state.psi.c1, state.psi.c2
+    ku, kv = r2 * eu, r2 * ev
+    u1, v1, u2, v2 = state.amplitude
+    r00, r01, r10, r11 = state.basis_roots
     return max(
-        component_gap(p1.u - (r1 * e1.c1.u + ku * e2.c1.u), p1.v - (r1 * e1.c1.v + kv * e2.c1.v)),
-        component_gap(p2.u - (r1 * e1.c2.u + ku * e2.c2.u), p2.v - (r1 * e1.c2.v + kv * e2.c2.v)),
+        component_gap(u1 - (r1 * r00 + ku * r01), v1 - (r1 * r00 + kv * r01)),
+        component_gap(u2 - (r1 * r10 - ku * r11), v2 - (r1 * r10 - kv * r11)),
     )
 
 

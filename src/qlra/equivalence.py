@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import HNumber, _arg, h_arg
+from .algebra import HNumber, _arg, _hn, h_arg
 from .context import Direction, Matrix2, ProbContext, interference_coefficients, require_valid
-from .engine import QlraState, component_gap, conditioning_basis, reconstruct, run_qlra
+from .engine import QlraState, _require_finite, component_gap, conditioning_basis, reconstruct, run_qlra
 from .errors import DegenerateStateError, QlraError
-from .linear import HVector2, mat_apply
+from .linear import HVector2
 
 __all__ = [
     "EquivalenceVerdict",
@@ -60,12 +60,7 @@ def transition_unitary(p_b_given_a: Matrix2) -> tuple[tuple[HNumber, HNumber], t
     inner_product because P is doubly stochastic (StochasticityError
     otherwise), so the matrix is hyperbolic-unitary.
     """
-    return _columns(conditioning_basis(p_b_given_a))
-
-
-def _columns(basis: tuple[HVector2, HVector2]) -> tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]]:
-    """The row-major 2x2 matrix whose columns are the two basis vectors."""
-    e1, e2 = basis
+    e1, e2 = conditioning_basis(p_b_given_a)
     return ((e1.c1, e2.c1), (e1.c2, e2.c2))
 
 
@@ -78,18 +73,12 @@ def states_equivalent(v1: HVector2, v2: HVector2, tol: float = 1e-9) -> Equivale
     onto v1 componentwise within tol times the largest null-cone
     coordinate of either vector (at least 1).
     """
-    return _equivalent(_coords(v1), _coords(v2), tol)
+    a = (v1.c1.u, v1.c1.v, v1.c2.u, v1.c2.v)
+    b = (v2.c1.u, v2.c1.v, v2.c2.u, v2.c2.v)
+    return _equivalent(a, b, tol)
 
 
-# A vector (c1, c2) as the null-cone coordinates (c1.u, c1.v, c2.u, c2.v).
-Coords = tuple[float, float, float, float]
-
-
-def _coords(v: HVector2) -> Coords:
-    return (v.c1.u, v.c1.v, v.c2.u, v.c2.v)
-
-
-def _equivalent(a: Coords, b: Coords, tol: float, symmetry_holds: bool | None = None) -> EquivalenceVerdict:
+def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = None) -> EquivalenceVerdict:
     """states_equivalent on the null-cone coordinates (u1, v1, u2, v2) of two vectors."""
     for name, (u1, v1, u2, v2) in (("v1", a), ("v2", b)):
         n = u1 * v1 + u2 * v2
@@ -152,8 +141,11 @@ def consistency_verdict(
 
     Both amplitudes must be built on the same sign_choice.
     """
-    # The transition unitary's columns are the b|a conditioning basis.
-    transported = _coords(mat_apply(_columns(state_ba.conditioning_basis), state_ba.psi))
+    # The transition unitary's columns are the b|a conditioning basis: U = [[r00, r01], [r10, -r11]].
+    r00, r01, r10, r11 = state_ba.basis_roots
+    bu1, bv1, bu2, bv2 = state_ba.amplitude
+    transported = (r00 * bu1 + r01 * bu2, r00 * bv1 + r01 * bv2, r10 * bu1 - r11 * bu2, r10 * bv1 - r11 * bv2)
+    _require_finite(*transported)
     # The theorem fixes the a|b phase sign sc' that reconstruct leaves free.
     # A DS P is [[p, q], [q, p]], so U = [[sqrt p, sqrt q], [sqrt q, -sqrt p]] has U^2 = I,
     # and a symmetric context has psi_ab = U (sqrt p_b1, eps_ab exp_j(sc' theta_ab) sqrt p_b2):
@@ -162,7 +154,7 @@ def consistency_verdict(
     # reconstruct (p + q = 1) and eps_ab sc' sinh(theta_ab) sqrt(p_b1 p_b2) by the right side
     # (|c| = 1), so sc' = -eps_ba eps_ab sc.  With one sc for both, equal signs of lambda_1
     # call for the other branch: the conjugate amplitude, u and v swapped.
-    u1, v1, u2, v2 = _coords(state_ab.psi)
+    u1, v1, u2, v2 = state_ab.amplitude
     if state_ba.profile.epsilon[0] == state_ab.profile.epsilon[0]:
         u1, v1, u2, v2 = v1, u1, v2, u2
     return _equivalent((u1, v1, u2, v2), transported, tol, _symmetry_holds(ctx, tol))
@@ -184,6 +176,8 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
 
 def relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:
     """proof_relation_residual, for the two amplitudes of a validated context."""
-    g1 = h_arg(state_ab.psi.c1)
-    g2 = h_arg(state_ab.psi.c2)
-    return abs(math.cosh(g2 - g1) - math.cosh(state_ba.profile.theta[0]))
+    u1, v1, u2, v2 = state_ab.amplitude
+    if u1 * v1 <= 0.0 or u2 * v2 <= 0.0:
+        for u, v in ((u1, v1), (u2, v2)):
+            h_arg(_hn(u, v))  # ArgDomainError for the first component off the cone
+    return abs(math.cosh(_arg(u2, v2) - _arg(u1, v1)) - math.cosh(state_ba.profile.theta[0]))

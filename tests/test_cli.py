@@ -160,10 +160,13 @@ def test_analyze_invalid_context_exit_1(tmp_path):
     assert text == (Path(__file__).parent / "ctx_invalid_report.json").read_text()
 
 
+# Valid and hyperbolic both ways, but P_a_given_b is not the transpose of P_b_given_a.
+ASYMMETRIC = dict(CTX1, P_a_given_b=[[0.85, 0.15], [0.15, 0.85]])
+
+
 def test_analyze_asymmetric_exit_3(tmp_path):
-    ctx = dict(CTX1, P_a_given_b=[[0.85, 0.15], [0.15, 0.85]])
     path = tmp_path / "asym.json"
-    path.write_text(json.dumps(ctx))
+    path.write_text(json.dumps(ASYMMETRIC))
     code, text = run_cli(["analyze", str(path)])
     assert code == 3
     report = json.loads(text)
@@ -220,6 +223,76 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
     assert calls.count("interference_coefficients") == 2
     # One comparison: the signs of lambda_1 decide the a|b phase branch.
     assert calls.count("_equivalent") == comparisons
+
+
+@pytest.mark.parametrize(
+    "ctx, options, code, golden",
+    [
+        # lambda_1 has one sign in both directions: the verdict compares the conjugate a|b amplitude.
+        (SAME_SIGN, [], 0, "ctx_same_sign_report.json"),
+        (ASYMMETRIC, [], 3, "ctx_asymmetric_report.json"),
+        (CTX1, ["--sign-branch", "-1"], 0, "ctx1_sign_minus_report.json"),
+    ],
+)
+def test_analyze_verdict_path_report_bytes(ctx, options, code, golden):
+    want = (Path(__file__).parent / golden).read_text()
+    assert run_cli(["analyze", "-", *options], stdin_text=json.dumps(ctx)) == (code, want)
+
+
+@pytest.mark.parametrize("ctx, code", [(CTX1, 0), (SAME_SIGN, 0), (ASYMMETRIC, 3)])
+def test_analyze_builds_no_algebra_objects(ctx, code, tmp_path):
+    # The pipeline carries null-cone floats: it enters qlra.linear never, and
+    # qlra.algebra only for the float helper _arg (the verdict's gamma, the relation residual).
+    layer_of = {qlra.algebra.__file__: "algebra", qlra.linear.__file__: "linear"}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in layer_of:
+            calls.append(f"{layer_of[frame.f_code.co_filename]}.{frame.f_code.co_name}")
+
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(ctx))
+    sys.setprofile(profile)
+    try:
+        result = run_cli(["analyze", str(path)])
+    finally:
+        sys.setprofile(None)
+    assert result[0] == code
+    assert set(calls) <= {"algebra._arg"}
+    assert ("algebra._arg" in calls) == (code == 0)
+
+
+def test_analyze_prints_the_api_numbers(rng):
+    # Each number analyze prints is the one the public functions return, written by _fmt_float.
+    contexts = [ASYMMETRIC] + [random_hyperbolic_context(rng).to_dict() for _ in range(200)]
+    for d in contexts:
+        ctx = qlra.ProbContext.from_dict(d)
+        for sc in (1, -1):
+            code, text = run_cli(["analyze", "-", "--sign-branch", str(sc)], stdin_text=json.dumps(d))
+            report, api, printed = json.loads(text), [], []
+            for direction in qlra.Direction:
+                state = qlra.run_qlra(ctx, direction, sc)
+                born = qlra.verify_born_rule(state, ctx)
+                api += [*born.conditioned_residuals, *born.conditioning_residuals, born.max_residual]
+                api.append(qlra.expansion_consistency(state))
+                entry = report["directions"][direction.value]
+                printed += [*entry["born_residuals"]["conditioned"], *entry["born_residuals"]["conditioning"]]
+                printed += [entry["born_residuals"]["max"], entry["expansion_deviation"]]
+            verdict, eq = qlra.check_consistency(ctx, sign_choice=sc), report["equivalence"]
+            assert code == (0 if verdict.equivalent else 3)
+            assert verdict.equivalent is eq["equivalent"] and verdict.symmetry_holds is eq["symmetry_holds"]
+            assert verdict.sign == eq["sign"] and (verdict.gamma is None) == (eq["gamma"] is None)
+            api.append(verdict.max_component_deviation)
+            printed.append(eq["max_component_deviation"])
+            if verdict.gamma is not None:
+                api.append(verdict.gamma)
+                printed.append(eq["gamma"])
+            if verdict.symmetry_holds:
+                api.append(qlra.proof_relation_residual(ctx, sc))
+                printed.append(eq["proof_relation_residual"])
+            else:
+                assert "proof_relation_residual" not in eq
+            assert list(map(qlra.cli._fmt_float, api)) == list(map(qlra.cli._fmt_float, printed))
 
 
 def test_analyze_direction_filter(ctx1_file):

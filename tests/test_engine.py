@@ -66,6 +66,30 @@ def test_run_qlra_rejects_invalid_context():
         run_qlra(ctx, Direction.B_GIVEN_A)
 
 
+def test_amplitude_matches_algebra_product(rng):
+    # The float reconstruction is the HNumber formula of run_qlra's docstring.
+    checked = 0
+    for _ in range(200):
+        ctx = random_hyperbolic_context(rng)
+        for direction in Direction:
+            (m1, m2), _ = ctx.marginals(direction)
+            M = ctx.matrix(direction)
+            profile = interference_coefficients(ctx, direction)
+            for sc in (1, -1):
+                phase = profile.epsilon[0] * exp_j(sc * profile.theta[0])
+                want = (
+                    HNumber(math.sqrt(m1 * M[0][0])) + phase * HNumber(math.sqrt(m2 * M[0][1])),
+                    HNumber(math.sqrt(m1 * M[1][0])) - phase * HNumber(math.sqrt(m2 * M[1][1])),
+                )
+                state = run_qlra(ctx, direction, sc)
+                for got, z in zip(state.psi.components(), want):
+                    assert got.u == pytest.approx(z.u, rel=1e-12, abs=1e-12)
+                    assert got.v == pytest.approx(z.v, rel=1e-12, abs=1e-12)
+                assert state.amplitude == (state.psi.c1.u, state.psi.c1.v, state.psi.c2.u, state.psi.c2.v)
+                checked += 1
+    assert checked == 800
+
+
 def test_conditioning_basis_orthonormal():
     M = ((0.9, 0.1), (0.1, 0.9))
     e1, e2 = conditioning_basis(M)
@@ -100,10 +124,10 @@ def test_verify_born_rule_detects_corruption(ctx1):
     state = run_qlra(ctx1, Direction.B_GIVEN_A)
     scaled = state.psi.scale(HNumber(1.1))
     bad = type(state)(
-        psi=scaled,
+        amplitude=(scaled.c1.u, scaled.c1.v, scaled.c2.u, scaled.c2.v),
         direction=state.direction,
         profile=state.profile,
-        conditioning_basis=state.conditioning_basis,
+        basis_roots=state.basis_roots,
         conditioning_marginals=state.conditioning_marginals,
         sign_choice=state.sign_choice,
     )
@@ -142,10 +166,10 @@ def test_mismatched_expansion_is_incoherent(ctx1):
     # reproduce the coordinate form: the j-parts differ by 2*sinh(theta).
     state = run_qlra(ctx1, Direction.B_GIVEN_A, 1)
     flipped = type(state)(
-        psi=state.psi,
+        amplitude=state.amplitude,
         direction=state.direction,
         profile=state.profile,
-        conditioning_basis=state.conditioning_basis,
+        basis_roots=state.basis_roots,
         conditioning_marginals=state.conditioning_marginals,
         sign_choice=-1,
     )

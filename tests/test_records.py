@@ -32,6 +32,10 @@ M = ((0.9, 0.1), (0.1, 0.9))
 PSI = HVector2(HNumber(1.2, 0.3), HNumber(-0.4, 0.5))
 PROFILE = InterferenceProfile((4 / 3, -4 / 3), (1, -1), (0.79, 0.79), Regime.HYPERBOLIC)
 BASIS = (HVector2(0.9, 0.1), HVector2(0.1, -0.9))
+# PSI and BASIS as QlraState holds them: PSI's null-cone coordinates, and the
+# roots r with BASIS = ((r00, r10), (r01, -r11)).
+AMPLITUDE = (PSI.c1.u, PSI.c1.v, PSI.c2.u, PSI.c2.v)
+ROOTS = (0.9, 0.1, 0.1, 0.9)
 
 # (class, positional arguments, the same as keywords)
 RECORDS = [
@@ -49,12 +53,12 @@ RECORDS = [
     ),
     (
         QlraState,
-        (PSI, Direction.B_GIVEN_A, PROFILE, BASIS, (0.5, 0.5), -1),
+        (AMPLITUDE, Direction.B_GIVEN_A, PROFILE, ROOTS, (0.5, 0.5), -1),
         {
-            "psi": PSI,
+            "amplitude": AMPLITUDE,
             "direction": Direction.B_GIVEN_A,
             "profile": PROFILE,
-            "conditioning_basis": BASIS,
+            "basis_roots": ROOTS,
             "conditioning_marginals": (0.5, 0.5),
             "sign_choice": -1,
         },
@@ -112,7 +116,7 @@ def test_fields_cannot_be_assigned(cls, args, kwargs):
 
 
 def test_defaults():
-    assert QlraState(PSI, Direction.A_GIVEN_B, PROFILE, BASIS, (0.5, 0.5)).sign_choice == 1
+    assert QlraState(AMPLITUDE, Direction.A_GIVEN_B, PROFILE, ROOTS, (0.5, 0.5)).sign_choice == 1
     assert EquivalenceVerdict(False, None, None, 0.5).symmetry_holds is None
     ctx = ProbContext((0.5, 0.5), (0.9, 0.1), M)
     assert ctx.p_a_given_b is None and ctx.a_given_b_defaulted
@@ -121,6 +125,11 @@ def test_defaults():
 
 def test_record_methods_and_properties():
     assert BornReport((1e-16, 4e-16), (3e-16, 0.0)).max_residual == 4e-16
+    state = QlraState(AMPLITUDE, Direction.B_GIVEN_A, PROFILE, ROOTS, (0.5, 0.5))
+    assert state.psi == PSI and state.conditioning_basis == BASIS
+    for name in ("psi", "conditioning_basis"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, None)
 
 
 def test_values_are_equal_only_to_their_own_class():
