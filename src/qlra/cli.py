@@ -69,8 +69,8 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-# The writer below knows the shape of the `analyze` report, so it formats it in
-# one pass; it must give the bytes dumps gives, and the tests hold it to that.
+# The writer below knows the `analyze` report's shape and formats the records in one
+# pass; dumps of the parsed report must give back its bytes, and the tests hold it to that.
 _str = json.encoder.encode_basestring_ascii
 
 
@@ -87,66 +87,72 @@ def _matrix(M) -> str:
     return f"[\n      {r0},\n      {r1}\n    ]"
 
 
-def _direction_json(entry: dict) -> str:
-    """dumps of one entry of the report's "directions", at indent 2."""
-    e0, e1 = entry["epsilon"]
+def _direction_json(direction, profile, born, deviation) -> str:
+    """One entry of the report's "directions", at indent 2; born is None off the hyperbolic regime."""
+    e0, e1 = profile.epsilon
+    regime = profile.regime.value
     head = (
-        f'{{\n      "lambda": {_pair(entry["lambda"])},\n      "epsilon": [{e0}, {e1}],\n'
-        f'      "theta": {_pair(entry["theta"])},\n      "regime": {_str(entry["regime"])},\n'
+        f'    {_str(direction.value)}: {{\n'
+        f'      "lambda": {_pair(profile.lam)},\n      "epsilon": [{e0}, {e1}],\n'
+        f'      "theta": {_pair(profile.theta)},\n      "regime": {_str(regime)},\n'
     )
-    if "error" in entry:
-        return f'{head}      "error": {_str(entry["error"])}\n    }}'
-    born = entry["born_residuals"]
+    if born is None:
+        error = (
+            f"regime is {regime}: |lambda| <= 1 for at least "
+            "one outcome; hyperbolic reconstruction not applicable"
+        )
+        return f'{head}      "error": {_str(error)}\n    }}'
     return (
         f'{head}      "born_residuals": {{\n'
-        f'        "conditioned": {_pair(born["conditioned"])},\n'
-        f'        "conditioning": {_pair(born["conditioning"])},\n'
-        f'        "max": {_fmt_float(born["max"])}\n      }},\n'
-        f'      "expansion_deviation": {_fmt_float(entry["expansion_deviation"])}\n    }}'
+        f'        "conditioned": {_pair(born.conditioned_residuals)},\n'
+        f'        "conditioning": {_pair(born.conditioning_residuals)},\n'
+        f'        "max": {_fmt_float(born.max_residual)}\n      }},\n'
+        f'      "expansion_deviation": {_fmt_float(deviation)}\n    }}'
     )
 
 
-def _report_json(report: dict) -> str:
-    """dumps(report) for a report that cmd_analyze builds, written in one pass."""
-    inp, validation = report["input"], report["validation"]
+def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict=None, residual=None) -> str:
+    """The analyze report, written in one pass from the pipeline's records.
+
+    ``directions`` holds one (Direction, InterferenceProfile, BornReport, expansion
+    deviation) per analyzed direction, the last two None off the hyperbolic regime;
+    ``verdict`` is the EquivalenceVerdict and ``residual`` the proof relation residual.
+    """
     parts = [
-        f'{{\n  "tool": {_str(report["tool"])},\n  "version": {_str(report["version"])},\n'
-        f'  "tolerance": {_fmt_float(report["tolerance"])},\n'
-        f'  "sign_branch": {report["sign_branch"]},\n'
-        f'  "input": {{\n    "p_a": {_pair(inp["p_a"])},\n    "p_b": {_pair(inp["p_b"])},\n'
-        f'    "P_b_given_a": {_matrix(inp["P_b_given_a"])}'
+        f'{{\n  "tool": "qlra",\n  "version": {_str(__version__)},\n'
+        f'  "tolerance": {_fmt_float(tolerance)},\n'
+        f'  "sign_branch": {sign_branch},\n'
+        f'  "input": {{\n    "p_a": {_pair(ctx.p_a)},\n    "p_b": {_pair(ctx.p_b)},\n'
+        f'    "P_b_given_a": {_matrix(ctx.p_b_given_a)}'
     ]
-    if "P_a_given_b" in inp:
-        parts.append(f',\n    "P_a_given_b": {_matrix(inp["P_a_given_b"])}')
-    violations = [_str(v) for v in validation["violations"]]
-    if not violations:
+    if not ctx.a_given_b_defaulted:
+        parts.append(f',\n    "P_a_given_b": {_matrix(ctx.p_a_given_b)}')
+    listed = [_str(v) for v in violations]
+    if not listed:
         listed = "[]"
-    elif all(len(v) < 40 for v in violations):
-        listed = f"[{', '.join(violations)}]"
+    elif all(len(v) < 40 for v in listed):
+        listed = f"[{', '.join(listed)}]"
     else:
-        listed = "[\n" + ",\n".join("      " + v for v in violations) + "\n    ]"
+        listed = "[\n" + ",\n".join("      " + v for v in listed) + "\n    ]"
     parts.append(
-        f'\n  }},\n  "p_a_given_b_defaulted": {"true" if report["p_a_given_b_defaulted"] else "false"},\n'
-        f'  "validation": {{\n    "valid": {"true" if validation["valid"] else "false"},\n'
+        f'\n  }},\n  "p_a_given_b_defaulted": {"true" if ctx.a_given_b_defaulted else "false"},\n'
+        f'  "validation": {{\n    "valid": {"false" if violations else "true"},\n'
         f'    "violations": {listed}\n  }}'
     )
-    if "directions" in report:
-        entries = ",\n".join(
-            f"    {_str(name)}: {_direction_json(entry)}" for name, entry in report["directions"].items()
-        )
+    if directions:
+        entries = ",\n".join(_direction_json(*entry) for entry in directions)
         parts.append(f',\n  "directions": {{\n{entries}\n  }}')
-    if "equivalence" in report:
-        eq = report["equivalence"]
-        gamma, sign = eq["gamma"], eq["sign"]
+    if verdict is not None:
+        gamma, sign = verdict.gamma, verdict.sign
         parts.append(
-            f',\n  "equivalence": {{\n    "equivalent": {"true" if eq["equivalent"] else "false"},\n'
+            f',\n  "equivalence": {{\n    "equivalent": {"true" if verdict.equivalent else "false"},\n'
             f'    "gamma": {"null" if gamma is None else _fmt_float(gamma)},\n'
             f'    "sign": {"null" if sign is None else sign},\n'
-            f'    "symmetry_holds": {"true" if eq["symmetry_holds"] else "false"},\n'
-            f'    "max_component_deviation": {_fmt_float(eq["max_component_deviation"])}'
+            f'    "symmetry_holds": {"true" if verdict.symmetry_holds else "false"},\n'
+            f'    "max_component_deviation": {_fmt_float(verdict.max_component_deviation)}'
         )
-        if "proof_relation_residual" in eq:
-            parts.append(f',\n    "proof_relation_residual": {_fmt_float(eq["proof_relation_residual"])}')
+        if residual is not None:
+            parts.append(f',\n    "proof_relation_residual": {_fmt_float(residual)}')
         parts.append("\n  }")
     parts.append("\n}")
     return "".join(parts)
@@ -183,74 +189,35 @@ def cmd_analyze(args, out) -> int:
         print(f"error: bad context: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    report = {
-        "tool": "qlra",
-        "version": __version__,
-        "tolerance": tolerance,
-        "sign_branch": args.sign_branch,
-        "input": ctx.to_dict(),
-        "p_a_given_b_defaulted": ctx.a_given_b_defaulted,
-    }
     violations = validate_context(ctx, tol=tolerance)
-    report["validation"] = {"valid": not violations, "violations": violations}
     if violations:
-        print(_report_json(report), file=out)
+        print(_report_json(ctx, tolerance, args.sign_branch, violations), file=out)
         return EXIT_INVALID_INPUT
 
-    exit_code = EXIT_OK
-    dir_reports = {}
-    states = {}
-    regimes_ok = True
+    directions, states = [], {}
     for direction in Direction:
         if args.direction not in ("both", direction.value):
             continue
         profile = interference_coefficients(ctx, direction)
-        entry = {
-            "lambda": profile.lam,
-            "epsilon": profile.epsilon,
-            "theta": profile.theta,
-            "regime": profile.regime.value,
-        }
         if profile.regime is Regime.HYPERBOLIC:
             # Validated above, at the run's tolerance: build without re-checking.
             state = states[direction] = reconstruct(ctx, direction, profile, args.sign_branch)
             born = verify_born_rule(state, ctx)
-            entry["born_residuals"] = {
-                "conditioned": born.conditioned_residuals,
-                "conditioning": born.conditioning_residuals,
-                "max": born.max_residual,
-            }
-            entry["expansion_deviation"] = expansion_consistency(state)
+            directions.append((direction, profile, born, expansion_consistency(state)))
         else:
-            regimes_ok = False
-            entry["error"] = (
-                f"regime is {profile.regime.value}: |lambda| <= 1 for at least "
-                "one outcome; hyperbolic reconstruction not applicable"
-            )
-        dir_reports[direction.value] = entry
-    report["directions"] = dir_reports
-
-    if not regimes_ok:
-        print(_report_json(report), file=out)
+            directions.append((direction, profile, None, None))
+    if len(states) < len(directions):  # a direction is not hyperbolic
+        print(_report_json(ctx, tolerance, args.sign_branch, violations, directions), file=out)
         return EXIT_REGIME
 
+    verdict = residual = None
     if args.direction == "both":
         state_ba, state_ab = states[Direction.B_GIVEN_A], states[Direction.A_GIVEN_B]
         verdict = consistency_verdict(ctx, state_ba, state_ab, tolerance)
-        eq_entry = {
-            "equivalent": verdict.equivalent,
-            "gamma": verdict.gamma,
-            "sign": verdict.sign,
-            "symmetry_holds": verdict.symmetry_holds,
-            "max_component_deviation": verdict.max_component_deviation,
-        }
         if verdict.symmetry_holds:
-            eq_entry["proof_relation_residual"] = relation_residual(state_ab, state_ba)
-        report["equivalence"] = eq_entry
-        if not verdict.equivalent:
-            exit_code = EXIT_INCONSISTENT
-    print(_report_json(report), file=out)
-    return exit_code
+            residual = relation_residual(state_ab, state_ba)
+    print(_report_json(ctx, tolerance, args.sign_branch, violations, directions, verdict, residual), file=out)
+    return EXIT_INCONSISTENT if verdict is not None and not verdict.equivalent else EXIT_OK
 
 
 def cmd_generate(args, out) -> int:

@@ -31,7 +31,7 @@ _NULL_CONE_FLOOR = 1e-6
 
 
 class _NotUnitVectorError(QlraError, ValueError):
-    """A compared state lacks unit squared norm.
+    """A compared state's squared norm misses 1 by more than max(tol, 1e-6).
 
     A QlraError, so `qlra analyze` reports it as invalid input: a context
     accepted at a loose tolerance can carry doubly stochastic slack that

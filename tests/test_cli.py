@@ -104,6 +104,7 @@ def assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_analyze_malformed_json_exit_1(tmp_path, capsys):
@@ -190,6 +191,12 @@ def test_analyze_symmetric_with_stochastic_slack_exit_0(tmp_path):
     assert code == 0
 
 
+# CTX1 without P_a_given_b: it defaults to the transpose of P_b_given_a.
+DEFAULTED = {k: v for k, v in CTX1.items() if k != "P_a_given_b"}
+
+LONG = -1.23456789012e-100  # 19 characters: a row of two is past the 40-character inline width
+
+
 # Symmetric, with lambda_1 of the same sign in both directions: the
 # transported b|a state matches the other a|b phase branch.
 # (CTX1's lambda_1 signs differ and the a|b amplitude as built matches.)
@@ -232,6 +239,13 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
         (SAME_SIGN, [], 0, "ctx_same_sign_report.json"),
         (ASYMMETRIC, [], 3, "ctx_asymmetric_report.json"),
         (CTX1, ["--sign-branch", "-1"], 0, "ctx1_sign_minus_report.json"),
+        # One direction: no equivalence block.
+        (CTX1, ["--direction", "b_given_a"], 0, "ctx1_b_given_a_report.json"),
+        (CTX1, ["--direction", "a_given_b"], 0, "ctx1_a_given_b_report.json"),
+        (DEFAULTED, [], 0, "ctx1_defaulted_report.json"),
+        # A multi-line matrix and a multi-line violations list; one inline violation.
+        (dict(CTX1, P_b_given_a=[[LONG, LONG], [0.1, 0.9]]), [], 1, "ctx_long_matrix_report.json"),
+        (dict(CTX1, p_a=[0.7, 0.7]), [], 1, "ctx_one_violation_report.json"),
     ],
 )
 def test_analyze_verdict_path_report_bytes(ctx, options, code, golden):
@@ -262,20 +276,35 @@ def test_analyze_builds_no_algebra_objects(ctx, code, tmp_path):
     assert ("algebra._arg" in calls) == (code == 0)
 
 
+def flat(x):
+    """The numbers of nested lists and tuples, in order."""
+    return [y for item in x for y in flat(item)] if isinstance(x, (list, tuple)) else [x]
+
+
 def test_analyze_prints_the_api_numbers(rng):
-    # Each number analyze prints is the one the public functions return, written by _fmt_float.
-    contexts = [ASYMMETRIC] + [random_hyperbolic_context(rng).to_dict() for _ in range(200)]
+    # Each number analyze prints is the one the public functions return, written by _fmt_float,
+    # under its own key.
+    contexts = [ASYMMETRIC, DEFAULTED] + [random_hyperbolic_context(rng).to_dict() for _ in range(200)]
     for d in contexts:
         ctx = qlra.ProbContext.from_dict(d)
         for sc in (1, -1):
             code, text = run_cli(["analyze", "-", "--sign-branch", str(sc)], stdin_text=json.dumps(d))
-            report, api, printed = json.loads(text), [], []
+            report = json.loads(text)
+            echo = {"p_a": ctx.p_a, "p_b": ctx.p_b, "P_b_given_a": ctx.p_b_given_a}
+            if not ctx.a_given_b_defaulted:
+                echo["P_a_given_b"] = ctx.p_a_given_b
+            assert list(report["input"]) == list(echo)
+            api, printed = flat(list(echo.values())), flat(list(report["input"].values()))
             for direction in qlra.Direction:
+                profile = qlra.interference_coefficients(ctx, direction)
+                entry = report["directions"][direction.value]
+                assert entry["regime"] == profile.regime.value
+                api += [*profile.lam, *profile.epsilon, *profile.theta]
+                printed += [*entry["lambda"], *entry["epsilon"], *entry["theta"]]
                 state = qlra.run_qlra(ctx, direction, sc)
                 born = qlra.verify_born_rule(state, ctx)
                 api += [*born.conditioned_residuals, *born.conditioning_residuals, born.max_residual]
                 api.append(qlra.expansion_consistency(state))
-                entry = report["directions"][direction.value]
                 printed += [*entry["born_residuals"]["conditioned"], *entry["born_residuals"]["conditioning"]]
                 printed += [entry["born_residuals"]["max"], entry["expansion_deviation"]]
             verdict, eq = qlra.check_consistency(ctx, sign_choice=sc), report["equivalence"]
@@ -368,12 +397,13 @@ def test_sweep_grid_shape():
 
 
 @pytest.mark.parametrize("flag", ["--p-grid", "--pa-grid"])
-@pytest.mark.parametrize("spec", ["0:inf:0.1", "nan:0.9:0.1", "0.1:0.9:inf", "0:1e300:1e-300"])
+@pytest.mark.parametrize("spec", ["0:inf:0.1", "nan:0.9:0.1", "0.1:0.9:inf", "0:1e300:1e-300", "0.1:0.2"])
 def test_sweep_non_finite_grid_exit_1(flag, spec, capsys):
     argv = {"--p-grid": "0.1:0.9:0.1", "--pa-grid": "0.1:0.9:0.1", flag: spec}
     code, text = run_cli(["sweep", *(x for kv in argv.items() for x in kv)])
     assert code == 1 and text == ""
-    assert capsys.readouterr().err == f"error: bad grid {spec!r}\n"
+    reason = "bad grid" if spec.count(":") == 2 else "grid must be start:stop:step, got"
+    assert capsys.readouterr().err == f"error: {reason} {spec!r}\n"
 
 
 def test_sweep_skips_points_outside_unit_interval():
@@ -417,6 +447,10 @@ def test_argument_errors_exit_1(ctx1_file, monkeypatch, capsys):
     for count in ("0", "-1"):
         assert run_cli(["generate", "--random", "--count", count])[0] == 1
         assert_one_error_line(capsys)
+    assert run_cli(["generate", "--random", "--p", "0.5"])[0] == 1
+    assert assert_one_error_line(capsys).startswith("error: --random excludes ")
+    assert run_cli(["generate"])[0] == 1
+    assert assert_one_error_line(capsys).startswith("error: provide --p, --p-a1 and --lambda ")
     monkeypatch.setenv("QLRA_TOLERANCE", "abc")
     assert run_cli(["analyze", ctx1_file])[0] == 1
     assert_one_error_line(capsys)
@@ -449,12 +483,16 @@ def test_module_entry_point(ctx1_file):
 
 @pytest.fixture
 def written_reports(monkeypatch):
-    """Holds every report analyze writes to dumps's bytes, the reference; collects the reports."""
+    """Holds every report analyze writes to dumps's bytes, the layout reference; collects the reports.
+
+    dumps of the parsed report gives back the writer's bytes only if both lay it out alike:
+    a 12-digit float survives json.loads and _fmt_float, and strings are escaped alike.
+    """
     writer, reports = qlra.cli._report_json, []
 
-    def checked(report):
-        text = writer(report)
-        assert text == qlra.cli.dumps(report)
+    def checked(*args):
+        text = writer(*args)
+        assert qlra.cli.dumps(json.loads(text)) == text
         reports.append(text)
         return text
 
@@ -476,9 +514,6 @@ def _random_context(rng):
     return d
 
 
-LONG = -1.23456789012e-100  # 19 characters: a row of two is past the 40-character inline width
-
-
 def test_report_writer_matches_dumps(written_reports):
     cases = [
         CTX1,
@@ -487,7 +522,7 @@ def test_report_writer_matches_dumps(written_reports):
         dict(CTX1, p_a=[0.7, 0.2]),
         dict(CTX1, p_b=[0.5, 0.5]),  # trigonometric
         dict(CTX1, P_a_given_b=[[0.85, 0.15], [0.15, 0.85]]),  # asymmetric
-        {k: v for k, v in CTX1.items() if k != "P_a_given_b"},
+        DEFAULTED,
         dict(CTX1, P_b_given_a=[[LONG, LONG], [0.1, 0.9]]),  # multi-line matrix
     ]
     rng = random.Random(20100)
@@ -507,19 +542,24 @@ def test_report_writer_matches_dumps(written_reports):
 
 
 def test_report_writer_rejects_non_finite(monkeypatch):
-    writer, reports = qlra.cli._report_json, []
-    monkeypatch.setattr(qlra.cli, "_report_json", lambda report: reports.append(report) or "")
+    writer, calls = qlra.cli._report_json, []
+    monkeypatch.setattr(qlra.cli, "_report_json", lambda *args: calls.append(args) or "")
     run_cli(["analyze", "-"], stdin_text=json.dumps(CTX1))
-    (report,) = reports
-    ba = report["directions"]["b_given_a"]
+    ((ctx, tolerance, sign_branch, violations, directions, *equivalence),) = calls
+    assert writer(*calls[0]) + "\n" == (Path(__file__).parent / "ctx1_report.json").read_text()
+    # ProbContext's parse gate rejects an inf entry; the writer must too, should one get past it.
+    inf_ctx = tuple.__new__(qlra.ProbContext, ((0.5, math.inf), *ctx[1:]))
+    inf_deviation = [directions[0][:3] + (-math.inf,), *directions[1:]]
     for bad in (
-        dict(report, tolerance=math.nan),
-        dict(report, input=dict(report["input"], p_a=[0.5, math.inf])),
-        dict(report, directions=dict(report["directions"], b_given_a=dict(ba, expansion_deviation=-math.inf))),
+        (ctx, math.nan, sign_branch, violations, directions, *equivalence),
+        (inf_ctx, tolerance, sign_branch, violations, directions, *equivalence),
+        (ctx, tolerance, sign_branch, violations, inf_deviation, *equivalence),
     ):
-        for write in (writer, qlra.cli.dumps):
-            with pytest.raises(ValueError, match="non-finite"):
-                write(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            writer(*bad)
+    for bad in (math.nan, {"p_a": [0.5, math.inf]}, {"expansion_deviation": -math.inf}):
+        with pytest.raises(ValueError, match="non-finite"):
+            qlra.cli.dumps(bad)
 
 
 # Valid at tolerance 1e-5 only through the slack in P[1][1]; reconstruction

@@ -167,6 +167,8 @@ def test_generate_infeasible():
         generate_hyperbolic_context(0.9, 0.5, 0.5)
     with pytest.raises(ValueError):
         generate_hyperbolic_context(1.2, 0.5, 1.5)
+    with pytest.raises(InfeasibleContextError, match="no feasible context found in 0 tries"):
+        random_hyperbolic_context(random.Random(0), max_tries=0)
 
 
 def test_generate_roundtrip(rng):

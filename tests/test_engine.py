@@ -58,12 +58,14 @@ def test_run_qlra_rejects_trigonometric():
         run_qlra(ctx, Direction.B_GIVEN_A)
 
 
-def test_run_qlra_rejects_invalid_context():
+def test_run_qlra_rejects_invalid_context(ctx1):
     ctx = ProbContext(
         p_a=(0.7, 0.2), p_b=(0.9, 0.1), p_b_given_a=((0.9, 0.1), (0.1, 0.9))
     )
     with pytest.raises(StochasticityError):
         run_qlra(ctx, Direction.B_GIVEN_A)
+    with pytest.raises(ValueError, match="sign_choice must be"):
+        run_qlra(ctx1, Direction.B_GIVEN_A, sign_choice=0)
 
 
 def test_amplitude_matches_algebra_product(rng):
@@ -135,6 +137,10 @@ def test_verify_born_rule_detects_corruption(ctx1):
     # Scaling by 1.1 multiplies every probability by 1.21.
     assert report.conditioned_residuals[0] == pytest.approx(0.21 * 0.9, abs=1e-9)
     assert report.max_residual > 0.01
+    # An infinite coordinate makes an inner product non-finite: the error names that pair.
+    u1, v1, u2, v2 = state.amplitude
+    with pytest.raises(ValueError, match=r"non-finite null-cone coordinates: inf, "):
+        verify_born_rule(bad._replace(amplitude=(math.inf, v1, u2, v2)), ctx1)
 
 
 def test_born_rule_random_contexts(rng):

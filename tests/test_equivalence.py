@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qlra import (
+    ArgDomainError,
     DegenerateStateError,
     Direction,
     HNumber,
@@ -24,6 +25,7 @@ from qlra import (
     validate_context,
     Regime,
 )
+from qlra.equivalence import relation_residual
 from test_linear import columns_orthonormal
 
 
@@ -208,6 +210,11 @@ def test_proof_relation_fails_for_asymmetric(ctx1):
         p_a_given_b=((0.85, 0.15), (0.15, 0.85)),
     )
     assert proof_relation_residual(ctx) > 1e-3
+    # An a|b component off the cone (u*v < 0) has no hyperbolic argument.
+    state_ab, state_ba = run_qlra(ctx1, Direction.A_GIVEN_B), run_qlra(ctx1, Direction.B_GIVEN_A)
+    u1, v1, u2, v2 = state_ab.amplitude
+    with pytest.raises(ArgDomainError):
+        relation_residual(state_ab._replace(amplitude=(u1, -v1, u2, v2)), state_ba)
 
 
 def test_measurement_invariance(rng):
