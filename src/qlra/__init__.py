@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .algebra import HNumber, J, ONE, exp_j, h_arg
 from .context import (
+    TOLERANCE,
     Direction,
     InterferenceProfile,
     ProbContext,
@@ -34,6 +35,7 @@ from .engine import (
 )
 from .equivalence import (
     EquivalenceVerdict,
+    analyze,
     check_consistency,
     proof_relation_residual,
     states_equivalent,
@@ -65,6 +67,7 @@ __all__ = [
     "Regime",
     "InterferenceProfile",
     "ProbContext",
+    "TOLERANCE",
     "is_doubly_stochastic",
     "validate_context",
     "interference_coefficients",
@@ -81,6 +84,7 @@ __all__ = [
     "expansion_consistency",
     "born_violation_demo",
     "EquivalenceVerdict",
+    "analyze",
     "transition_unitary",
     "states_equivalent",
     "check_consistency",

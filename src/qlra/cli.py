@@ -19,26 +19,22 @@ import sys
 
 from . import __version__
 from .context import (
+    TOLERANCE,
     Direction,
     ProbContext,
-    Regime,
     _band,
     generate_hyperbolic_context,
-    interference_coefficients,
     lambda_feasible_range,
     random_hyperbolic_context,
-    validate_context,
 )
-from .engine import born_violation_demo, expansion_consistency, reconstruct, verify_born_rule
-from .equivalence import consistency_verdict, relation_residual
+from .engine import born_violation_demo
+from .equivalence import analyze
 from .errors import InfeasibleContextError, QlraError, RegimeError
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_REGIME = 2
 EXIT_INCONSISTENT = 3
-
-DEFAULT_TOLERANCE = 1e-9
 
 
 def _fmt_float(x: float) -> str:
@@ -112,12 +108,7 @@ def _direction_json(direction, profile, born, deviation) -> str:
 
 
 def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict=None, residual=None) -> str:
-    """The analyze report, written in one pass from the pipeline's records.
-
-    ``directions`` holds one (Direction, InterferenceProfile, BornReport, expansion
-    deviation) per analyzed direction, the last two None off the hyperbolic regime;
-    ``verdict`` is the EquivalenceVerdict and ``residual`` the proof relation residual.
-    """
+    """The analyze report, written in one pass from equivalence.analyze's result (directions: its entries)."""
     parts = [
         f'{{\n  "tool": "qlra",\n  "version": {_str(__version__)},\n'
         f'  "tolerance": {_fmt_float(tolerance)},\n'
@@ -189,34 +180,13 @@ def cmd_analyze(args, out) -> int:
         print(f"error: bad context: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    violations = validate_context(ctx, tol=tolerance)
+    directions = tuple(Direction) if args.direction == "both" else (Direction(args.direction),)
+    violations, entries, verdict, residual = analyze(ctx, tolerance, args.sign_branch, directions)
+    print(_report_json(ctx, tolerance, args.sign_branch, violations, entries, verdict, residual), file=out)
     if violations:
-        print(_report_json(ctx, tolerance, args.sign_branch, violations), file=out)
         return EXIT_INVALID_INPUT
-
-    directions, states = [], {}
-    for direction in Direction:
-        if args.direction not in ("both", direction.value):
-            continue
-        profile = interference_coefficients(ctx, direction)
-        if profile.regime is Regime.HYPERBOLIC:
-            # Validated above, at the run's tolerance: build without re-checking.
-            state = states[direction] = reconstruct(ctx, direction, profile, args.sign_branch)
-            born = verify_born_rule(state, ctx)
-            directions.append((direction, profile, born, expansion_consistency(state)))
-        else:
-            directions.append((direction, profile, None, None))
-    if len(states) < len(directions):  # a direction is not hyperbolic
-        print(_report_json(ctx, tolerance, args.sign_branch, violations, directions), file=out)
+    if any(born is None for _, _, born, _ in entries):  # a direction is not hyperbolic
         return EXIT_REGIME
-
-    verdict = residual = None
-    if args.direction == "both":
-        state_ba, state_ab = states[Direction.B_GIVEN_A], states[Direction.A_GIVEN_B]
-        verdict = consistency_verdict(ctx, state_ba, state_ab, tolerance)
-        if verdict.symmetry_holds:
-            residual = relation_residual(state_ab, state_ba)
-    print(_report_json(ctx, tolerance, args.sign_branch, violations, directions, verdict, residual), file=out)
     return EXIT_INCONSISTENT if verdict is not None and not verdict.equivalent else EXIT_OK
 
 
@@ -334,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run the full pipeline on a JSON context")
     p_an.add_argument("input", help="path to a context JSON file, or - for stdin")
-    p_an.add_argument("--tolerance", default=os.environ.get("QLRA_TOLERANCE") or DEFAULT_TOLERANCE)
+    p_an.add_argument("--tolerance", default=os.environ.get("QLRA_TOLERANCE") or TOLERANCE)
     p_an.add_argument(
         "--sign-branch",
         type=int,

@@ -20,6 +20,7 @@ __all__ = [
     "InterferenceProfile",
     "ProbContext",
     "POSITIVITY_MARGIN",
+    "TOLERANCE",
     "is_doubly_stochastic",
     "validate_context",
     "interference_coefficients",
@@ -32,6 +33,9 @@ __all__ = [
 # Strict positivity margin for probabilities: entries must lie in
 # [POSITIVITY_MARGIN, 1 - POSITIVITY_MARGIN].
 POSITIVITY_MARGIN = 1e-12
+
+# The default tolerance of every check, and of `qlra analyze --tolerance`.
+TOLERANCE = 1e-9
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -153,7 +157,7 @@ def _line_sums(M: Matrix2) -> dict[str, float]:
     return {"row 0": a + b, "row 1": c + d, "column 0": a + c, "column 1": b + d}
 
 
-def is_doubly_stochastic(M: Matrix2, tol: float = 1e-9) -> bool:
+def is_doubly_stochastic(M: Matrix2, tol: float = TOLERANCE) -> bool:
     """All row sums and column sums equal 1 within tol, entries nonnegative."""
     M = _as_matrix(M)
     if any(x < -tol for row in M for x in row):
@@ -161,7 +165,7 @@ def is_doubly_stochastic(M: Matrix2, tol: float = 1e-9) -> bool:
     return all(abs(s - 1.0) <= tol for s in _line_sums(M).values())
 
 
-def validate_context(ctx: ProbContext, tol: float = 1e-9) -> list[str]:
+def validate_context(ctx: ProbContext, tol: float = TOLERANCE) -> list[str]:
     """Return a list of violated invariants; empty means valid.
 
     Checks marginal normalization, strict positivity, and the double
@@ -190,7 +194,7 @@ def validate_context(ctx: ProbContext, tol: float = 1e-9) -> list[str]:
     return violations
 
 
-def require_valid(ctx: ProbContext, tol: float = 1e-9) -> None:
+def require_valid(ctx: ProbContext, tol: float = TOLERANCE) -> None:
     """Raise StochasticityError listing the violations unless ctx is valid at tol."""
     violations = validate_context(ctx, tol)
     if violations:
@@ -247,7 +251,7 @@ def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-1
     rounding in the probabilities does not grow with |lam|.
     """
     M = ctx.matrix(direction)
-    if not is_doubly_stochastic(M, tol=max(tol, 1e-9)):
+    if not is_doubly_stochastic(M, tol=max(tol, TOLERANCE)):
         raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")
     profile = interference_coefficients(ctx, direction)
     p_cond, _ = ctx.marginals(direction)

@@ -12,12 +12,15 @@ import math
 from collections import namedtuple
 
 from .algebra import HNumber, _arg, _hn, h_arg
-from .context import Direction, Matrix2, ProbContext, interference_coefficients, require_valid
-from .engine import QlraState, _require_finite, component_gap, conditioning_basis, reconstruct, run_qlra
-from .errors import DegenerateStateError, QlraError
+from .context import (TOLERANCE, Direction, Matrix2, ProbContext, Regime, interference_coefficients,
+                      validate_context)
+from .engine import (QlraState, _require_finite, component_gap, conditioning_basis, expansion_consistency,
+                     reconstruct, run_qlra, verify_born_rule)
+from .errors import DegenerateStateError, QlraError, StochasticityError
 from .linear import HVector2
 
 __all__ = [
+    "analyze",
     "EquivalenceVerdict",
     "transition_unitary",
     "states_equivalent",
@@ -64,7 +67,7 @@ def transition_unitary(p_b_given_a: Matrix2) -> tuple[tuple[HNumber, HNumber], t
     return ((e1.c1, e2.c1), (e1.c2, e2.c2))
 
 
-def states_equivalent(v1: HVector2, v2: HVector2, tol: float = 1e-9) -> EquivalenceVerdict:
+def states_equivalent(v1: HVector2, v2: HVector2, tol: float = TOLERANCE) -> EquivalenceVerdict:
     """Decide whether v1 = s * exp_j(gamma) * v2 for some sign s and real gamma.
 
     Both vectors must have unit squared norm within tol.  The multiplier
@@ -108,30 +111,48 @@ def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = No
     return EquivalenceVerdict(True, _arg(cu, cv), 1 if cu > 0 else -1, deviation, symmetry_holds)
 
 
-def _symmetry_holds(ctx: ProbContext, tol: float) -> bool:
-    P_ba = ctx.p_b_given_a
-    P_ab = ctx.a_given_b()
-    return all(
-        abs(P_ba[i][j] - P_ab[j][i]) <= tol for i in range(2) for j in range(2)
-    )
+def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, directions=tuple(Direction)):
+    """The QLRA pipeline: validate ctx once at tol, then run each stage once per direction.
 
-
-def check_consistency(
-    ctx: ProbContext, tol: float = 1e-9, sign_choice: int = 1
-) -> EquivalenceVerdict:
-    """Test whether the two conditioning orders give the same state.
-
-    Builds both amplitudes, pushes the b|a one through the transition
-    unitary, and compares with the a|b one up to +-exp_j(gamma).  The
-    verdict also records whether the transpose symmetry between the two
-    transition matrices holds; the two answers agree (that is the
-    consistency theorem).
+    Returns (violations, entries, verdict, residual), the rest empty when there are violations.
+    ``entries`` holds one (Direction, InterferenceProfile, BornReport, expansion deviation) per
+    direction, the last two None off the hyperbolic regime.  The verdict needs both orders asked for
+    and hyperbolic, the proof relation residual the verdict's transpose symmetry; else each is None.
     """
-    require_valid(ctx, tol)
-    ba, ab = Direction.B_GIVEN_A, Direction.A_GIVEN_B
-    state_ba = reconstruct(ctx, ba, interference_coefficients(ctx, ba), sign_choice)
-    state_ab = reconstruct(ctx, ab, interference_coefficients(ctx, ab), sign_choice)
-    return consistency_verdict(ctx, state_ba, state_ab, tol)
+    violations = validate_context(ctx, tol)
+    if violations:
+        return violations, [], None, None
+    entries, states = [], {}
+    for direction in directions:
+        profile = interference_coefficients(ctx, direction)
+        if profile.regime is Regime.HYPERBOLIC:
+            state = states[direction] = reconstruct(ctx, direction, profile, sign_choice)
+            entries.append((direction, profile, verify_born_rule(state, ctx), expansion_consistency(state)))
+        else:
+            entries.append((direction, profile, None, None))
+    if len(states) < 2:  # one direction asked for, or one not hyperbolic
+        return violations, entries, None, None
+    state_ba, state_ab = states[Direction.B_GIVEN_A], states[Direction.A_GIVEN_B]
+    verdict = consistency_verdict(ctx, state_ba, state_ab, tol)
+    residual = relation_residual(state_ab, state_ba) if verdict.symmetry_holds else None
+    return violations, entries, verdict, residual
+
+
+def check_consistency(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1) -> EquivalenceVerdict:
+    """analyze's verdict: whether the two conditioning orders give the same state.
+
+    The b|a amplitude, pushed through the transition unitary, is compared with the a|b one
+    up to +-exp_j(gamma); the verdict also records whether the transpose symmetry holds, and
+    the consistency theorem says the two answers agree.  Raises StochasticityError when ctx
+    is invalid at tol, and RegimeError for the first direction that is not hyperbolic.
+    """
+    violations, entries, verdict, _ = analyze(ctx, tol, sign_choice)
+    if violations:
+        raise StochasticityError("invalid context: " + "; ".join(violations))
+    for direction, profile, born, _ in entries:
+        if born is None:  # not hyperbolic: reconstruct raises (ValueError first, for a bad sign_choice)
+            reconstruct(ctx, direction, profile, sign_choice)
+    return verdict
 
 
 def consistency_verdict(
@@ -157,7 +178,9 @@ def consistency_verdict(
     u1, v1, u2, v2 = state_ab.amplitude
     if state_ba.profile.epsilon[0] == state_ab.profile.epsilon[0]:
         u1, v1, u2, v2 = v1, u1, v2, u2
-    return _equivalent((u1, v1, u2, v2), transported, tol, _symmetry_holds(ctx, tol))
+    P_ba, P_ab = ctx.p_b_given_a, ctx.a_given_b()
+    symmetry_holds = all(abs(P_ba[i][j] - P_ab[j][i]) <= tol for i in range(2) for j in range(2))
+    return _equivalent((u1, v1, u2, v2), transported, tol, symmetry_holds)
 
 
 def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
@@ -166,12 +189,11 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
     gamma_i are the arguments of the a|b amplitude components (defined
     because their squared moduli equal the strictly positive a-marginals)
     and theta is the hyperbolic phase of the b|a direction.  The residual
-    vanishes exactly when the transpose symmetry holds.
+    vanishes exactly when the transpose symmetry holds.  Like run_qlra, raises StochasticityError
+    or RegimeError; ArgDomainError when an a|b component has no hyperbolic argument.
     """
-    state_ab = run_qlra(ctx, Direction.A_GIVEN_B, sign_choice=sign_choice)
-    ba = Direction.B_GIVEN_A
-    state_ba = reconstruct(ctx, ba, interference_coefficients(ctx, ba), sign_choice)
-    return relation_residual(state_ab, state_ba)
+    state_ab = run_qlra(ctx, Direction.A_GIVEN_B, sign_choice)
+    return relation_residual(state_ab, run_qlra(ctx, Direction.B_GIVEN_A, sign_choice))
 
 
 def relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:

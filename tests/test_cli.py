@@ -208,6 +208,18 @@ SAME_SIGN = {
 }
 
 
+# Calls of each stage per analyze run: validation once, the per-direction stages once per direction.
+STAGE_CALLS = {
+    "validate_context": 1,
+    "interference_coefficients": 2,
+    "reconstruct": 2,
+    "verify_born_rule": 2,
+    "expansion_consistency": 2,
+    "consistency_verdict": 1,
+    "relation_residual": 1,
+}
+
+
 @pytest.mark.parametrize("ctx, comparisons", [(CTX1, 1), (SAME_SIGN, 1)])
 def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypatch):
     calls = []
@@ -219,17 +231,24 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
 
         return wrapper
 
-    profile = counted(qlra.context.interference_coefficients)
-    for module in (qlra.cli, qlra.engine, qlra.equivalence):
-        monkeypatch.setattr(module, "interference_coefficients", profile)
-    monkeypatch.setattr(qlra.equivalence, "_equivalent", counted(qlra.equivalence._equivalent))
+    # Each stage is counted wherever it is defined or looked up; qlra.cli looks up none of them.
+    for name in [*STAGE_CALLS, "_equivalent"]:
+        stage = counted(getattr(qlra.equivalence, name))
+        for module in (qlra.context, qlra.engine, qlra.equivalence, qlra.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stage)
     path = tmp_path / "ctx.json"
     path.write_text(json.dumps(ctx))
     code, text = run_cli(["analyze", str(path)])
     assert code == 0 and json.loads(text)["equivalence"]["equivalent"] is True
-    assert calls.count("interference_coefficients") == 2
-    # One comparison: the signs of lambda_1 decide the a|b phase branch.
-    assert calls.count("_equivalent") == comparisons
+    through_cli = calls[:]
+    calls.clear()
+    violations, _, verdict, residual = qlra.analyze(qlra.ProbContext.from_dict(ctx))
+    assert not violations and verdict.equivalent and residual is not None
+    for run in (through_cli, calls):
+        assert {name: run.count(name) for name in STAGE_CALLS} == STAGE_CALLS
+        # One comparison: the signs of lambda_1 decide the a|b phase branch.
+        assert run.count("_equivalent") == comparisons
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from qlra import (
     HNumber,
     HVector2,
     ProbContext,
+    RegimeError,
     StochasticityError,
     check_consistency,
     exp_j,
@@ -157,6 +158,12 @@ def test_check_consistency_validates_at_its_tolerance(ctx1):
     assert verdict.equivalent and verdict.symmetry_holds
     with pytest.raises(StochasticityError):
         check_consistency(ctx)
+    # The same slack on trigonometric data: the regime error at 1e-5, the validation error at the default.
+    trig = ctx._replace(p_a=(0.5, 0.5), p_b=(0.5, 0.5))
+    with pytest.raises(RegimeError, match="b_given_a data is trigonometric"):
+        check_consistency(trig, tol=1e-5)
+    with pytest.raises(StochasticityError, match="column 0 sum=1.0000001"):
+        check_consistency(trig)
 
 
 def test_check_consistency_asymmetric(ctx1):
