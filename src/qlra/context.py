@@ -201,6 +201,17 @@ def require_valid(ctx: ProbContext, tol: float = TOLERANCE) -> None:
         raise StochasticityError("invalid context: " + "; ".join(violations))
 
 
+def _ds_context(ctx: ProbContext) -> ProbContext:
+    """A valid ctx read as four numbers (p_a1, p_b1, p, p'), p and p' the mean diagonals of its matrices.
+
+    Idempotent in floats: a context of this exactly doubly stochastic form comes back bit for bit.
+    """
+    a, b, M, N = ctx.p_a[0], ctx.p_b[0], ctx.p_b_given_a, ctx.a_given_b()
+    p, q = (M[0][0] + M[1][1]) / 2.0, (N[0][0] + N[1][1]) / 2.0
+    fields = ((a, 1.0 - a), (b, 1.0 - b), ((p, 1.0 - p), (1.0 - p, p)), ((q, 1.0 - q), (1.0 - q, q)))
+    return tuple.__new__(ProbContext, fields)  # floats already: no parse gate
+
+
 def _classify(lam: tuple[float, float]) -> Regime:
     big = [abs(x) > 1.0 for x in lam]
     if all(big):

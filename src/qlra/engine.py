@@ -20,6 +20,7 @@ from .context import (
     Matrix2,
     ProbContext,
     Regime,
+    _ds_context,
     interference_coefficients,
     is_doubly_stochastic,
     require_valid,
@@ -105,10 +106,12 @@ def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> Ql
         psi_2 = sqrt(m1*M[1][0]) - s*exp_j(sc*theta)*sqrt(m2*M[1][1])
 
     where m are the conditioning marginals and sc = sign_choice.  Both
-    phase branches satisfy Born's rule for all four probabilities.
+    phase branches satisfy Born's rule for all four probabilities.  A ctx that
+    require_valid accepts is read as its four numbers, context._ds_context.
     """
     require_valid(ctx)
-    return reconstruct(ctx, direction, interference_coefficients(ctx, direction), sign_choice)
+    ds = _ds_context(ctx)
+    return reconstruct(ds, direction, interference_coefficients(ds, direction), sign_choice)
 
 
 def reconstruct(

@@ -12,11 +12,11 @@ import math
 from collections import namedtuple
 
 from .algebra import HNumber, _arg, _hn, h_arg
-from .context import (TOLERANCE, Direction, Matrix2, ProbContext, Regime, interference_coefficients,
-                      validate_context)
+from .context import (TOLERANCE, Direction, Matrix2, ProbContext, Regime, _ds_context,
+                      interference_coefficients, validate_context)
 from .engine import (QlraState, _require_finite, component_gap, conditioning_basis, expansion_consistency,
                      reconstruct, run_qlra, verify_born_rule)
-from .errors import DegenerateStateError, QlraError, StochasticityError
+from .errors import DegenerateStateError, StochasticityError
 from .linear import HVector2
 
 __all__ = [
@@ -28,18 +28,8 @@ __all__ = [
     "proof_relation_residual",
 ]
 
-# Components with |z|^2 below this cannot anchor the multiplier
-# extraction: division degenerates near the null cone.
+# Below this |z|^2 no component of v2 can anchor states_equivalent's multiplier: division degenerates.
 _NULL_CONE_FLOOR = 1e-6
-
-
-class _NotUnitVectorError(QlraError, ValueError):
-    """A compared state's squared norm misses 1 by more than max(tol, 1e-6).
-
-    A QlraError, so `qlra analyze` reports it as invalid input: a context
-    accepted at a loose tolerance can carry doubly stochastic slack that
-    reconstruction amplifies past the norm check.
-    """
 
 
 class EquivalenceVerdict(namedtuple(
@@ -48,9 +38,9 @@ class EquivalenceVerdict(namedtuple(
     """Outcome of comparing two states up to a +-exp_j(gamma) multiplier.
 
     ``gamma`` (a float) and ``sign`` (+-1) are None unless ``equivalent``.
-    ``symmetry_holds`` is the transpose condition on the transition
-    matrices; it is None when the comparison was made on bare vectors
-    with no matrices in play.
+    ``symmetry_holds`` is the transpose condition |p - p'| <= tol on the
+    transition matrices; it is None when the comparison was made on bare
+    vectors with no matrices in play.
     """
 
     __slots__ = ()
@@ -70,32 +60,29 @@ def transition_unitary(p_b_given_a: Matrix2) -> tuple[tuple[HNumber, HNumber], t
 def states_equivalent(v1: HVector2, v2: HVector2, tol: float = TOLERANCE) -> EquivalenceVerdict:
     """Decide whether v1 = s * exp_j(gamma) * v2 for some sign s and real gamma.
 
-    Both vectors must have unit squared norm within tol.  The multiplier
-    is extracted from the component of v2 farthest from the null cone;
-    equivalence requires it to have unit squared modulus and to map v2
-    onto v1 componentwise within tol times the largest null-cone
-    coordinate of either vector (at least 1).
+    Both vectors must have unit squared norm within max(tol, 1e-6), else ValueError; a v2 with
+    every component on the null cone raises DegenerateStateError.  The multiplier is extracted from
+    the component of v2 farthest from the null cone; equivalence requires it to have unit squared
+    modulus and to map v2 onto v1 componentwise within tol times the largest null-cone coordinate
+    of either vector (at least 1).
     """
     a = (v1.c1.u, v1.c1.v, v1.c2.u, v1.c2.v)
     b = (v2.c1.u, v2.c1.v, v2.c2.u, v2.c2.v)
+    for name, x in (("v1", a), ("v2", b)):
+        n = x[0] * x[1] + x[2] * x[3]
+        if abs(n - 1.0) > max(tol, 1e-6):
+            raise ValueError(f"{name} is not a unit vector (sq_norm={n!r})")
+    if max(abs(b[0] * b[1]), abs(b[2] * b[3])) < _NULL_CONE_FLOOR:
+        raise DegenerateStateError("every component of v2 lies (numerically) on the null cone")
     return _equivalent(a, b, tol)
 
 
 def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = None) -> EquivalenceVerdict:
-    """states_equivalent on the null-cone coordinates (u1, v1, u2, v2) of two vectors."""
-    for name, (u1, v1, u2, v2) in (("v1", a), ("v2", b)):
-        n = u1 * v1 + u2 * v2
-        if abs(n - 1.0) > max(tol, 1e-6):
-            raise _NotUnitVectorError(f"{name} is not a unit vector (sq_norm={n!r})")
+    """states_equivalent on the null-cone coordinates (u1, v1, u2, v2) of two vectors, without its checks."""
     au1, av1, au2, av2 = a
     bu1, bv1, bu2, bv2 = b
-    mod1, mod2 = abs(bu1 * bv1), abs(bu2 * bv2)
-    if max(mod1, mod2) < _NULL_CONE_FLOOR:
-        raise DegenerateStateError(
-            "every component of v2 lies (numerically) on the null cone"
-        )
     # The multiplier c = a_k / b_k, componentwise in null-cone coordinates.
-    cu, cv = (au1 / bu1, av1 / bv1) if mod1 >= mod2 else (au2 / bu2, av2 / bv2)
+    cu, cv = (au1 / bu1, av1 / bv1) if abs(bu1 * bv1) >= abs(bu2 * bv2) else (au2 / bu2, av2 / bv2)
     deviation = max(
         component_gap(au1 - cu * bu1, av1 - cv * bv1),
         component_gap(au2 - cu * bu2, av2 - cv * bv2),
@@ -114,6 +101,7 @@ def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = No
 def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, directions=tuple(Direction)):
     """The QLRA pipeline: validate ctx once at tol, then run each stage once per direction.
 
+    The stages read ctx as its four numbers (context._ds_context); Born residuals take its own marginals.
     Returns (violations, entries, verdict, residual), the rest empty when there are violations.
     ``entries`` holds one (Direction, InterferenceProfile, BornReport, expansion deviation) per
     direction, the last two None off the hyperbolic regime.  The verdict needs both orders asked for
@@ -122,18 +110,18 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
     violations = validate_context(ctx, tol)
     if violations:
         return violations, [], None, None
-    entries, states = [], {}
+    ds, entries, states = _ds_context(ctx), [], {}
     for direction in directions:
-        profile = interference_coefficients(ctx, direction)
+        profile = interference_coefficients(ds, direction)
         if profile.regime is Regime.HYPERBOLIC:
-            state = states[direction] = reconstruct(ctx, direction, profile, sign_choice)
+            state = states[direction] = reconstruct(ds, direction, profile, sign_choice)
             entries.append((direction, profile, verify_born_rule(state, ctx), expansion_consistency(state)))
         else:
             entries.append((direction, profile, None, None))
     if len(states) < 2:  # one direction asked for, or one not hyperbolic
         return violations, entries, None, None
     state_ba, state_ab = states[Direction.B_GIVEN_A], states[Direction.A_GIVEN_B]
-    verdict = consistency_verdict(ctx, state_ba, state_ab, tol)
+    verdict = consistency_verdict(ds, state_ba, state_ab, tol)
     residual = relation_residual(state_ab, state_ba) if verdict.symmetry_holds else None
     return violations, entries, verdict, residual
 
@@ -158,9 +146,8 @@ def check_consistency(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int
 def consistency_verdict(
     ctx: ProbContext, state_ba: QlraState, state_ab: QlraState, tol: float
 ) -> EquivalenceVerdict:
-    """check_consistency's comparison, for the two amplitudes of a validated context.
-
-    Both amplitudes must be built on the same sign_choice.
+    """check_consistency's comparison, for the two amplitudes of a validated context's
+    doubly stochastic form ctx (context._ds_context), built on the same sign_choice.
     """
     # The transition unitary's columns are the b|a conditioning basis: U = [[r00, r01], [r10, -r11]].
     r00, r01, r10, r11 = state_ba.basis_roots
@@ -178,8 +165,7 @@ def consistency_verdict(
     u1, v1, u2, v2 = state_ab.amplitude
     if state_ba.profile.epsilon[0] == state_ab.profile.epsilon[0]:
         u1, v1, u2, v2 = v1, u1, v2, u2
-    P_ba, P_ab = ctx.p_b_given_a, ctx.a_given_b()
-    symmetry_holds = all(abs(P_ba[i][j] - P_ab[j][i]) <= tol for i in range(2) for j in range(2))
+    symmetry_holds = abs(ctx.p_b_given_a[0][0] - ctx.p_a_given_b[0][0]) <= tol  # |p - p'|
     return _equivalent((u1, v1, u2, v2), transported, tol, symmetry_holds)
 
 

@@ -175,19 +175,45 @@ def test_analyze_asymmetric_exit_3(tmp_path):
     assert report["equivalence"]["symmetry_holds"] is False
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-def test_analyze_symmetric_with_stochastic_slack_exit_0(tmp_path):
-    # Valid at the default tolerance 1e-9 and still transpose-symmetric, but not
-    # exactly doubly stochastic: the reconstruction amplifies the slack past the
-    # verdict's bound (a deviation of 2.5e-9), so this exits 3 until contexts
-    # are projected onto exactly doubly stochastic data.
+# Valid at tolerance 1e-5 only through the slack in P[1][1], and transpose-symmetric.
+NEAR_BOUNDARY = {
+    "p_a": [0.8442311007486719, 0.15576889925132809],
+    "p_b": [0.9123679931255559, 0.08763200687444406],
+    "P_b_given_a": [[0.5788179148487274, 0.42117745447079646], [0.42117745447079646, 0.5788225455292035]],
+    "P_a_given_b": [[0.5788179148487274, 0.42117745447079646], [0.42117745447079646, 0.5788225455292035]],
+}
+
+
+def with_diagonal_slack(slack, diagonal):
+    """generate_hyperbolic_context(0.9, 0.5, 1.3), slack on the listed diagonal entries of both matrices."""
     ctx = qlra.generate_hyperbolic_context(0.9, 0.5, 1.3).to_dict()
-    ctx["P_b_given_a"][0][0] += 5e-10
-    ctx["P_a_given_b"][0][0] += 5e-10
-    path = tmp_path / "slack.json"
-    path.write_text(json.dumps(ctx))
-    code, text = run_cli(["analyze", str(path)])
-    assert json.loads(text)["equivalence"]["symmetry_holds"] is True
+    for M in (ctx["P_b_given_a"], ctx["P_a_given_b"]):
+        for i in diagonal:
+            M[i][i] += slack
+    return ctx
+
+
+@pytest.mark.parametrize(
+    "ctx, tolerance",
+    [
+        # Read entry by entry, the slack gives a deviation of 2.5e-9 against the bound 1e-9 (exit 3).
+        (with_diagonal_slack(5e-10, [0]), "1e-9"),
+        # Read entry by entry, the transported amplitude's squared norm misses 1 by 1.8e-7 (exit 3).
+        (with_diagonal_slack(9e-8, [0, 1]), "1e-7"),
+        # Read entry by entry, an amplitude's squared norm misses 1 by more than 1e-5 (exit 1).
+        (NEAR_BOUNDARY, "1e-5"),
+    ],
+    ids=["diagonal_0_5e-10", "diagonals_9e-8", "near_boundary"],
+)
+def test_analyze_symmetric_with_stochastic_slack_exit_0(ctx, tolerance):
+    # Valid at the tolerance and transpose-symmetric, but not exactly doubly stochastic:
+    # analyze reads the context as its four numbers (p_a1, p_b1, p, p'), so the slack cannot
+    # reach the reconstruction or the verdict.
+    code, text = run_cli(["analyze", "-", "--tolerance", tolerance], stdin_text=json.dumps(ctx))
+    report = json.loads(text)
+    assert report["validation"]["valid"] is True
+    assert report["equivalence"]["symmetry_holds"] is True
+    assert report["equivalence"]["equivalent"] is True
     assert code == 0
 
 
@@ -581,15 +607,6 @@ def test_report_writer_rejects_non_finite(monkeypatch):
             qlra.cli.dumps(bad)
 
 
-# Valid at tolerance 1e-5 only through the slack in P[1][1]; reconstruction
-# amplifies that slack past the norm check of the equivalence test.
-NEAR_BOUNDARY = {
-    "p_a": [0.8442311007486719, 0.15576889925132809],
-    "p_b": [0.9123679931255559, 0.08763200687444406],
-    "P_b_given_a": [[0.5788179148487274, 0.42117745447079646], [0.42117745447079646, 0.5788225455292035]],
-    "P_a_given_b": [[0.5788179148487274, 0.42117745447079646], [0.42117745447079646, 0.5788225455292035]],
-}
-
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=12), inner, max_size=4),
@@ -632,3 +649,37 @@ def test_analyze_fuzz_exits_with_a_documented_code(case):
     assert code in (0, 1, 2, 3)
     if out:
         json.loads(out)
+
+
+@st.composite
+def slacked_contexts(draw):
+    """(exact context, the same with slack, tolerance).
+
+    The exact context is random_hyperbolic_context's draw from a drawn seed. Each entry of
+    p_a, p_b and P_b_given_a is offset by up to 0.2 * tol, and P_a_given_b stays the transpose.
+    """
+    exact = random_hyperbolic_context(random.Random(draw(st.integers(0, 2**32 - 1)))).to_dict()
+    tol = 10.0 ** draw(st.floats(-12, -4))
+
+    def off(xs):
+        return [x + draw(st.floats(-0.2 * tol, 0.2 * tol)) for x in xs]
+
+    matrix = [off(row) for row in exact["P_b_given_a"]]
+    slacked = {"p_a": off(exact["p_a"]), "p_b": off(exact["p_b"]), "P_b_given_a": matrix}
+    slacked["P_a_given_b"] = [list(row) for row in zip(*matrix)]
+    return exact, slacked, tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(slacked_contexts())
+def test_analyze_exit_code_ignores_stochastic_slack(case):
+    # The draws stay inside the generator's domain, which keeps |lambda| off 1. At the |lambda| -> 1
+    # corner the verdict's bound itself is too tight for exact data (ROADMAP item 1), and the
+    # benchmark's edge set already measures that corner.
+    exact, slacked, tol = case
+    argv = ["analyze", "-", "--tolerance", repr(tol)]
+    runs = [run_cli(argv, stdin_text=json.dumps(ctx)) for ctx in (exact, slacked)]
+    reports = [json.loads(text) for _, text in runs]
+    regimes = [{name: d["regime"] for name, d in r.get("directions", {}).items()} for r in reports]
+    if reports[1]["validation"]["valid"] and regimes[1] == regimes[0]:
+        assert runs[1][0] == runs[0][0]

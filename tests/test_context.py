@@ -18,6 +18,7 @@ from qlra import (
     random_hyperbolic_context,
     validate_context,
 )
+from qlra.context import _ds_context
 
 
 def test_ctx1_valid(ctx1):
@@ -185,6 +186,40 @@ def test_generate_roundtrip(rng):
         prof = interference_coefficients(ctx, Direction.B_GIVEN_A)
         assert prof.lam[0] == pytest.approx(lam1, abs=1e-10)
         assert prof.regime is Regime.HYPERBOLIC
+
+
+def test_ds_context_is_idempotent(ctx1, extreme_contexts, rng):
+    # Contexts of the exactly doubly stochastic form come back bit for bit.
+    for ctx in [*extreme_contexts, *(random_hyperbolic_context(rng) for _ in range(200))]:
+        assert _ds_context(ctx) == ctx
+    # A defaulted a|b matrix has the b|a matrix's diagonal: p' == p.
+    ds = _ds_context(ctx1._replace(p_a_given_b=None))
+    assert ds.p_a_given_b == ds.p_b_given_a == ((0.9, 1.0 - 0.9), (1.0 - 0.9, 0.9))
+    assert ds.p_b == (0.9, 1.0 - 0.9)
+
+
+def test_ds_context_of_slack_is_exact_and_within_twice_the_tolerance(rng):
+    tol = 1e-6
+
+    def off(pair):
+        return [x + rng.uniform(-0.2, 0.2) * tol for x in pair]
+
+    for _ in range(200):
+        exact = random_hyperbolic_context(rng)
+        matrices = [[off(row) for row in M] for M in (exact.p_b_given_a, exact.p_a_given_b)]
+        slacked = ProbContext(off(exact.p_a), off(exact.p_b), *matrices)
+        assert validate_context(slacked, tol) == []
+        ds = _ds_context(slacked)
+        (a, _), (b, _), ((p, _), _), ((q, _), _) = ds
+        assert ds == ((a, 1.0 - a), (b, 1.0 - b), ((p, 1.0 - p), (1.0 - p, p)), ((q, 1.0 - q), (1.0 - q, q)))
+        assert _ds_context(ds) == ds
+        for x, y in zip(flat(ds), flat(slacked)):
+            assert abs(x - y) <= 2.0 * tol
+
+
+def flat(x):
+    """The numbers of nested lists and tuples, in order."""
+    return [y for item in x for y in flat(item)] if isinstance(x, (list, tuple)) else [x]
 
 
 def test_feasible_range_examples():
