@@ -18,15 +18,8 @@ import os
 import sys
 
 from . import __version__
-from .context import (
-    TOLERANCE,
-    Direction,
-    ProbContext,
-    _band,
-    generate_hyperbolic_context,
-    lambda_feasible_range,
-    random_hyperbolic_context,
-)
+from .context import (TOLERANCE, Direction, ProbContext, _band, _require_tolerance,
+                      generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context)
 from .engine import born_violation_demo
 from .equivalence import analyze
 from .errors import InfeasibleContextError, QlraError, RegimeError
@@ -159,9 +152,8 @@ def _read_input(path: str) -> str:
 def cmd_analyze(args, out) -> int:
     try:  # --tolerance, else QLRA_TOLERANCE, else the default: it governs every check
         tolerance = float(args.tolerance)
+        _require_tolerance(tolerance)
     except ValueError:
-        tolerance = float("nan")
-    if not 0.0 < tolerance < float("inf"):
         print(f"error: tolerance {args.tolerance!r} is not positive and finite", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:

@@ -157,8 +157,15 @@ def _line_sums(M: Matrix2) -> dict[str, float]:
     return {"row 0": a + b, "row 1": c + d, "column 0": a + c, "column 1": b + d}
 
 
+def _require_tolerance(tol: float) -> None:
+    """The rule of `qlra analyze --tolerance`: ValueError unless tol is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def is_doubly_stochastic(M: Matrix2, tol: float = TOLERANCE) -> bool:
-    """All row sums and column sums equal 1 within tol, entries nonnegative."""
+    """All row sums and column sums equal 1 within tol, entries nonnegative; ValueError for a bad tol."""
+    _require_tolerance(tol)
     M = _as_matrix(M)
     if any(x < -tol for row in M for x in row):
         return False
@@ -170,7 +177,9 @@ def validate_context(ctx: ProbContext, tol: float = TOLERANCE) -> list[str]:
 
     Checks marginal normalization, strict positivity, and the double
     stochasticity of both matrices (one violation each, naming the sums off).
+    Raises ValueError unless tol is positive and finite.
     """
+    _require_tolerance(tol)
     violations = []
     for name, pair in (("p_a", ctx.p_a), ("p_b", ctx.p_b)):
         s = pair[0] + pair[1]
@@ -183,22 +192,14 @@ def validate_context(ctx: ProbContext, tol: float = TOLERANCE) -> list[str]:
     if ctx.p_a_given_b is not None:
         matrices.append(("P_a_given_b", ctx.p_a_given_b))
     for name, M in matrices:
-        for i in range(2):
-            for j in range(2):
-                x = M[i][j]
+        for i, row in enumerate(M):
+            for j, x in enumerate(row):
                 if not (POSITIVITY_MARGIN <= x <= 1.0 - POSITIVITY_MARGIN):
                     violations.append(f"{name}[{i}][{j}]={x!r} outside (0,1)")
         off = [f"{line} sum={s!r}" for line, s in _line_sums(M).items() if abs(s - 1.0) > tol]
         if off:
             violations.append(f"{name} is not doubly stochastic ({', '.join(off)})")
     return violations
-
-
-def require_valid(ctx: ProbContext, tol: float = TOLERANCE) -> None:
-    """Raise StochasticityError listing the violations unless ctx is valid at tol."""
-    violations = validate_context(ctx, tol)
-    if violations:
-        raise StochasticityError("invalid context: " + "; ".join(violations))
 
 
 def _ds_context(ctx: ProbContext) -> ProbContext:

@@ -14,17 +14,8 @@ import math
 from collections import namedtuple
 
 from .algebra import HNumber, _hn
-from .context import (
-    Direction,
-    InterferenceProfile,
-    Matrix2,
-    ProbContext,
-    Regime,
-    _ds_context,
-    interference_coefficients,
-    is_doubly_stochastic,
-    require_valid,
-)
+from .context import (TOLERANCE, Direction, InterferenceProfile, Matrix2, ProbContext, Regime, _ds_context,
+                      interference_coefficients, is_doubly_stochastic, validate_context)
 from .errors import RegimeError, StochasticityError
 from .linear import HVector2, _vec, inner_product
 
@@ -106,20 +97,46 @@ def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> Ql
         psi_2 = sqrt(m1*M[1][0]) - s*exp_j(sc*theta)*sqrt(m2*M[1][1])
 
     where m are the conditioning marginals and sc = sign_choice.  Both
-    phase branches satisfy Born's rule for all four probabilities.  A ctx that
-    require_valid accepts is read as its four numbers, context._ds_context.
+    phase branches satisfy Born's rule for all four probabilities.  ctx is
+    validated at TOLERANCE and read as its four numbers, context._ds_context.
     """
-    require_valid(ctx)
-    ds = _ds_context(ctx)
-    return reconstruct(ds, direction, interference_coefficients(ds, direction), sign_choice)
+    _, (state,) = _reconstructed(ctx, TOLERANCE, sign_choice, (direction,))
+    return state
+
+
+def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
+    """The pipeline's core: validate ctx once at tol; if valid, read it as its four numbers ds
+    (context._ds_context) and per direction compute the interference profile and, if hyperbolic, the state.
+    Returns (violations, ds, [(direction, profile, state or None)]), or (violations, None, []).
+    """
+    violations = validate_context(ctx, tol)
+    if violations:
+        return violations, None, []
+    ds, steps = _ds_context(ctx), []
+    for d in directions:
+        profile = interference_coefficients(ds, d)
+        state = reconstruct(ds, d, profile, sign_choice) if profile.regime is Regime.HYPERBOLIC else None
+        steps.append((d, profile, state))
+    return violations, ds, steps
+
+
+def _reconstructed(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
+    """(ds, one state per direction) from the core.  Raises StochasticityError for an invalid ctx,
+    then reconstruct's error for the first direction that is not hyperbolic: ValueError for a bad
+    sign_choice, else RegimeError.
+    """
+    violations, ds, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
+    if violations:
+        raise StochasticityError("invalid context: " + "; ".join(violations))
+    return ds, [state or reconstruct(ds, d, profile, sign_choice) for d, profile, state in steps]
 
 
 def reconstruct(
     ctx: ProbContext, direction: Direction, profile: InterferenceProfile, sign_choice: int
 ) -> QlraState:
-    """run_qlra for a ctx that already passed validate_context, given the direction's
-    interference profile; nothing is re-checked (a defaulted a|b matrix is the
-    transpose of a checked one).
+    """run_qlra's step on a validated ctx's four numbers (context._ds_context), given the direction's
+    interference profile; nothing is re-checked.  Raises ValueError for a bad sign_choice, then
+    RegimeError off the hyperbolic regime.
     """
     if sign_choice not in (1, -1):
         raise ValueError("sign_choice must be +1 or -1")

@@ -12,11 +12,10 @@ import math
 from collections import namedtuple
 
 from .algebra import HNumber, _arg, _hn, h_arg
-from .context import (TOLERANCE, Direction, Matrix2, ProbContext, Regime, _ds_context,
-                      interference_coefficients, validate_context)
-from .engine import (QlraState, _require_finite, component_gap, conditioning_basis, expansion_consistency,
-                     reconstruct, run_qlra, verify_born_rule)
-from .errors import DegenerateStateError, StochasticityError
+from .context import TOLERANCE, Direction, Matrix2, ProbContext
+from .engine import (QlraState, _reconstructed, _require_finite, _validate_and_reconstruct, component_gap,
+                     conditioning_basis, expansion_consistency, verify_born_rule)
+from .errors import DegenerateStateError
 from .linear import HVector2
 
 __all__ = [
@@ -99,7 +98,7 @@ def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = No
 
 
 def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, directions=tuple(Direction)):
-    """The QLRA pipeline: validate ctx once at tol, then run each stage once per direction.
+    """The QLRA pipeline: engine's validate-and-reconstruct core, then each check once per direction.
 
     The stages read ctx as its four numbers (context._ds_context); Born residuals take its own marginals.
     Returns (violations, entries, verdict, residual), the rest empty when there are violations.
@@ -107,18 +106,12 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
     direction, the last two None off the hyperbolic regime.  The verdict needs both orders asked for
     and hyperbolic, the proof relation residual the verdict's transpose symmetry; else each is None.
     """
-    violations = validate_context(ctx, tol)
-    if violations:
-        return violations, [], None, None
-    ds, entries, states = _ds_context(ctx), [], {}
-    for direction in directions:
-        profile = interference_coefficients(ds, direction)
-        if profile.regime is Regime.HYPERBOLIC:
-            state = states[direction] = reconstruct(ds, direction, profile, sign_choice)
-            entries.append((direction, profile, verify_born_rule(state, ctx), expansion_consistency(state)))
-        else:
-            entries.append((direction, profile, None, None))
-    if len(states) < 2:  # one direction asked for, or one not hyperbolic
+    violations, ds, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
+    # A direction without a state (not hyperbolic) gets no Born report and no expansion deviation.
+    entries = [(d, profile, state and verify_born_rule(state, ctx), state and expansion_consistency(state))
+               for d, profile, state in steps]
+    states = {d: state for d, _, state in steps if state is not None}
+    if len(states) < 2:  # invalid, one direction asked for, or one not hyperbolic
         return violations, entries, None, None
     state_ba, state_ab = states[Direction.B_GIVEN_A], states[Direction.A_GIVEN_B]
     verdict = consistency_verdict(ds, state_ba, state_ab, tol)
@@ -127,20 +120,15 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
 
 
 def check_consistency(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1) -> EquivalenceVerdict:
-    """analyze's verdict: whether the two conditioning orders give the same state.
+    """analyze's verdict alone: whether the two conditioning orders give the same state.
 
     The b|a amplitude, pushed through the transition unitary, is compared with the a|b one
     up to +-exp_j(gamma); the verdict also records whether the transpose symmetry holds, and
     the consistency theorem says the two answers agree.  Raises StochasticityError when ctx
     is invalid at tol, and RegimeError for the first direction that is not hyperbolic.
     """
-    violations, entries, verdict, _ = analyze(ctx, tol, sign_choice)
-    if violations:
-        raise StochasticityError("invalid context: " + "; ".join(violations))
-    for direction, profile, born, _ in entries:
-        if born is None:  # not hyperbolic: reconstruct raises (ValueError first, for a bad sign_choice)
-            reconstruct(ctx, direction, profile, sign_choice)
-    return verdict
+    ds, (state_ba, state_ab) = _reconstructed(ctx, tol, sign_choice, tuple(Direction))
+    return consistency_verdict(ds, state_ba, state_ab, tol)
 
 
 def consistency_verdict(
@@ -176,10 +164,11 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
     because their squared moduli equal the strictly positive a-marginals)
     and theta is the hyperbolic phase of the b|a direction.  The residual
     vanishes exactly when the transpose symmetry holds.  Like run_qlra, raises StochasticityError
-    or RegimeError; ArgDomainError when an a|b component has no hyperbolic argument.
+    or RegimeError, the a|b direction first; ArgDomainError when an a|b component has no hyperbolic argument.
     """
-    state_ab = run_qlra(ctx, Direction.A_GIVEN_B, sign_choice)
-    return relation_residual(state_ab, run_qlra(ctx, Direction.B_GIVEN_A, sign_choice))
+    directions = (Direction.A_GIVEN_B, Direction.B_GIVEN_A)
+    _, (state_ab, state_ba) = _reconstructed(ctx, TOLERANCE, sign_choice, directions)
+    return relation_residual(state_ab, state_ba)
 
 
 def relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:

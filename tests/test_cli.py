@@ -244,6 +244,16 @@ STAGE_CALLS = {
     "consistency_verdict": 1,
     "relation_residual": 1,
 }
+# The same counts for the library's other entry points (run_qlra per direction): each validates
+# once, and none runs a check whose result it drops.
+NO_CHECKS = dict.fromkeys(
+    ("verify_born_rule", "expansion_consistency", "consistency_verdict", "relation_residual"), 0
+)
+ENTRY_POINT_CALLS = {
+    "run_qlra": {**STAGE_CALLS, **NO_CHECKS, "interference_coefficients": 1, "reconstruct": 1},
+    "check_consistency": {**STAGE_CALLS, **NO_CHECKS, "consistency_verdict": 1},
+    "proof_relation_residual": {**STAGE_CALLS, **NO_CHECKS, "relation_residual": 1},
+}
 
 
 @pytest.mark.parametrize("ctx, comparisons", [(CTX1, 1), (SAME_SIGN, 1)])
@@ -257,10 +267,13 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
 
         return wrapper
 
-    # Each stage is counted wherever it is defined or looked up; qlra.cli looks up none of them.
+    # Each stage is taken from the module that defines it, and counted wherever it is defined
+    # or looked up; qlra.cli looks up none of them.
+    layers = (qlra.context, qlra.engine, qlra.equivalence, qlra.cli)
     for name in [*STAGE_CALLS, "_equivalent"]:
-        stage = counted(getattr(qlra.equivalence, name))
-        for module in (qlra.context, qlra.engine, qlra.equivalence, qlra.cli):
+        home = next(m for m in layers if getattr(getattr(m, name, None), "__module__", None) == m.__name__)
+        stage = counted(getattr(home, name))
+        for module in layers:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, stage)
     path = tmp_path / "ctx.json"
@@ -275,6 +288,18 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
         assert {name: run.count(name) for name in STAGE_CALLS} == STAGE_CALLS
         # One comparison: the signs of lambda_1 decide the a|b phase branch.
         assert run.count("_equivalent") == comparisons
+    ctx = qlra.ProbContext.from_dict(ctx)
+    for entry_point, call in [
+        ("run_qlra", lambda: qlra.run_qlra(ctx, qlra.Direction.B_GIVEN_A)),
+        ("run_qlra", lambda: qlra.run_qlra(ctx, qlra.Direction.A_GIVEN_B)),
+        ("check_consistency", lambda: qlra.check_consistency(ctx)),
+        ("proof_relation_residual", lambda: qlra.proof_relation_residual(ctx)),
+    ]:
+        calls.clear()
+        call()
+        counts = {name: calls.count(name) for name in STAGE_CALLS}
+        assert counts == ENTRY_POINT_CALLS[entry_point], entry_point
+        assert calls.count("_equivalent") == (comparisons if entry_point == "check_consistency" else 0)
 
 
 @pytest.mark.parametrize(
@@ -486,9 +511,16 @@ def test_tolerance_env(ctx1_file, monkeypatch):
 
 
 def test_argument_errors_exit_1(ctx1_file, monkeypatch, capsys):
+    # The library's gates apply the same rule: a nan or inf tolerance used to call this context valid.
+    M = ((0.9, 0.1), (0.1, 0.9))
+    invalid = qlra.ProbContext((0.7, 0.7), (0.9, 0.1), M)
     for tol in ("-1", "0", "nan", "inf", "abc"):
         assert run_cli(["analyze", ctx1_file, "--tolerance", tol])[0] == 1
         assert_one_error_line(capsys)
+        if tol != "abc":
+            for check, arg in [(qlra.validate_context, invalid), (qlra.is_doubly_stochastic, M)]:
+                with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                    check(arg, float(tol))
     for count in ("0", "-1"):
         assert run_cli(["generate", "--random", "--count", count])[0] == 1
         assert_one_error_line(capsys)

@@ -166,6 +166,67 @@ def test_check_consistency_validates_at_its_tolerance(ctx1):
         check_consistency(trig)
 
 
+_WORKED = ProbContext((0.5, 0.5), (0.9, 0.1), ((0.9, 0.1), (0.1, 0.9)), ((0.9, 0.1), (0.1, 0.9)))
+_INVALID = _WORKED._replace(p_a=(0.7, 0.7))
+_INVALID_ERROR = (StochasticityError, "invalid context: p_a does not sum to 1 (sum=1.4)")
+_SIGN_ERROR = (ValueError, "sign_choice must be +1 or -1")
+_LAM = "(lam=(0.6666666666666665, -0.6666666666666665))"
+_NOT_BA = (RegimeError, f"b_given_a data is trigonometric, not hyperbolic {_LAM}")
+_NOT_AB = (RegimeError, f"a_given_b data is trigonometric, not hyperbolic {_LAM}")
+_NOT_BA_0 = (RegimeError, "b_given_a data is trigonometric, not hyperbolic (lam=(0.0, 0.0))")
+_NOT_AB_0 = (RegimeError, "a_given_b data is trigonometric, not hyperbolic (lam=(0.0, 0.0))")
+_ENTRY_POINTS = {
+    "run_qlra_b_given_a": lambda ctx, sc: run_qlra(ctx, Direction.B_GIVEN_A, sc),
+    "run_qlra_a_given_b": lambda ctx, sc: run_qlra(ctx, Direction.A_GIVEN_B, sc),
+    "check_consistency": lambda ctx, sc: check_consistency(ctx, sign_choice=sc),
+    "proof_relation_residual": lambda ctx, sc: proof_relation_residual(ctx, sc),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "ctx, sign_choice, errors",
+    [
+        pytest.param(_INVALID, 1, dict.fromkeys(_ENTRY_POINTS, _INVALID_ERROR), id="invalid"),
+        # b|a is trigonometric (lambda_1 = 2/3), a|b hyperbolic.
+        pytest.param(
+            ProbContext((0.5, 0.5), (0.7, 0.3), ((0.9, 0.1), (0.1, 0.9)), ((0.99, 0.01), (0.01, 0.99))),
+            1,
+            {"run_qlra_b_given_a": _NOT_BA, "run_qlra_a_given_b": None,
+             "check_consistency": _NOT_BA, "proof_relation_residual": _NOT_BA},
+            id="b_given_a_not_hyperbolic",
+        ),
+        # The mirror image: a|b is trigonometric, b|a hyperbolic.
+        pytest.param(
+            ProbContext((0.7, 0.3), (0.5, 0.5), ((0.99, 0.01), (0.01, 0.99)), ((0.9, 0.1), (0.1, 0.9))),
+            1,
+            {"run_qlra_b_given_a": None, "run_qlra_a_given_b": _NOT_AB,
+             "check_consistency": _NOT_AB, "proof_relation_residual": _NOT_AB},
+            id="a_given_b_not_hyperbolic",
+        ),
+        # Neither is hyperbolic (lambda = 0): check_consistency names b|a, proof_relation_residual a|b.
+        pytest.param(
+            _WORKED._replace(p_b=(0.5, 0.5)),
+            1,
+            {"run_qlra_b_given_a": _NOT_BA_0, "run_qlra_a_given_b": _NOT_AB_0,
+             "check_consistency": _NOT_BA_0, "proof_relation_residual": _NOT_AB_0},
+            id="neither_hyperbolic",
+        ),
+        pytest.param(_WORKED, 0, dict.fromkeys(_ENTRY_POINTS, _SIGN_ERROR), id="sign_0"),
+        pytest.param(_INVALID, 0, dict.fromkeys(_ENTRY_POINTS, _INVALID_ERROR), id="sign_0_invalid"),
+    ],
+)
+def test_entry_point_error_contract(ctx, sign_choice, errors, entry_point):
+    # Validation comes first, then the sign_choice, then each direction's regime in the entry point's order.
+    call = _ENTRY_POINTS[entry_point]
+    if errors[entry_point] is None:
+        assert call(ctx, sign_choice).direction is not None
+        return
+    with pytest.raises(Exception) as info:
+        call(ctx, sign_choice)
+    assert (info.type, str(info.value)) == errors[entry_point]
+
+
 def test_check_consistency_asymmetric(ctx1):
     ctx = ProbContext(
         p_a=ctx1.p_a,
