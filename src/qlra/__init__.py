@@ -9,47 +9,15 @@ states.
 __version__ = "0.1.0"
 
 from .algebra import HNumber, J, ONE, exp_j, h_arg
-from .context import (
-    TOLERANCE,
-    Direction,
-    InterferenceProfile,
-    ProbContext,
-    Regime,
-    check_proposition1,
-    generate_hyperbolic_context,
-    interference_coefficients,
-    is_doubly_stochastic,
-    lambda_feasible_range,
-    random_hyperbolic_context,
-    validate_context,
-)
-from .engine import (
-    BornReport,
-    QlraState,
-    ViolationReport,
-    born_violation_demo,
-    conditioning_basis,
-    expansion_consistency,
-    run_qlra,
-    verify_born_rule,
-)
-from .equivalence import (
-    EquivalenceVerdict,
-    analyze,
-    check_consistency,
-    proof_relation_residual,
-    states_equivalent,
-    transition_unitary,
-)
-from .errors import (
-    ArgDomainError,
-    DegenerateStateError,
-    InfeasibleContextError,
-    QlraError,
-    RegimeError,
-    StochasticityError,
-    ZeroDivisorError,
-)
+from .context import (TOLERANCE, Direction, InterferenceProfile, ProbContext, Regime, check_proposition1,
+                      generate_hyperbolic_context, interference_coefficients, is_doubly_stochastic,
+                      lambda_feasible_range, random_hyperbolic_context, validate_context)
+from .engine import (BornReport, QlraState, ViolationReport, born_violation_demo, conditioning_basis,
+                     expansion_consistency, run_qlra, verify_born_rule)
+from .equivalence import (EquivalenceVerdict, analyze, check_consistency, proof_relation_residual,
+                          states_equivalent, transition_unitary)
+from .errors import (ArgDomainError, DegenerateStateError, InfeasibleContextError, QlraError, RegimeError,
+                     StochasticityError, ZeroDivisorError)
 from .linear import HVector2, inner_product, mat_apply, sq_norm
 
 __all__ = [

@@ -14,8 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
+from functools import partial
+from itertools import starmap
 
 from . import __version__
 from .context import (TOLERANCE, Direction, ProbContext, _band, _require_tolerance,
@@ -28,6 +31,7 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_REGIME = 2
 EXIT_INCONSISTENT = 3
+_BOTH = tuple(Direction)  # analyze --direction both
 
 
 def _fmt_float(x: float) -> str:
@@ -58,86 +62,99 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-# The writer below knows the `analyze` report's shape and formats the records in one
-# pass; dumps of the parsed report must give back its bytes, and the tests hold it to that.
+# The writer below knows the `analyze` report's shape and formats each section's floats with one %-template;
+# dumps of the parsed report must give back its bytes, and the tests hold it to that.
 _str = json.encoder.encode_basestring_ascii
+_plus_zero = partial(operator.add, 0.0)  # 0.0 + x is x, except that -0.0 becomes 0.0
 
 
-def _pair(x) -> str:
-    """dumps of a list or tuple of two floats: each is at most 19 characters, so always inline."""
-    return f"[{_fmt_float(x[0])}, {_fmt_float(x[1])}]"
+def _fill(template: str, values: tuple) -> str:
+    """template % values, each %.12g slot written as _fmt_float writes it: non-finite raises, -0 is 0."""
+    if not math.isfinite(sum(values)):  # an inf or nan term makes the sum inf or nan; so can overflow
+        for x in values:
+            _fmt_float(x)  # raises for the first non-finite value
+    if 0.0 in values:  # 0.0 or -0.0
+        values = tuple(map(_plus_zero, values))
+    return template % values
 
 
 def _matrix(M) -> str:
     """dumps of a 2x2 float matrix at indent 2 of the report."""
-    r0, r1 = _pair(M[0]), _pair(M[1])
+    (a, b), (c, d) = M
+    text = _fill("[[%.12g, %.12g], [%.12g, %.12g]]", (a, b, c, d))
+    i = text.index("], [") + 1  # floats are written without brackets
+    r0, r1 = text[1:i], text[i + 2:-1]
     if len(r0) < 40 and len(r1) < 40:
-        return f"[{r0}, {r1}]"
+        return text
     return f"[\n      {r0},\n      {r1}\n    ]"
 
 
 def _direction_json(direction, profile, born, deviation) -> str:
     """One entry of the report's "directions", at indent 2; born is None off the hyperbolic regime."""
-    e0, e1 = profile.epsilon
+    (l0, l1), (e0, e1), (t0, t1), _ = profile
     regime = profile.regime.value
     head = (
         f'    {_str(direction.value)}: {{\n'
-        f'      "lambda": {_pair(profile.lam)},\n      "epsilon": [{e0}, {e1}],\n'
-        f'      "theta": {_pair(profile.theta)},\n      "regime": {_str(regime)},\n'
+        f'      "lambda": [%.12g, %.12g],\n      "epsilon": [{e0}, {e1}],\n'
+        f'      "theta": [%.12g, %.12g],\n      "regime": {_str(regime)},\n'
     )
     if born is None:
         error = (
             f"regime is {regime}: |lambda| <= 1 for at least "
             "one outcome; hyperbolic reconstruction not applicable"
         )
-        return f'{head}      "error": {_str(error)}\n    }}'
-    return (
+        return _fill(f'{head}      "error": {_str(error)}\n    }}', (l0, l1, t0, t1))
+    (c0, c1), (k0, k1) = born
+    return _fill(
         f'{head}      "born_residuals": {{\n'
-        f'        "conditioned": {_pair(born.conditioned_residuals)},\n'
-        f'        "conditioning": {_pair(born.conditioning_residuals)},\n'
-        f'        "max": {_fmt_float(born.max_residual)}\n      }},\n'
-        f'      "expansion_deviation": {_fmt_float(deviation)}\n    }}'
+        '        "conditioned": [%.12g, %.12g],\n'
+        '        "conditioning": [%.12g, %.12g],\n'
+        '        "max": %.12g\n      },\n'
+        '      "expansion_deviation": %.12g\n    }',
+        (l0, l1, t0, t1, c0, c1, k0, k1, born.max_residual, deviation),
     )
 
 
 def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict=None, residual=None) -> str:
     """The analyze report, written in one pass from equivalence.analyze's result (directions: its entries)."""
-    parts = [
-        f'{{\n  "tool": "qlra",\n  "version": {_str(__version__)},\n'
-        f'  "tolerance": {_fmt_float(tolerance)},\n'
-        f'  "sign_branch": {sign_branch},\n'
-        f'  "input": {{\n    "p_a": {_pair(ctx.p_a)},\n    "p_b": {_pair(ctx.p_b)},\n'
-        f'    "P_b_given_a": {_matrix(ctx.p_b_given_a)}'
-    ]
-    if not ctx.a_given_b_defaulted:
-        parts.append(f',\n    "P_a_given_b": {_matrix(ctx.p_a_given_b)}')
-    listed = [_str(v) for v in violations]
+    (a0, a1), (b0, b1), M, N = ctx
+    head = (
+        f'{{\n  "tool": "qlra",\n  "version": {_str(__version__)},\n  "tolerance": %.12g,\n  "sign_branch": '
+        f'{sign_branch},\n  "input": {{\n    "p_a": [%.12g, %.12g],\n    "p_b": [%.12g, %.12g],\n'
+    )
+    parts = [_fill(head, (tolerance, a0, a1, b0, b1)), '    "P_b_given_a": ', _matrix(M)]
+    if N is not None:
+        parts.append(f',\n    "P_a_given_b": {_matrix(N)}')
+    listed = list(map(_str, violations))
     if not listed:
         listed = "[]"
-    elif all(len(v) < 40 for v in listed):
+    elif max(map(len, listed)) < 40:
         listed = f"[{', '.join(listed)}]"
     else:
-        listed = "[\n" + ",\n".join("      " + v for v in listed) + "\n    ]"
+        listed = "[\n      " + ",\n      ".join(listed) + "\n    ]"
     parts.append(
-        f'\n  }},\n  "p_a_given_b_defaulted": {"true" if ctx.a_given_b_defaulted else "false"},\n'
+        f'\n  }},\n  "p_a_given_b_defaulted": {"false" if N is not None else "true"},\n'
         f'  "validation": {{\n    "valid": {"false" if violations else "true"},\n'
         f'    "violations": {listed}\n  }}'
     )
     if directions:
-        entries = ",\n".join(_direction_json(*entry) for entry in directions)
+        entries = ",\n".join(starmap(_direction_json, directions))
         parts.append(f',\n  "directions": {{\n{entries}\n  }}')
     if verdict is not None:
         gamma, sign = verdict.gamma, verdict.sign
-        parts.append(
+        deviation = verdict.max_component_deviation
+        values = (deviation,) if gamma is None else (gamma, deviation)
+        template = (
             f',\n  "equivalence": {{\n    "equivalent": {"true" if verdict.equivalent else "false"},\n'
-            f'    "gamma": {"null" if gamma is None else _fmt_float(gamma)},\n'
+            f'    "gamma": {"null" if gamma is None else "%.12g"},\n'
             f'    "sign": {"null" if sign is None else sign},\n'
             f'    "symmetry_holds": {"true" if verdict.symmetry_holds else "false"},\n'
-            f'    "max_component_deviation": {_fmt_float(verdict.max_component_deviation)}'
+            '    "max_component_deviation": %.12g'
         )
         if residual is not None:
-            parts.append(f',\n    "proof_relation_residual": {_fmt_float(residual)}')
-        parts.append("\n  }")
+            template += ',\n    "proof_relation_residual": %.12g'
+            values += (residual,)
+        parts.append(_fill(template + "\n  }", values))
     parts.append("\n}")
     return "".join(parts)
 
@@ -172,12 +189,12 @@ def cmd_analyze(args, out) -> int:
         print(f"error: bad context: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
-    directions = tuple(Direction) if args.direction == "both" else (Direction(args.direction),)
+    directions = _BOTH if args.direction == "both" else (Direction(args.direction),)
     violations, entries, verdict, residual = analyze(ctx, tolerance, args.sign_branch, directions)
     print(_report_json(ctx, tolerance, args.sign_branch, violations, entries, verdict, residual), file=out)
     if violations:
         return EXIT_INVALID_INPUT
-    if any(born is None for _, _, born, _ in entries):  # a direction is not hyperbolic
+    if entries[0][2] is None or entries[-1][2] is None:  # a direction is not hyperbolic: no Born report
         return EXIT_REGIME
     return EXIT_INCONSISTENT if verdict is not None and not verdict.equivalent else EXIT_OK
 

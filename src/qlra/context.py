@@ -66,6 +66,11 @@ class InterferenceProfile(namedtuple("InterferenceProfile", "lam epsilon theta r
     __slots__ = ()
 
 
+# Enum members as module constants: the stages read them on every call, and a global is faster to read.
+_B_GIVEN_A = Direction.B_GIVEN_A
+_TRIGONOMETRIC, _HYPERBOLIC, _HYPER_TRIGONOMETRIC = Regime  # in definition order
+
+
 def _transpose(M: Matrix2) -> Matrix2:
     return ((M[0][0], M[1][0]), (M[0][1], M[1][1]))
 
@@ -151,12 +156,6 @@ class ProbContext(namedtuple("ProbContext", "p_a p_b p_b_given_a p_a_given_b")):
         return cls(d["p_a"], d["p_b"], d["P_b_given_a"], d.get("P_a_given_b"))
 
 
-def _line_sums(M: Matrix2) -> dict[str, float]:
-    """The row and column sums of M, by name."""
-    (a, b), (c, d) = M
-    return {"row 0": a + b, "row 1": c + d, "column 0": a + c, "column 1": b + d}
-
-
 def _require_tolerance(tol: float) -> None:
     """The rule of `qlra analyze --tolerance`: ValueError unless tol is positive and finite."""
     if not 0.0 < tol < math.inf:
@@ -166,10 +165,10 @@ def _require_tolerance(tol: float) -> None:
 def is_doubly_stochastic(M: Matrix2, tol: float = TOLERANCE) -> bool:
     """All row sums and column sums equal 1 within tol, entries nonnegative; ValueError for a bad tol."""
     _require_tolerance(tol)
-    M = _as_matrix(M)
+    (a, b), (c, d) = M = _as_matrix(M)
     if any(x < -tol for row in M for x in row):
         return False
-    return all(abs(s - 1.0) <= tol for s in _line_sums(M).values())
+    return all(abs(s - 1.0) <= tol for s in (a + b, c + d, a + c, b + d))
 
 
 def validate_context(ctx: ProbContext, tol: float = TOLERANCE) -> list[str]:
@@ -180,26 +179,44 @@ def validate_context(ctx: ProbContext, tol: float = TOLERANCE) -> list[str]:
     Raises ValueError unless tol is positive and finite.
     """
     _require_tolerance(tol)
+    lo, hi = POSITIVITY_MARGIN, 1.0 - POSITIVITY_MARGIN
+    (a0, a1), (b0, b1), M, N = ctx
     violations = []
-    for name, pair in (("p_a", ctx.p_a), ("p_b", ctx.p_b)):
-        s = pair[0] + pair[1]
-        if abs(s - 1.0) > tol:
-            violations.append(f"{name} does not sum to 1 (sum={s!r})")
-        for i, x in enumerate(pair):
-            if not (POSITIVITY_MARGIN <= x <= 1.0 - POSITIVITY_MARGIN):
-                violations.append(f"{name}[{i}]={x!r} outside (0,1)")
-    matrices = [("P_b_given_a", ctx.p_b_given_a)]
-    if ctx.p_a_given_b is not None:
-        matrices.append(("P_a_given_b", ctx.p_a_given_b))
-    for name, M in matrices:
-        for i, row in enumerate(M):
-            for j, x in enumerate(row):
-                if not (POSITIVITY_MARGIN <= x <= 1.0 - POSITIVITY_MARGIN):
-                    violations.append(f"{name}[{i}][{j}]={x!r} outside (0,1)")
-        off = [f"{line} sum={s!r}" for line, s in _line_sums(M).items() if abs(s - 1.0) > tol]
-        if off:
-            violations.append(f"{name} is not doubly stochastic ({', '.join(off)})")
+    if abs(a0 + a1 - 1.0) > tol:
+        violations.append(f"p_a does not sum to 1 (sum={a0 + a1!r})")
+    if not lo <= a0 <= hi:
+        violations.append(f"p_a[0]={a0!r} outside (0,1)")
+    if not lo <= a1 <= hi:
+        violations.append(f"p_a[1]={a1!r} outside (0,1)")
+    if abs(b0 + b1 - 1.0) > tol:
+        violations.append(f"p_b does not sum to 1 (sum={b0 + b1!r})")
+    if not lo <= b0 <= hi:
+        violations.append(f"p_b[0]={b0!r} outside (0,1)")
+    if not lo <= b1 <= hi:
+        violations.append(f"p_b[1]={b1!r} outside (0,1)")
+    _check_matrix("P_b_given_a", M, tol, violations)
+    if N is not None:
+        _check_matrix("P_a_given_b", N, tol, violations)
     return violations
+
+
+def _check_matrix(name: str, M: Matrix2, tol: float, violations: list[str]) -> None:
+    """validate_context's checks of a matrix: entries in (0,1), then one violation for its line sums off 1."""
+    lo, hi = POSITIVITY_MARGIN, 1.0 - POSITIVITY_MARGIN
+    (m00, m01), (m10, m11) = M
+    if not lo <= m00 <= hi:
+        violations.append(f"{name}[0][0]={m00!r} outside (0,1)")
+    if not lo <= m01 <= hi:
+        violations.append(f"{name}[0][1]={m01!r} outside (0,1)")
+    if not lo <= m10 <= hi:
+        violations.append(f"{name}[1][0]={m10!r} outside (0,1)")
+    if not lo <= m11 <= hi:
+        violations.append(f"{name}[1][1]={m11!r} outside (0,1)")
+    r0, r1, c0, c1 = m00 + m01, m10 + m11, m00 + m10, m01 + m11
+    if abs(r0 - 1.0) > tol or abs(r1 - 1.0) > tol or abs(c0 - 1.0) > tol or abs(c1 - 1.0) > tol:
+        sums = (("row 0", r0), ("row 1", r1), ("column 0", c0), ("column 1", c1))
+        off = ", ".join(f"{line} sum={s!r}" for line, s in sums if abs(s - 1.0) > tol)
+        violations.append(f"{name} is not doubly stochastic ({off})")
 
 
 def _ds_context(ctx: ProbContext) -> ProbContext:
@@ -207,19 +224,11 @@ def _ds_context(ctx: ProbContext) -> ProbContext:
 
     Idempotent in floats: a context of this exactly doubly stochastic form comes back bit for bit.
     """
-    a, b, M, N = ctx.p_a[0], ctx.p_b[0], ctx.p_b_given_a, ctx.a_given_b()
+    (a, _), (b, _), M, N = ctx
+    N = N or M  # a_given_b(): the transpose of M has M's diagonal
     p, q = (M[0][0] + M[1][1]) / 2.0, (N[0][0] + N[1][1]) / 2.0
     fields = ((a, 1.0 - a), (b, 1.0 - b), ((p, 1.0 - p), (1.0 - p, p)), ((q, 1.0 - q), (1.0 - q, q)))
     return tuple.__new__(ProbContext, fields)  # floats already: no parse gate
-
-
-def _classify(lam: tuple[float, float]) -> Regime:
-    big = [abs(x) > 1.0 for x in lam]
-    if all(big):
-        return Regime.HYPERBOLIC
-    if not any(big):
-        return Regime.TRIGONOMETRIC
-    return Regime.HYPER_TRIGONOMETRIC
 
 
 def interference_coefficients(ctx: ProbContext, direction: Direction) -> InterferenceProfile:
@@ -231,26 +240,23 @@ def interference_coefficients(ctx: ProbContext, direction: Direction) -> Interfe
     Raises RegimeError when a product under the square root is not
     strictly positive.
     """
-    p_cond, p_out = ctx.marginals(direction)
-    M = ctx.matrix(direction)
-    lam = []
-    for i in range(2):
-        prod = (p_cond[0] * M[i][0]) * (p_cond[1] * M[i][1])
-        if prod <= 0.0:
-            raise RegimeError(
-                f"degenerate denominator for outcome {i}: "
-                "probabilities must be strictly positive"
-            )
-        classical = p_cond[0] * M[i][0] + p_cond[1] * M[i][1]
-        lam.append((p_out[i] - classical) / (2.0 * math.sqrt(prod)))
-    lam = tuple(lam)
-    regime = _classify(lam)
-    epsilon = tuple(1 if x >= 0 else -1 for x in lam)
-    theta = tuple(
-        math.acosh(abs(x)) if abs(x) > 1.0 else math.acos(max(-1.0, min(1.0, x)))
-        for x in lam
-    )
-    return InterferenceProfile(lam=lam, epsilon=epsilon, theta=theta, regime=regime)
+    if direction is _B_GIVEN_A:
+        (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = ctx.p_a, ctx.p_b, ctx.p_b_given_a
+    else:
+        M = ctx.p_a_given_b or _transpose(ctx.p_b_given_a)  # ctx.a_given_b()
+        (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = ctx.p_b, ctx.p_a, M
+    prod0, prod1 = (c0 * m00) * (c1 * m01), (c0 * m10) * (c1 * m11)
+    if prod0 <= 0.0 or prod1 <= 0.0:
+        raise RegimeError(f"degenerate denominator for outcome {0 if prod0 <= 0.0 else 1}: "
+                          "probabilities must be strictly positive")
+    lam0 = (o0 - (c0 * m00 + c1 * m01)) / (2.0 * math.sqrt(prod0))
+    lam1 = (o1 - (c0 * m10 + c1 * m11)) / (2.0 * math.sqrt(prod1))
+    big0, big1 = abs(lam0) > 1.0, abs(lam1) > 1.0
+    regime = _HYPERBOLIC if big0 and big1 else _HYPER_TRIGONOMETRIC if big0 or big1 else _TRIGONOMETRIC
+    theta0 = math.acosh(abs(lam0)) if big0 else math.acos(max(-1.0, min(1.0, lam0)))
+    theta1 = math.acosh(abs(lam1)) if big1 else math.acos(max(-1.0, min(1.0, lam1)))
+    epsilon = (1 if lam0 >= 0 else -1, 1 if lam1 >= 0 else -1)
+    return InterferenceProfile((lam0, lam1), epsilon, (theta0, theta1), regime)
 
 
 def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-10) -> bool:
@@ -260,8 +266,10 @@ def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-1
     the cancellation is an algebraic identity and the mixed
     hyper-trigonometric regime cannot occur.  The sum is compared in
     probability units, times the smaller denominator of the two lam[i], so
-    rounding in the probabilities does not grow with |lam|.
+    rounding in the probabilities does not grow with |lam|.  Raises
+    ValueError unless tol is positive and finite.
     """
+    _require_tolerance(tol)
     M = ctx.matrix(direction)
     if not is_doubly_stochastic(M, tol=max(tol, TOLERANCE)):
         raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")

@@ -14,8 +14,9 @@ import math
 from collections import namedtuple
 
 from .algebra import HNumber, _hn
-from .context import (TOLERANCE, Direction, InterferenceProfile, Matrix2, ProbContext, Regime, _ds_context,
-                      interference_coefficients, is_doubly_stochastic, validate_context)
+from .context import (_B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, InterferenceProfile, Matrix2,
+                      ProbContext, _ds_context, _transpose, interference_coefficients, is_doubly_stochastic,
+                      validate_context)
 from .errors import RegimeError, StochasticityError
 from .linear import HVector2, _vec, inner_product
 
@@ -115,7 +116,7 @@ def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, di
     ds, steps = _ds_context(ctx), []
     for d in directions:
         profile = interference_coefficients(ds, d)
-        state = reconstruct(ds, d, profile, sign_choice) if profile.regime is Regime.HYPERBOLIC else None
+        state = reconstruct(ds, d, profile, sign_choice) if profile.regime is _HYPERBOLIC else None
         steps.append((d, profile, state))
     return violations, ds, steps
 
@@ -140,21 +141,21 @@ def reconstruct(
     """
     if sign_choice not in (1, -1):
         raise ValueError("sign_choice must be +1 or -1")
-    M = ctx.matrix(direction)
-    if profile.regime is not Regime.HYPERBOLIC:
-        raise RegimeError(
-            f"{direction.value} data is {profile.regime.value}, not hyperbolic "
-            f"(lam={profile.lam})"
-        )
-    m, _ = ctx.marginals(direction)
+    if profile.regime is not _HYPERBOLIC:
+        raise RegimeError(f"{direction.value} data is {profile.regime.value}, not hyperbolic "
+                          f"(lam={profile.lam})")
+    if direction is _B_GIVEN_A:
+        m, ((m00, m01), (m10, m11)) = ctx.p_a, ctx.p_b_given_a
+    else:
+        m, ((m00, m01), (m10, m11)) = ctx.p_b, ctx.p_a_given_b or _transpose(ctx.p_b_given_a)
+    m0, m1 = m
     s = profile.epsilon[0]
     t = sign_choice * profile.theta[0]
     eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
     pu, pv = s * eu, s * ev
-    a00, a01 = math.sqrt(m[0] * M[0][0]), math.sqrt(m[1] * M[0][1])
-    a10, a11 = math.sqrt(m[0] * M[1][0]), math.sqrt(m[1] * M[1][1])
+    a00, a01 = math.sqrt(m0 * m00), math.sqrt(m1 * m01)
+    a10, a11 = math.sqrt(m0 * m10), math.sqrt(m1 * m11)
     amplitude = (a00 + pu * a01, a00 + pv * a01, a10 - pu * a11, a10 - pv * a11)
-    (m00, m01), (m10, m11) = M
     r00, r01, r10, r11 = roots = (math.sqrt(m00), math.sqrt(m01), math.sqrt(m10), math.sqrt(m11))
     # The checks that exp_j, psi and conditioning_basis make on their null-cone coordinates.
     _require_finite(eu, ev, *amplitude, r00, r00, r10, r10, r01, r01, -r11, -r11)
@@ -173,17 +174,17 @@ class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_re
 
 def verify_born_rule(state: QlraState, ctx: ProbContext) -> BornReport:
     """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs."""
-    m_cond, m_out = ctx.marginals(state.direction)
+    if state.direction is _B_GIVEN_A:
+        (c0, c1), (o0, o1) = ctx.p_a, ctx.p_b
+    else:
+        (c0, c1), (o0, o1) = ctx.p_b, ctx.p_a
     u1, v1, u2, v2 = state.amplitude
     r00, r01, r10, r11 = state.basis_roots
     # For the real e_k, conj(e_k) = e_k: <psi, e_k> = psi_1*e_k1 + psi_2*e_k2.
     iu1, iv1 = u1 * r00 + u2 * r10, v1 * r00 + v2 * r10
     iu2, iv2 = u1 * r01 - u2 * r11, v1 * r01 - v2 * r11
     _require_finite(iu1, iv1, iu2, iv2)
-    return BornReport(
-        (abs(u1 * v1 - m_out[0]), abs(u2 * v2 - m_out[1])),
-        (abs(iu1 * iv1 - m_cond[0]), abs(iu2 * iv2 - m_cond[1])),
-    )
+    return BornReport((abs(u1 * v1 - o0), abs(u2 * v2 - o1)), (abs(iu1 * iv1 - c0), abs(iu2 * iv2 - c1)))
 
 
 def expansion_consistency(state: QlraState) -> float:
@@ -192,13 +193,12 @@ def expansion_consistency(state: QlraState) -> float:
     The expansion sqrt(m1)*e1 + s*exp_j(sc*theta)*sqrt(m2)*e2 must
     coincide with the coordinate form produced by run_qlra.
     """
-    m = state.conditioning_marginals
-    s = state.profile.epsilon[0]
-    t = state.sign_choice * state.profile.theta[0]
+    (m0, m1), profile = state.conditioning_marginals, state.profile
+    t = state.sign_choice * profile.theta[0]
     eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
     _require_finite(eu, ev)
-    r1 = math.sqrt(m[0])
-    r2 = s * math.sqrt(m[1])
+    r1 = math.sqrt(m0)
+    r2 = profile.epsilon[0] * math.sqrt(m1)
     ku, kv = r2 * eu, r2 * ev
     u1, v1, u2, v2 = state.amplitude
     r00, r01, r10, r11 = state.basis_roots

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from .algebra import HNumber, _arg, _hn, h_arg
-from .context import TOLERANCE, Direction, Matrix2, ProbContext
+from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _require_tolerance
 from .engine import (QlraState, _reconstructed, _require_finite, _validate_and_reconstruct, component_gap,
                      conditioning_basis, expansion_consistency, verify_born_rule)
 from .errors import DegenerateStateError
@@ -63,8 +63,9 @@ def states_equivalent(v1: HVector2, v2: HVector2, tol: float = TOLERANCE) -> Equ
     every component on the null cone raises DegenerateStateError.  The multiplier is extracted from
     the component of v2 farthest from the null cone; equivalence requires it to have unit squared
     modulus and to map v2 onto v1 componentwise within tol times the largest null-cone coordinate
-    of either vector (at least 1).
+    of either vector (at least 1).  Raises ValueError unless tol is positive and finite.
     """
+    _require_tolerance(tol)
     a = (v1.c1.u, v1.c1.v, v1.c2.u, v1.c2.v)
     b = (v2.c1.u, v2.c1.v, v2.c2.u, v2.c2.v)
     for name, x in (("v1", a), ("v2", b)):
@@ -87,11 +88,10 @@ def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = No
         component_gap(au2 - cu * bu2, av2 - cv * bv2),
     )
     sq_mod = cu * cv
-    # |c|^2 within tol of 1, on the cone where the argument is defined.
-    unit_multiplier = abs(sq_mod - 1.0) <= tol and sq_mod > 0.0
-    # Coordinates of size cosh(theta) carry rounding errors of that size.
-    scale = max(1.0, *map(abs, a + b))
-    if not (unit_multiplier and deviation <= tol * scale):
+    # |c|^2 within tol of 1, on the cone where the argument is defined; coordinates of size cosh(theta)
+    # carry rounding errors of that size.
+    scale = max(1.0, abs(au1), abs(av1), abs(au2), abs(av2), abs(bu1), abs(bv1), abs(bu2), abs(bv2))
+    if not (abs(sq_mod - 1.0) <= tol and sq_mod > 0.0 and deviation <= tol * scale):
         return EquivalenceVerdict(False, None, None, deviation, symmetry_holds)
     # cu and cv share a sign, the sign of c.re = (cu + cv)/2.
     return EquivalenceVerdict(True, _arg(cu, cv), 1 if cu > 0 else -1, deviation, symmetry_holds)
@@ -108,12 +108,16 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
     """
     violations, ds, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
     # A direction without a state (not hyperbolic) gets no Born report and no expansion deviation.
-    entries = [(d, profile, state and verify_born_rule(state, ctx), state and expansion_consistency(state))
-               for d, profile, state in steps]
-    states = {d: state for d, _, state in steps if state is not None}
-    if len(states) < 2:  # invalid, one direction asked for, or one not hyperbolic
+    entries, state_ba, state_ab = [], None, None
+    for d, profile, state in steps:
+        born = state and verify_born_rule(state, ctx)
+        entries.append((d, profile, born, state and expansion_consistency(state)))
+        if d is _B_GIVEN_A:
+            state_ba = state
+        else:
+            state_ab = state
+    if state_ba is None or state_ab is None:  # invalid, one direction asked for, or one not hyperbolic
         return violations, entries, None, None
-    state_ba, state_ab = states[Direction.B_GIVEN_A], states[Direction.A_GIVEN_B]
     verdict = consistency_verdict(ds, state_ba, state_ab, tol)
     residual = relation_residual(state_ab, state_ba) if verdict.symmetry_holds else None
     return violations, entries, verdict, residual

@@ -346,6 +346,29 @@ def test_analyze_builds_no_algebra_objects(ctx, code, tmp_path):
     assert ("algebra._arg" in calls) == (code == 0)
 
 
+def test_analyze_python_calls(ctx1_file):
+    # Python-level calls into qlra during one `qlra analyze` of CTX1, parsing and writing included.
+    # The count is exact, so it guards the straight-line stages and the template writer where timings
+    # cannot: a per-float formatting call, a per-outcome generator or an Enum-keyed accessor shows here.
+    # The path runs no list, set or dict comprehension, which Python 3.12 inlines, so the count is
+    # the same on every supported version.
+    package = os.path.join(os.path.dirname(qlra.__file__), "")
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code, _ = run_cli(["analyze", ctx1_file])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert len(calls) == 65, sorted(calls)
+    assert not {"_fmt_float", "marginals", "matrix", "a_given_b"} & set(calls)
+
+
 def flat(x):
     """The numbers of nested lists and tuples, in order."""
     return [y for item in x for y in flat(item)] if isinstance(x, (list, tuple)) else [x]
@@ -512,15 +535,27 @@ def test_tolerance_env(ctx1_file, monkeypatch):
 
 def test_argument_errors_exit_1(ctx1_file, monkeypatch, capsys):
     # The library's gates apply the same rule: a nan or inf tolerance used to call this context valid.
+    # states_equivalent called a vector not equivalent to itself at -1 and nan, and anything at inf;
+    # check_proposition1 denied the cancellation of a DS context's coefficients at 0 and -1.
     M = ((0.9, 0.1), (0.1, 0.9))
     invalid = qlra.ProbContext((0.7, 0.7), (0.9, 0.1), M)
+    psi = qlra.run_qlra(qlra.ProbContext.from_dict(CTX1), qlra.Direction.B_GIVEN_A).psi
+    cancelling = qlra.ProbContext((0.3, 0.7), (0.9, 0.1), ((0.8, 0.2), (0.2, 0.8)))
+    gates = [
+        lambda tol: qlra.validate_context(invalid, tol),
+        lambda tol: qlra.is_doubly_stochastic(M, tol),
+        lambda tol: qlra.states_equivalent(psi, psi, tol),
+        lambda tol: qlra.check_proposition1(cancelling, qlra.Direction.B_GIVEN_A, tol),
+    ]
     for tol in ("-1", "0", "nan", "inf", "abc"):
         assert run_cli(["analyze", ctx1_file, "--tolerance", tol])[0] == 1
         assert_one_error_line(capsys)
         if tol != "abc":
-            for check, arg in [(qlra.validate_context, invalid), (qlra.is_doubly_stochastic, M)]:
+            for check in gates:
                 with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-                    check(arg, float(tol))
+                    check(float(tol))
+    assert qlra.states_equivalent(psi, psi).equivalent
+    assert qlra.check_proposition1(cancelling, qlra.Direction.B_GIVEN_A)
     for count in ("0", "-1"):
         assert run_cli(["generate", "--random", "--count", count])[0] == 1
         assert_one_error_line(capsys)
@@ -601,6 +636,8 @@ def test_report_writer_matches_dumps(written_reports):
         dict(CTX1, P_a_given_b=[[0.85, 0.15], [0.15, 0.85]]),  # asymmetric
         DEFAULTED,
         dict(CTX1, P_b_given_a=[[LONG, LONG], [0.1, 0.9]]),  # multi-line matrix
+        dict(CTX1, p_a=[-0.0, 1.0]),  # -0 is echoed as 0
+        dict(CTX1, P_a_given_b=[[0.9, 0.1], [-0.0, 0.9]]),
     ]
     rng = random.Random(20100)
     codes = set()
@@ -616,6 +653,8 @@ def test_report_writer_matches_dumps(written_reports):
     assert '"P_b_given_a": [\n      [-1.23456789012e-100, -1.23456789012e-100],' in written
     assert '"gamma": null,\n    "sign": null,' in written
     assert '"p_a_given_b_defaulted": true' in written
+    assert '"p_a": [0, 1],' in written and '"P_a_given_b": [[0.9, 0.1], [0, 0.9]]' in written
+    assert "p_a[0]=-0.0 outside (0,1)" in written and "P_a_given_b[1][0]=-0.0 outside (0,1)" in written
 
 
 def test_report_writer_rejects_non_finite(monkeypatch):
@@ -627,12 +666,17 @@ def test_report_writer_rejects_non_finite(monkeypatch):
     # ProbContext's parse gate rejects an inf entry; the writer must too, should one get past it.
     inf_ctx = tuple.__new__(qlra.ProbContext, ((0.5, math.inf), *ctx[1:]))
     inf_deviation = [directions[0][:3] + (-math.inf,), *directions[1:]]
-    for bad in (
-        (ctx, math.nan, sign_branch, violations, directions, *equivalence),
-        (inf_ctx, tolerance, sign_branch, violations, directions, *equivalence),
-        (ctx, tolerance, sign_branch, violations, inf_deviation, *equivalence),
+    verdict, residual = equivalence
+    report = (ctx, tolerance, sign_branch, violations, directions)
+    for bad, value in (
+        ((ctx, math.nan, sign_branch, violations, directions, *equivalence), "nan"),
+        ((inf_ctx, tolerance, sign_branch, violations, directions, *equivalence), "inf"),
+        ((ctx, tolerance, sign_branch, violations, inf_deviation, *equivalence), "-inf"),
+        ((*report, verdict._replace(max_component_deviation=math.inf), residual), "inf"),
+        ((*report, verdict._replace(gamma=math.nan), residual), "nan"),
+        ((*report, verdict, -math.inf), "-inf"),
     ):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^non-finite value in report: {value}$"):
             writer(*bad)
     for bad in (math.nan, {"p_a": [0.5, math.inf]}, {"expansion_deviation": -math.inf}):
         with pytest.raises(ValueError, match="non-finite"):

@@ -111,6 +111,47 @@ def test_boundary_lambda_is_trigonometric():
     assert prof.theta[0] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_interference_degenerate_denominator_names_the_outcome():
+    # A raw context, not valid and not projected: a zero entry makes a product under the root zero.
+    p_a, p_b = (0.5, 0.5), (0.9, 0.1)
+    for M, outcome in [
+        (((1.0, 0.0), (0.0, 1.0)), 0),  # both products are zero: outcome 0 is named
+        (((0.5, 0.5), (1.0, 0.0)), 1),  # only outcome 1's product is zero
+        (((0.5, 0.5), (-0.5, 1.5)), 1),  # or negative
+    ]:
+        ctx = ProbContext(p_a=p_a, p_b=p_b, p_b_given_a=M, p_a_given_b=M)
+        for direction in Direction:
+            message = f"degenerate denominator for outcome {outcome}: probabilities must be strictly positive"
+            with pytest.raises(RegimeError, match=f"^{message}$"):
+                interference_coefficients(ctx, direction)
+
+
+def test_interference_hyper_trigonometric_off_double_stochasticity():
+    # born_violation_demo's matrix [[p, p], [q, q]] with p_a = (1/2, 1/2): the classical value of
+    # outcome i is m_i = M[i][0], the denominator 2*sqrt((m_i/2)^2) = m_i, so lam_i = p_b[i]/m_i - 1,
+    # and lam_1 = -(q/p) * lam_2 locks the two.  One |lam| can exceed 1 while the other does not.
+    for p, p_b1 in [(0.8, 0.2), (0.8, 0.35), (0.3, 0.5), (0.6, 0.2), (0.6, 0.9)]:
+        q = 1.0 - p
+        ctx = ProbContext(p_a=(0.5, 0.5), p_b=(p_b1, 1.0 - p_b1), p_b_given_a=((p, p), (q, q)))
+        prof = interference_coefficients(ctx, Direction.B_GIVEN_A)
+        want = (p_b1 / p - 1.0, (1.0 - p_b1) / q - 1.0)
+        assert prof.lam == pytest.approx(want, abs=1e-12)
+        assert prof.lam[0] == pytest.approx(-(q / p) * prof.lam[1], abs=1e-12)
+        assert prof.epsilon == tuple(1 if x >= 0 else -1 for x in prof.lam)
+        big = [abs(x) > 1.0 for x in prof.lam]
+        regime = {2: Regime.HYPERBOLIC, 1: Regime.HYPER_TRIGONOMETRIC, 0: Regime.TRIGONOMETRIC}[sum(big)]
+        assert prof.regime is regime
+        for x, theta, hyperbolic in zip(prof.lam, prof.theta, big):
+            # acosh for the outcome with |lam| > 1, the clamped acos for the other.
+            assert theta == (math.acosh(abs(x)) if hyperbolic else math.acos(max(-1.0, min(1.0, x))))
+    # (0.8, 0.2): lam = (-0.75, 3), the mixed regime.
+    ctx = ProbContext(p_a=(0.5, 0.5), p_b=(0.2, 0.8), p_b_given_a=((0.8, 0.8), (0.2, 0.2)))
+    prof = interference_coefficients(ctx, Direction.B_GIVEN_A)
+    assert prof.regime is Regime.HYPER_TRIGONOMETRIC
+    assert prof.epsilon == (-1, 1)
+    assert prof.theta == pytest.approx((math.acos(-0.75), math.acosh(3.0)), abs=1e-12)
+
+
 def test_proposition1(ctx1):
     assert check_proposition1(ctx1, Direction.B_GIVEN_A)
     assert check_proposition1(ctx1, Direction.A_GIVEN_B)
