@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import operator
-import os
 import sys
 from functools import partial
 from itertools import starmap
@@ -167,7 +166,7 @@ def _read_input(path: str) -> str:
 
 
 def cmd_analyze(args, out) -> int:
-    try:  # --tolerance, else QLRA_TOLERANCE, else the default: it governs every check
+    try:  # --tolerance, else the default: it governs every check
         tolerance = float(args.tolerance)
         _require_tolerance(tolerance)
     except ValueError:
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run the full pipeline on a JSON context")
     p_an.add_argument("input", help="path to a context JSON file, or - for stdin")
-    p_an.add_argument("--tolerance", default=os.environ.get("QLRA_TOLERANCE") or TOLERANCE)
+    p_an.add_argument("--tolerance", default=TOLERANCE)
     p_an.add_argument(
         "--sign-branch",
         type=int,

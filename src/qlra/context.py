@@ -67,7 +67,7 @@ class InterferenceProfile(namedtuple("InterferenceProfile", "lam epsilon theta r
 
 
 # Enum members as module constants: the stages read them on every call, and a global is faster to read.
-_B_GIVEN_A = Direction.B_GIVEN_A
+_B_GIVEN_A, _A_GIVEN_B = Direction  # in definition order
 _TRIGONOMETRIC, _HYPERBOLIC, _HYPER_TRIGONOMETRIC = Regime  # in definition order
 
 
@@ -118,21 +118,6 @@ class ProbContext(namedtuple("ProbContext", "p_a p_b p_b_given_a p_a_given_b")):
     @property
     def a_given_b_defaulted(self) -> bool:
         return self.p_a_given_b is None
-
-    def a_given_b(self) -> Matrix2:
-        """The a|b transition matrix, defaulting to transpose(p_b_given_a)."""
-        if self.p_a_given_b is not None:
-            return self.p_a_given_b
-        return _transpose(self.p_b_given_a)
-
-    def marginals(self, direction: Direction) -> tuple[tuple[float, float], tuple[float, float]]:
-        """(conditioning marginals, conditioned marginals) for a direction."""
-        if direction is Direction.B_GIVEN_A:
-            return self.p_a, self.p_b
-        return self.p_b, self.p_a
-
-    def matrix(self, direction: Direction) -> Matrix2:
-        return self.p_b_given_a if direction is Direction.B_GIVEN_A else self.a_given_b()
 
     def to_dict(self) -> dict:
         d = {
@@ -225,7 +210,7 @@ def _ds_context(ctx: ProbContext) -> ProbContext:
     Idempotent in floats: a context of this exactly doubly stochastic form comes back bit for bit.
     """
     (a, _), (b, _), M, N = ctx
-    N = N or M  # a_given_b(): the transpose of M has M's diagonal
+    N = N or M  # a defaulted a|b matrix is the transpose of M, which has M's diagonal
     p, q = (M[0][0] + M[1][1]) / 2.0, (N[0][0] + N[1][1]) / 2.0
     fields = ((a, 1.0 - a), (b, 1.0 - b), ((p, 1.0 - p), (1.0 - p, p)), ((q, 1.0 - q), (1.0 - q, q)))
     return tuple.__new__(ProbContext, fields)  # floats already: no parse gate
@@ -237,14 +222,16 @@ def interference_coefficients(ctx: ProbContext, direction: Direction) -> Interfe
     For each conditioned outcome i,
     lam[i] = (p_out[i] - sum_k p_cond[k] * M[i][k])
              / (2 * sqrt(prod_k p_cond[k] * M[i][k])).
-    Raises RegimeError when a product under the square root is not
-    strictly positive.
+    Raises ValueError unless direction is a Direction, and RegimeError
+    when a product under the square root is not strictly positive.
     """
     if direction is _B_GIVEN_A:
         (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = ctx.p_a, ctx.p_b, ctx.p_b_given_a
-    else:
-        M = ctx.p_a_given_b or _transpose(ctx.p_b_given_a)  # ctx.a_given_b()
+    elif direction is _A_GIVEN_B:
+        M = ctx.p_a_given_b or _transpose(ctx.p_b_given_a)  # a defaulted a|b matrix is M's transpose
         (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = ctx.p_b, ctx.p_a, M
+    else:
+        raise ValueError(f"direction must be a Direction, got {direction!r}")
     prod0, prod1 = (c0 * m00) * (c1 * m01), (c0 * m10) * (c1 * m11)
     if prod0 <= 0.0 or prod1 <= 0.0:
         raise RegimeError(f"degenerate denominator for outcome {0 if prod0 <= 0.0 else 1}: "
@@ -267,15 +254,20 @@ def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-1
     hyper-trigonometric regime cannot occur.  The sum is compared in
     probability units, times the smaller denominator of the two lam[i], so
     rounding in the probabilities does not grow with |lam|.  Raises
-    ValueError unless tol is positive and finite.
+    ValueError unless tol is positive and finite and direction a Direction.
     """
     _require_tolerance(tol)
-    M = ctx.matrix(direction)
+    if direction is _B_GIVEN_A:
+        (c0, c1), M = ctx.p_a, ctx.p_b_given_a
+    elif direction is _A_GIVEN_B:
+        (c0, c1), M = ctx.p_b, ctx.p_a_given_b or _transpose(ctx.p_b_given_a)
+    else:
+        raise ValueError(f"direction must be a Direction, got {direction!r}")
     if not is_doubly_stochastic(M, tol=max(tol, TOLERANCE)):
         raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")
     profile = interference_coefficients(ctx, direction)
-    p_cond, _ = ctx.marginals(direction)
-    denominator = min(2.0 * math.sqrt((p_cond[0] * M[i][0]) * (p_cond[1] * M[i][1])) for i in range(2))
+    (m00, m01), (m10, m11) = M
+    denominator = min(2.0 * math.sqrt((c0 * m00) * (c1 * m01)), 2.0 * math.sqrt((c0 * m10) * (c1 * m11)))
     return abs(profile.lam[0] + profile.lam[1]) * denominator <= tol
 
 

@@ -15,8 +15,7 @@ from collections import namedtuple
 
 from .algebra import HNumber, _hn
 from .context import (_B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, InterferenceProfile, Matrix2,
-                      ProbContext, _ds_context, _transpose, interference_coefficients, is_doubly_stochastic,
-                      validate_context)
+                      ProbContext, _ds_context, interference_coefficients, is_doubly_stochastic, validate_context)
 from .errors import RegimeError, StochasticityError
 from .linear import HVector2, _vec, inner_product
 
@@ -106,13 +105,17 @@ def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> Ql
 
 
 def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
-    """The pipeline's core: validate ctx once at tol; if valid, read it as its four numbers ds
-    (context._ds_context) and per direction compute the interference profile and, if hyperbolic, the state.
+    """The pipeline's core, and the one place that checks its arguments: validate ctx once at tol; if
+    valid, check sign_choice (ValueError unless +-1), read ctx as its four numbers ds (context._ds_context)
+    and per direction compute the interference profile (ValueError for a direction that is not a
+    Direction) and, if hyperbolic, the state.
     Returns (violations, ds, [(direction, profile, state or None)]), or (violations, None, []).
     """
     violations = validate_context(ctx, tol)
     if violations:
         return violations, None, []
+    if sign_choice not in (1, -1):
+        raise ValueError("sign_choice must be +1 or -1")
     ds, steps = _ds_context(ctx), []
     for d in directions:
         profile = interference_coefficients(ds, d)
@@ -123,31 +126,27 @@ def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, di
 
 def _reconstructed(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
     """(ds, one state per direction) from the core.  Raises StochasticityError for an invalid ctx,
-    then reconstruct's error for the first direction that is not hyperbolic: ValueError for a bad
-    sign_choice, else RegimeError.
+    then the core's ValueError, then RegimeError for the first direction that is not hyperbolic.
     """
     violations, ds, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
     if violations:
         raise StochasticityError("invalid context: " + "; ".join(violations))
-    return ds, [state or reconstruct(ds, d, profile, sign_choice) for d, profile, state in steps]
+    for d, profile, state in steps:
+        if state is None:
+            raise RegimeError(f"{d.value} data is {profile.regime.value}, not hyperbolic (lam={profile.lam})")
+    return ds, [state for _, _, state in steps]
 
 
 def reconstruct(
     ctx: ProbContext, direction: Direction, profile: InterferenceProfile, sign_choice: int
 ) -> QlraState:
     """run_qlra's step on a validated ctx's four numbers (context._ds_context), given the direction's
-    interference profile; nothing is re-checked.  Raises ValueError for a bad sign_choice, then
-    RegimeError off the hyperbolic regime.
+    hyperbolic interference profile and a sign_choice of +-1.  It checks nothing: the core has.
     """
-    if sign_choice not in (1, -1):
-        raise ValueError("sign_choice must be +1 or -1")
-    if profile.regime is not _HYPERBOLIC:
-        raise RegimeError(f"{direction.value} data is {profile.regime.value}, not hyperbolic "
-                          f"(lam={profile.lam})")
     if direction is _B_GIVEN_A:
         m, ((m00, m01), (m10, m11)) = ctx.p_a, ctx.p_b_given_a
     else:
-        m, ((m00, m01), (m10, m11)) = ctx.p_b, ctx.p_a_given_b or _transpose(ctx.p_b_given_a)
+        m, ((m00, m01), (m10, m11)) = ctx.p_b, ctx.p_a_given_b
     m0, m1 = m
     s = profile.epsilon[0]
     t = sign_choice * profile.theta[0]
@@ -156,9 +155,10 @@ def reconstruct(
     a00, a01 = math.sqrt(m0 * m00), math.sqrt(m1 * m01)
     a10, a11 = math.sqrt(m0 * m10), math.sqrt(m1 * m11)
     amplitude = (a00 + pu * a01, a00 + pv * a01, a10 - pu * a11, a10 - pv * a11)
-    r00, r01, r10, r11 = roots = (math.sqrt(m00), math.sqrt(m01), math.sqrt(m10), math.sqrt(m11))
-    # The checks that exp_j, psi and conditioning_basis make on their null-cone coordinates.
-    _require_finite(eu, ev, *amplitude, r00, r00, r10, r10, r01, r01, -r11, -r11)
+    # Every coordinate is finite: each entry of a valid ctx lies in [1e-12, 1 - 1e-12], so
+    # |lam| <= 1/(2*1e-24), e^theta <= 2|lam| <= 1e24, and every coordinate, here and in the verdict's
+    # transported amplitude, stays below 1e25.
+    roots = (math.sqrt(m00), math.sqrt(m01), math.sqrt(m10), math.sqrt(m11))
     return QlraState(amplitude, direction, profile, roots, m, sign_choice)
 
 

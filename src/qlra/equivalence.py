@@ -13,8 +13,8 @@ from collections import namedtuple
 
 from .algebra import HNumber, _arg, _hn, h_arg
 from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _require_tolerance
-from .engine import (QlraState, _reconstructed, _require_finite, _validate_and_reconstruct, component_gap,
-                     conditioning_basis, expansion_consistency, verify_born_rule)
+from .engine import (QlraState, _reconstructed, _validate_and_reconstruct, component_gap, conditioning_basis,
+                     expansion_consistency, verify_born_rule)
 from .errors import DegenerateStateError
 from .linear import HVector2
 
@@ -145,7 +145,6 @@ def consistency_verdict(
     r00, r01, r10, r11 = state_ba.basis_roots
     bu1, bv1, bu2, bv2 = state_ba.amplitude
     transported = (r00 * bu1 + r01 * bu2, r00 * bv1 + r01 * bv2, r10 * bu1 - r11 * bu2, r10 * bv1 - r11 * bv2)
-    _require_finite(*transported)
     # The theorem fixes the a|b phase sign sc' that reconstruct leaves free.
     # A DS P is [[p, q], [q, p]], so U = [[sqrt p, sqrt q], [sqrt q, -sqrt p]] has U^2 = I,
     # and a symmetric context has psi_ab = U (sqrt p_b1, eps_ab exp_j(sc' theta_ab) sqrt p_b2):

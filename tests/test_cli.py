@@ -316,6 +316,8 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
         # A multi-line matrix and a multi-line violations list; one inline violation.
         (dict(CTX1, P_b_given_a=[[LONG, LONG], [0.1, 0.9]]), [], 1, "ctx_long_matrix_report.json"),
         (dict(CTX1, p_a=[0.7, 0.7]), [], 1, "ctx_one_violation_report.json"),
+        # Doubly stochastic only within the tolerance: the report of its four numbers.
+        (with_diagonal_slack(5e-10, [0]), [], 0, "ctx_slack_report.json"),
     ],
 )
 def test_analyze_verdict_path_report_bytes(ctx, options, code, golden):
@@ -365,7 +367,9 @@ def test_analyze_python_calls(ctx1_file):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert len(calls) == 65, sorted(calls)
+    assert len(calls) == 62, sorted(calls)
+    # Only the public Born and expansion checks test finiteness; the core's bound makes it certain.
+    assert calls.count("_require_finite") == 4
     assert not {"_fmt_float", "marginals", "matrix", "a_given_b"} & set(calls)
 
 
@@ -526,14 +530,7 @@ def test_demo_violation(capsys):
         assert_one_error_line(capsys)
 
 
-def test_tolerance_env(ctx1_file, monkeypatch):
-    monkeypatch.setenv("QLRA_TOLERANCE", "1e-6")
-    code, text = run_cli(["analyze", ctx1_file])
-    assert code == 0
-    assert json.loads(text)["tolerance"] == pytest.approx(1e-6)
-
-
-def test_argument_errors_exit_1(ctx1_file, monkeypatch, capsys):
+def test_argument_errors_exit_1(ctx1_file, capsys):
     # The library's gates apply the same rule: a nan or inf tolerance used to call this context valid.
     # states_equivalent called a vector not equivalent to itself at -1 and nan, and anything at inf;
     # check_proposition1 denied the cancellation of a DS context's coefficients at 0 and -1.
@@ -563,9 +560,6 @@ def test_argument_errors_exit_1(ctx1_file, monkeypatch, capsys):
     assert assert_one_error_line(capsys).startswith("error: --random excludes ")
     assert run_cli(["generate"])[0] == 1
     assert assert_one_error_line(capsys).startswith("error: provide --p, --p-a1 and --lambda ")
-    monkeypatch.setenv("QLRA_TOLERANCE", "abc")
-    assert run_cli(["analyze", ctx1_file])[0] == 1
-    assert_one_error_line(capsys)
 
 
 def test_tolerance_governs_every_check(tmp_path):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st, target
 
 from qlra import (
     Direction,
@@ -21,8 +21,11 @@ from qlra import (
     random_hyperbolic_context,
     run_qlra,
     sq_norm,
+    validate_context,
     verify_born_rule,
 )
+from qlra.context import POSITIVITY_MARGIN
+from qlra.engine import _validate_and_reconstruct
 
 
 def test_run_qlra_ctx1_b_given_a(ctx1):
@@ -74,8 +77,8 @@ def test_amplitude_matches_algebra_product(rng):
     for _ in range(200):
         ctx = random_hyperbolic_context(rng)
         for direction in Direction:
-            (m1, m2), _ = ctx.marginals(direction)
-            M = ctx.matrix(direction)
+            ba = direction is Direction.B_GIVEN_A
+            (m1, m2), M = (ctx.p_a, ctx.p_b_given_a) if ba else (ctx.p_b, ctx.p_a_given_b)
             profile = interference_coefficients(ctx, direction)
             for sc in (1, -1):
                 phase = profile.epsilon[0] * exp_j(sc * profile.theta[0])
@@ -215,6 +218,66 @@ def test_other_phase_branch_is_conjugate(rng, extreme_contexts):
             )
             checked += 1
     assert checked >= 700
+
+
+_LO, _HI = POSITIVITY_MARGIN, 1.0 - POSITIVITY_MARGIN
+# Probabilities over the whole validated range, margins included, and log-uniformly close to either margin.
+_PROBABILITIES = st.one_of(
+    st.sampled_from((_LO, _HI)),
+    st.floats(_LO, _HI),
+    st.floats(-12, -1).map(lambda e: max(_LO, 10.0**e)),
+    st.floats(-12, -1).map(lambda e: min(_HI, 1.0 - 10.0**e)),
+)
+
+
+@st.composite
+def valid_contexts(draw):
+    """(ctx, tol): every entry in [POSITIVITY_MARGIN, 1 - POSITIVITY_MARGIN], valid at tol = 10^U(-12, 2)."""
+    tol = 10.0 ** draw(st.floats(-12, 2))
+    slack = st.floats(-tol / 4, tol / 4)
+
+    def near(x):
+        return min(_HI, max(_LO, x + draw(slack)))
+
+    def pair():
+        x = draw(_PROBABILITIES)
+        return x, near(1.0 - x)
+
+    def matrix():
+        p = draw(_PROBABILITIES)
+        return (p, near(1.0 - p)), (near(1.0 - p), near(p))
+
+    ctx = ProbContext(pair(), pair(), matrix(), matrix() if draw(st.booleans()) else None)
+    assume(not validate_context(ctx, tol))
+    return ctx, tol
+
+
+def _corner(a, b, p):
+    M = ((p, 1.0 - p), (1.0 - p, p))
+    return ProbContext((a, 1.0 - a), (b, 1.0 - b), M, M), 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_contexts(), st.sampled_from((1, -1)))
+@example(_corner(_LO, _LO, _LO), 1)  # the largest coordinate of a corner sweep, about 1e12
+@example(_corner(_HI, _LO, _HI), -1)
+def test_valid_contexts_keep_every_coordinate_finite_and_below_1e25(case, sign_choice):
+    # reconstruct and the verdict check no finiteness, because this bound makes it certain: the four
+    # numbers of a valid context lie in [1e-12, 1 - 1e-12], so |lam| <= 1/(2*1e-24) and e^theta <= 1e24.
+    ctx, tol = case
+    _, _, steps = _validate_and_reconstruct(ctx, tol, sign_choice, tuple(Direction))
+    coords = []
+    for direction, _, state in steps:
+        if state is None:
+            continue
+        coords += [*state.amplitude, *state.basis_roots]
+        if direction is Direction.B_GIVEN_A:  # the verdict's transported amplitude U psi_ba
+            r00, r01, r10, r11 = state.basis_roots
+            u1, v1, u2, v2 = state.amplitude
+            coords += [r00 * u1 + r01 * u2, r00 * v1 + r01 * v2, r10 * u1 - r11 * u2, r10 * v1 - r11 * v2]
+    assert all(math.isfinite(x) and abs(x) < 1e25 for x in coords), coords
+    if coords:
+        target(math.log10(max(map(abs, coords))))
 
 
 @given(

@@ -12,7 +12,9 @@ from qlra import (
     ProbContext,
     RegimeError,
     StochasticityError,
+    analyze,
     check_consistency,
+    check_proposition1,
     exp_j,
     inner_product,
     interference_coefficients,
@@ -175,11 +177,17 @@ _NOT_BA = (RegimeError, f"b_given_a data is trigonometric, not hyperbolic {_LAM}
 _NOT_AB = (RegimeError, f"a_given_b data is trigonometric, not hyperbolic {_LAM}")
 _NOT_BA_0 = (RegimeError, "b_given_a data is trigonometric, not hyperbolic (lam=(0.0, 0.0))")
 _NOT_AB_0 = (RegimeError, "a_given_b data is trigonometric, not hyperbolic (lam=(0.0, 0.0))")
+_STRING_BA = (ValueError, "direction must be a Direction, got 'b_given_a'")
+_STRING_AB = (ValueError, "direction must be a Direction, got 'a_given_b'")
+# A direction given as its string value is checked after the context and the sign_choice.
+_STRING_DIRECTIONS = {"run_qlra_string_b_given_a": _STRING_BA, "run_qlra_string_a_given_b": _STRING_AB}
 _ENTRY_POINTS = {
     "run_qlra_b_given_a": lambda ctx, sc: run_qlra(ctx, Direction.B_GIVEN_A, sc),
     "run_qlra_a_given_b": lambda ctx, sc: run_qlra(ctx, Direction.A_GIVEN_B, sc),
     "check_consistency": lambda ctx, sc: check_consistency(ctx, sign_choice=sc),
     "proof_relation_residual": lambda ctx, sc: proof_relation_residual(ctx, sc),
+    "run_qlra_string_b_given_a": lambda ctx, sc: run_qlra(ctx, "b_given_a", sc),
+    "run_qlra_string_a_given_b": lambda ctx, sc: run_qlra(ctx, "a_given_b", sc),
 }
 
 
@@ -193,7 +201,7 @@ _ENTRY_POINTS = {
             ProbContext((0.5, 0.5), (0.7, 0.3), ((0.9, 0.1), (0.1, 0.9)), ((0.99, 0.01), (0.01, 0.99))),
             1,
             {"run_qlra_b_given_a": _NOT_BA, "run_qlra_a_given_b": None,
-             "check_consistency": _NOT_BA, "proof_relation_residual": _NOT_BA},
+             "check_consistency": _NOT_BA, "proof_relation_residual": _NOT_BA, **_STRING_DIRECTIONS},
             id="b_given_a_not_hyperbolic",
         ),
         # The mirror image: a|b is trigonometric, b|a hyperbolic.
@@ -201,7 +209,7 @@ _ENTRY_POINTS = {
             ProbContext((0.7, 0.3), (0.5, 0.5), ((0.99, 0.01), (0.01, 0.99)), ((0.9, 0.1), (0.1, 0.9))),
             1,
             {"run_qlra_b_given_a": None, "run_qlra_a_given_b": _NOT_AB,
-             "check_consistency": _NOT_AB, "proof_relation_residual": _NOT_AB},
+             "check_consistency": _NOT_AB, "proof_relation_residual": _NOT_AB, **_STRING_DIRECTIONS},
             id="a_given_b_not_hyperbolic",
         ),
         # Neither is hyperbolic (lambda = 0): check_consistency names b|a, proof_relation_residual a|b.
@@ -209,7 +217,7 @@ _ENTRY_POINTS = {
             _WORKED._replace(p_b=(0.5, 0.5)),
             1,
             {"run_qlra_b_given_a": _NOT_BA_0, "run_qlra_a_given_b": _NOT_AB_0,
-             "check_consistency": _NOT_BA_0, "proof_relation_residual": _NOT_AB_0},
+             "check_consistency": _NOT_BA_0, "proof_relation_residual": _NOT_AB_0, **_STRING_DIRECTIONS},
             id="neither_hyperbolic",
         ),
         pytest.param(_WORKED, 0, dict.fromkeys(_ENTRY_POINTS, _SIGN_ERROR), id="sign_0"),
@@ -217,7 +225,8 @@ _ENTRY_POINTS = {
     ],
 )
 def test_entry_point_error_contract(ctx, sign_choice, errors, entry_point):
-    # Validation comes first, then the sign_choice, then each direction's regime in the entry point's order.
+    # Validation comes first, then the sign_choice, then the direction, then each direction's regime in
+    # the entry point's order.
     call = _ENTRY_POINTS[entry_point]
     if errors[entry_point] is None:
         assert call(ctx, sign_choice).direction is not None
@@ -225,6 +234,29 @@ def test_entry_point_error_contract(ctx, sign_choice, errors, entry_point):
     with pytest.raises(Exception) as info:
         call(ctx, sign_choice)
     assert (info.type, str(info.value)) == errors[entry_point]
+
+
+def test_string_direction_raises(ctx1):
+    # Only the two Direction members name a direction: a string is not read as either of them.
+    for call in (
+        lambda: interference_coefficients(ctx1, "b_given_a"),
+        lambda: check_proposition1(ctx1, "b_given_a"),
+        lambda: run_qlra(ctx1, "b_given_a"),
+        lambda: analyze(ctx1, directions=("b_given_a",)),
+    ):
+        with pytest.raises(ValueError, match=r"^direction must be a Direction, got 'b_given_a'$"):
+            call()
+    # An invalid context is reported before its directions are read.
+    assert analyze(_INVALID, directions=("b_given_a",))[0] == ["p_a does not sum to 1 (sum=1.4)"]
+
+
+def test_analyze_checks_sign_choice_without_a_hyperbolic_direction():
+    # Valid and trigonometric in both directions: the sign_choice is checked with no amplitude to build.
+    trig = _WORKED._replace(p_b=(0.5, 0.5))
+    violations, entries, verdict, _ = analyze(trig)
+    assert not violations and [e[2] for e in entries] == [None, None] and verdict is None
+    with pytest.raises(ValueError, match=r"^sign_choice must be \+1 or -1$"):
+        analyze(trig, sign_choice=0)
 
 
 def test_check_consistency_asymmetric(ctx1):

@@ -120,7 +120,6 @@ def test_defaults():
     assert EquivalenceVerdict(False, None, None, 0.5).symmetry_holds is None
     ctx = ProbContext((0.5, 0.5), (0.9, 0.1), M)
     assert ctx.p_a_given_b is None and ctx.a_given_b_defaulted
-    assert ctx.a_given_b() == M
 
 
 def test_record_methods_and_properties():
