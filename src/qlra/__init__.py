@@ -3,12 +3,13 @@
 Builds split-complex (hyperbolic) probability amplitudes whose squared
 moduli reproduce given marginals and transition probabilities, and
 checks that the two conditioning orders yield unitarily equivalent
-states.
+states.  The pipeline computes on floats; the split-complex object layer
+(``qlra.algebra``, ``qlra.linear``) is imported on its own, and loaded by
+qlra only where an object is handed out.
 """
 
 __version__ = "0.1.0"
 
-from .algebra import HNumber, J, ONE, exp_j, h_arg
 from .context import (TOLERANCE, Direction, InterferenceProfile, ProbContext, Regime, check_proposition1,
                       generate_hyperbolic_context, interference_coefficients, is_doubly_stochastic,
                       lambda_feasible_range, random_hyperbolic_context, validate_context)
@@ -18,19 +19,9 @@ from .equivalence import (EquivalenceVerdict, analyze, check_consistency, proof_
                           states_equivalent, transition_unitary)
 from .errors import (ArgDomainError, DegenerateStateError, InfeasibleContextError, QlraError, RegimeError,
                      StochasticityError, ZeroDivisorError)
-from .linear import HVector2, inner_product, mat_apply, sq_norm
 
 __all__ = [
     "__version__",
-    "HNumber",
-    "ONE",
-    "J",
-    "exp_j",
-    "h_arg",
-    "HVector2",
-    "inner_product",
-    "sq_norm",
-    "mat_apply",
     "Direction",
     "Regime",
     "InterferenceProfile",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .equivalence import _arg
 from .errors import ArgDomainError, ZeroDivisorError
 
 __all__ = [
@@ -171,15 +172,6 @@ def h_arg(z: HNumber) -> float:
     if u * v <= 0.0:
         raise ArgDomainError(f"argument undefined for {z}: x^2 - y^2 <= 0")
     return _arg(u, v)
-
-
-def _arg(u: float, v: float) -> float:
-    """h_arg on null-cone coordinates with u*v > 0.
-
-    u/v is positive on both branches of the cone; its logarithm is taken
-    as a difference so that the ratio cannot overflow.
-    """
-    return 0.5 * (math.log(abs(u)) - math.log(abs(v)))
 
 
 def h_close(a: HNumber, b: HNumber, rel: float = 1e-9, abs_: float = 1e-12) -> bool:

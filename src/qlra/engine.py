@@ -4,8 +4,10 @@ Given a valid context in the hyperbolic regime, builds a normalized
 split-complex amplitude whose squared moduli reproduce the marginals of
 both observables (Born's rule), for either conditioning order.  Also
 reproduces the classic counterexample showing why double stochasticity
-is essential.  A state holds floats, which the checks read; HVector2s are
-built only by ``conditioning_basis`` and QlraState's properties.
+is essential.  A state holds floats, which the checks read.  HVector2s are
+built only by ``conditioning_basis`` and QlraState's properties, which
+import qlra.algebra and qlra.linear in their bodies: the pipeline never
+loads the object layer.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import HNumber, _hn
 from .context import (_B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, InterferenceProfile, Matrix2,
-                      ProbContext, _ds_context, interference_coefficients, is_doubly_stochastic, validate_context)
+                      ProbContext, _as_matrix, _ds_context, interference_coefficients, is_doubly_stochastic,
+                      validate_context)
 from .errors import RegimeError, StochasticityError
-from .linear import HVector2, _vec, inner_product
 
 __all__ = [
     "QlraState",
@@ -49,6 +50,8 @@ class QlraState(namedtuple(
 
     @property
     def psi(self) -> HVector2:
+        from .algebra import _hn
+        from .linear import _vec
         u1, v1, u2, v2 = self.amplitude
         return _vec(_hn(u1, v1), _hn(u2, v2))
 
@@ -62,16 +65,19 @@ def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
 
     e1 = (sqrt(M[0][0]), sqrt(M[1][0])), e2 = (sqrt(M[0][1]), -sqrt(M[1][1])).
     Orthonormal under the hyperbolic inner product exactly when M is
-    doubly stochastic.
+    doubly stochastic; StochasticityError unless it is, with no negative entry.
     """
-    if not is_doubly_stochastic(M):
+    M = _as_matrix(M)
+    if not is_doubly_stochastic(M) or min(M[0] + M[1]) < 0.0:
         raise StochasticityError(
             "conditioning basis requires a doubly stochastic matrix"
         )
-    return _basis_vectors(tuple(math.sqrt(x) for row in M for x in row))
+    return _basis_vectors(tuple(map(math.sqrt, M[0] + M[1])))
 
 
 def _basis_vectors(roots: tuple[float, float, float, float]) -> tuple[HVector2, HVector2]:
+    from .algebra import _hn
+    from .linear import _vec
     r00, r01, r10, r11 = roots
     # A real number r has null-cone coordinates (r, r).
     e1 = _vec(_hn(r00, r00), _hn(r10, r10))
@@ -243,9 +249,10 @@ def born_violation_demo(p: float) -> ViolationReport:
     if p == 0.5:
         raise ValueError("p=0.5 makes the matrix doubly stochastic; no violation")
     M: Matrix2 = ((p, p), (q, q))
-    e1 = HVector2(HNumber(math.sqrt(p)), HNumber(math.sqrt(q)))
-    e2 = HVector2(HNumber(math.sqrt(p)), HNumber(-(q / p) * math.sqrt(q)))
-    overlap = inner_product(e1, e2)
+    # The float operations of inner_product(e1, e2); the closed form p - q^2/p rounds differently.
+    overlap = math.sqrt(p) * math.sqrt(p) + math.sqrt(q) * (-(q / p) * math.sqrt(q))
+    if not math.isfinite(overlap):
+        raise ValueError(f"basis overlap is not finite at p={p!r}")
     # lam1 = -(q/p)*lam2 holds for every marginal assignment; sweep a few.
     worst = 0.0
     p_a = (0.5, 0.5)
@@ -253,4 +260,4 @@ def born_violation_demo(p: float) -> ViolationReport:
         ctx = ProbContext(p_a=p_a, p_b=(p_b1, 1.0 - p_b1), p_b_given_a=M)
         prof = interference_coefficients(ctx, Direction.B_GIVEN_A)
         worst = max(worst, abs(prof.lam[0] + (q / p) * prof.lam[1]))
-    return ViolationReport(p, q, M, overlap.re, overlap.sq_modulus(), worst)
+    return ViolationReport(p, q, M, overlap, overlap * overlap, worst)

@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import HNumber, _arg, _hn, h_arg
 from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _require_tolerance
 from .engine import (QlraState, _reconstructed, _validate_and_reconstruct, component_gap, conditioning_basis,
                      expansion_consistency, verify_born_rule)
 from .errors import DegenerateStateError
-from .linear import HVector2
 
 __all__ = [
     "analyze",
@@ -43,6 +41,15 @@ class EquivalenceVerdict(namedtuple(
     """
 
     __slots__ = ()
+
+
+def _arg(u: float, v: float) -> float:
+    """algebra.h_arg, arctanh(y/x) = 0.5*ln(u/v), on null-cone coordinates with u*v > 0.
+
+    u/v is positive on both branches of the cone; its logarithm is taken
+    as a difference so that the ratio cannot overflow.
+    """
+    return 0.5 * (math.log(abs(u)) - math.log(abs(v)))
 
 
 def transition_unitary(p_b_given_a: Matrix2) -> tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]]:
@@ -178,6 +185,7 @@ def relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:
     """proof_relation_residual, for the two amplitudes of a validated context."""
     u1, v1, u2, v2 = state_ab.amplitude
     if u1 * v1 <= 0.0 or u2 * v2 <= 0.0:
+        from .algebra import _hn, h_arg
         for u, v in ((u1, v1), (u2, v2)):
             h_arg(_hn(u, v))  # ArgDomainError for the first component off the cone
     return abs(math.cosh(_arg(u2, v2) - _arg(u1, v1)) - math.cosh(state_ba.profile.theta[0]))

@@ -14,13 +14,10 @@ import pytest
 
 from qlra import (
     Direction,
-    HNumber,
     ProbContext,
     Regime,
     born_violation_demo,
     check_consistency,
-    exp_j,
-    inner_product,
     interference_coefficients,
     proof_relation_residual,
     random_hyperbolic_context,
@@ -29,7 +26,9 @@ from qlra import (
     validate_context,
     verify_born_rule,
 )
+from qlra.algebra import HNumber, exp_j
 from qlra.cli import main as cli_main
+from qlra.linear import inner_product
 from test_equivalence import perturbed_a_given_b
 from test_linear import columns_orthonormal
 

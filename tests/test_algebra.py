@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qlra import HNumber, J, ONE, ArgDomainError, ZeroDivisorError, exp_j, h_arg
-from qlra.algebra import h_close
+from qlra import ArgDomainError, ZeroDivisorError
+from qlra.algebra import HNumber, J, ONE, exp_j, h_arg, h_close
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 hnums = st.builds(HNumber, finite, finite)

@@ -5,8 +5,6 @@ from hypothesis import assume, example, given, settings, strategies as st, targe
 
 from qlra import (
     Direction,
-    HNumber,
-    HVector2,
     ProbContext,
     Regime,
     RegimeError,
@@ -14,18 +12,16 @@ from qlra import (
     born_violation_demo,
     conditioning_basis,
     expansion_consistency,
-    exp_j,
-    h_arg,
-    inner_product,
     interference_coefficients,
     random_hyperbolic_context,
     run_qlra,
-    sq_norm,
     validate_context,
     verify_born_rule,
 )
+from qlra.algebra import HNumber, exp_j, h_arg
 from qlra.context import POSITIVITY_MARGIN
 from qlra.engine import _validate_and_reconstruct
+from qlra.linear import HVector2, inner_product, sq_norm
 
 
 def test_run_qlra_ctx1_b_given_a(ctx1):
@@ -112,11 +108,16 @@ def test_conditioning_basis_balanced():
     r = math.sqrt(0.5)
     assert e1.c1.re == pytest.approx(r) and e1.c2.re == pytest.approx(r)
     assert e2.c1.re == pytest.approx(r) and e2.c2.re == pytest.approx(-r)
+    # Entries are read as is_doubly_stochastic reads them, as ProbContext's parse gate does.
+    assert conditioning_basis([[0.5, "0.5"], ["0.5", 0.5]]) == (e1, e2)
 
 
 def test_conditioning_basis_requires_double_stochasticity():
     with pytest.raises(StochasticityError):
         conditioning_basis(((0.7, 0.7), (0.3, 0.3)))
+    # Doubly stochastic within the tolerance, but an entry has no real square root.
+    with pytest.raises(StochasticityError):
+        conditioning_basis(((1 + 5e-10, -5e-10), (-5e-10, 1 + 5e-10)))
 
 
 def test_verify_born_rule_ctx1(ctx1):
@@ -320,3 +321,5 @@ def test_violation_demo_preconditions():
         born_violation_demo(0.5)
     with pytest.raises(ValueError):
         born_violation_demo(1.5)
+    with pytest.raises(ValueError, match="basis overlap is not finite"):
+        born_violation_demo(1e-320)

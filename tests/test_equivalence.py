@@ -7,28 +7,24 @@ from qlra import (
     ArgDomainError,
     DegenerateStateError,
     Direction,
-    HNumber,
-    HVector2,
     ProbContext,
     RegimeError,
     StochasticityError,
     analyze,
     check_consistency,
     check_proposition1,
-    exp_j,
-    inner_product,
     interference_coefficients,
-    mat_apply,
     proof_relation_residual,
     random_hyperbolic_context,
     run_qlra,
-    sq_norm,
     states_equivalent,
     transition_unitary,
     validate_context,
     Regime,
 )
+from qlra.algebra import HNumber, exp_j
 from qlra.equivalence import relation_residual
+from qlra.linear import HVector2, inner_product, mat_apply, sq_norm
 from test_linear import columns_orthonormal
 
 
@@ -69,6 +65,9 @@ def test_transition_unitary_balanced():
 def test_transition_unitary_rejects_non_doubly_stochastic():
     with pytest.raises(StochasticityError):
         transition_unitary(((0.7, 0.7), (0.3, 0.3)))
+    # Doubly stochastic within the tolerance, but an entry has no real square root.
+    with pytest.raises(StochasticityError):
+        transition_unitary(((1 + 5e-10, -5e-10), (-5e-10, 1 + 5e-10)))
 
 
 def test_transition_unitary_random(rng):

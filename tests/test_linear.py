@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qlra import HNumber, HVector2, exp_j, inner_product, mat_apply, sq_norm
-from qlra.algebra import h_close
+from qlra.algebra import HNumber, exp_j, h_close
+from qlra.linear import HVector2, inner_product, mat_apply, sq_norm
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 hnums = st.builds(HNumber, coord, coord)

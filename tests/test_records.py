@@ -2,7 +2,7 @@
 
 HNumber and HVector2 are slots classes; the other records are named
 tuples.  None of them may need ``dataclasses`` at import, and importing
-``qlra.cli`` loads no ``random`` either.
+``qlra.cli`` loads no ``random`` either, nor the object layer that defines them.
 """
 
 import copy
@@ -19,14 +19,14 @@ from qlra import (
     BornReport,
     Direction,
     EquivalenceVerdict,
-    HNumber,
-    HVector2,
     InterferenceProfile,
     ProbContext,
     QlraState,
     Regime,
     ViolationReport,
 )
+from qlra.algebra import HNumber
+from qlra.linear import HVector2
 
 M = ((0.9, 0.1), (0.1, 0.9))
 PSI = HVector2(HNumber(1.2, 0.3), HNumber(-0.4, 0.5))
@@ -174,4 +174,4 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # -S: no site, which on some installs loads random itself and hides qlra's import.
     added = _imported_modules(", qlra.cli") - _imported_modules("")
     assert "qlra.cli" in added
-    assert not {"dataclasses", "inspect", "random"} & added
+    assert not {"dataclasses", "inspect", "random", "qlra.algebra", "qlra.linear"} & added
