@@ -6,7 +6,9 @@ null-cone coordinates u = x + y, v = x - y (the idempotent basis
 conjugation swaps u and v, and |z|^2 = u*v is one product, with no
 cancelling x^2 - y^2.  The algebra is commutative but has zero divisors
 on the null cone u*v = 0, so inversion and the argument are partial
-operations.
+operations.  This is the object layer over the float core: h_arg is the
+core's float argument equivalence._arg, which holds the domain check,
+and the core never imports this module.
 """
 
 from __future__ import annotations
@@ -14,15 +16,12 @@ from __future__ import annotations
 import math
 
 from .equivalence import _arg
-from .errors import ArgDomainError, ZeroDivisorError
+from .errors import ZeroDivisorError
 
 __all__ = [
     "HNumber",
-    "ONE",
-    "J",
     "exp_j",
     "h_arg",
-    "h_close",
 ]
 
 _isfinite = math.isfinite
@@ -149,10 +148,6 @@ def _coerce(x):
     return NotImplemented
 
 
-ONE = HNumber(1.0)
-J = HNumber(0.0, 1.0)
-
-
 def exp_j(theta: float) -> HNumber:
     """Hyperbolic exponential e^{j*theta} = cosh(theta) + j*sinh(theta) = (e^theta, e^-theta).
 
@@ -165,17 +160,8 @@ def exp_j(theta: float) -> HNumber:
 def h_arg(z: HNumber) -> float:
     """Argument of z on the positive cone: arctanh(y/x) = 0.5*ln(u/v).
 
-    Defined for u*v > 0, on both branches x > 0 and x < 0; satisfies
+    Defined for u*v > 0, on both branches x > 0 and x < 0, and
+    ArgDomainError elsewhere; satisfies
     z = sign(x) * sqrt(|z|^2) * exp_j(h_arg(z)).
     """
-    u, v = z.u, z.v
-    if u * v <= 0.0:
-        raise ArgDomainError(f"argument undefined for {z}: x^2 - y^2 <= 0")
-    return _arg(u, v)
-
-
-def h_close(a: HNumber, b: HNumber, rel: float = 1e-9, abs_: float = 1e-12) -> bool:
-    """Componentwise closeness with relative tolerance and absolute floor."""
-    return math.isclose(a.re, b.re, rel_tol=rel, abs_tol=abs_) and math.isclose(
-        a.hy, b.hy, rel_tol=rel, abs_tol=abs_
-    )
+    return _arg(z.u, z.v)

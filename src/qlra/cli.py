@@ -263,8 +263,8 @@ def cmd_sweep(args, out) -> int:
 
 
 def cmd_demo_violation(args, out) -> int:
-    # A tiny p can fail in the demo (a degenerate denominator) or overflow a
-    # reported value (basis_overlap_sq); either way that p is unusable input.
+    # A tiny p fails in the demo (a degenerate denominator, or an overflowing
+    # basis_overlap_sq); either way that p is unusable input.
     try:
         rep = born_violation_demo(args.p)
         report = {

@@ -251,8 +251,9 @@ def born_violation_demo(p: float) -> ViolationReport:
     M: Matrix2 = ((p, p), (q, q))
     # The float operations of inner_product(e1, e2); the closed form p - q^2/p rounds differently.
     overlap = math.sqrt(p) * math.sqrt(p) + math.sqrt(q) * (-(q / p) * math.sqrt(q))
-    if not math.isfinite(overlap):
-        raise ValueError(f"basis overlap is not finite at p={p!r}")
+    overlap_sq = overlap * overlap  # not finite whenever the overlap is not
+    if not math.isfinite(overlap_sq):
+        raise ValueError(f"squared basis overlap is not finite at p={p!r}")
     # lam1 = -(q/p)*lam2 holds for every marginal assignment; sweep a few.
     worst = 0.0
     p_a = (0.5, 0.5)
@@ -260,4 +261,4 @@ def born_violation_demo(p: float) -> ViolationReport:
         ctx = ProbContext(p_a=p_a, p_b=(p_b1, 1.0 - p_b1), p_b_given_a=M)
         prof = interference_coefficients(ctx, Direction.B_GIVEN_A)
         worst = max(worst, abs(prof.lam[0] + (q / p) * prof.lam[1]))
-    return ViolationReport(p, q, M, overlap, overlap * overlap, worst)
+    return ViolationReport(p, q, M, overlap, overlap_sq, worst)

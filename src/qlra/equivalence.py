@@ -14,7 +14,7 @@ from collections import namedtuple
 from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _require_tolerance
 from .engine import (QlraState, _reconstructed, _validate_and_reconstruct, component_gap, conditioning_basis,
                      expansion_consistency, verify_born_rule)
-from .errors import DegenerateStateError
+from .errors import ArgDomainError, DegenerateStateError
 
 __all__ = [
     "analyze",
@@ -44,11 +44,14 @@ class EquivalenceVerdict(namedtuple(
 
 
 def _arg(u: float, v: float) -> float:
-    """algebra.h_arg, arctanh(y/x) = 0.5*ln(u/v), on null-cone coordinates with u*v > 0.
+    """The argument arctanh(y/x) = 0.5*ln(u/v) of null-cone coordinates (u, v); algebra.h_arg on floats.
 
-    u/v is positive on both branches of the cone; its logarithm is taken
-    as a difference so that the ratio cannot overflow.
+    Defined for u*v > 0, on both branches of the cone, and ArgDomainError
+    elsewhere.  u/v is then positive; its logarithm is taken as a
+    difference so that the ratio cannot overflow.
     """
+    if u * v <= 0.0:
+        raise ArgDomainError(f"argument undefined for null-cone coordinates ({u!r}, {v!r}): x^2 - y^2 <= 0")
     return 0.5 * (math.log(abs(u)) - math.log(abs(v)))
 
 
@@ -184,8 +187,5 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
 def relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:
     """proof_relation_residual, for the two amplitudes of a validated context."""
     u1, v1, u2, v2 = state_ab.amplitude
-    if u1 * v1 <= 0.0 or u2 * v2 <= 0.0:
-        from .algebra import _hn, h_arg
-        for u, v in ((u1, v1), (u2, v2)):
-            h_arg(_hn(u, v))  # ArgDomainError for the first component off the cone
-    return abs(math.cosh(_arg(u2, v2) - _arg(u1, v1)) - math.cosh(state_ba.profile.theta[0]))
+    gamma_1 = _arg(u1, v1)  # first, so that ArgDomainError names the first component off the cone
+    return abs(math.cosh(_arg(u2, v2) - gamma_1) - math.cosh(state_ba.profile.theta[0]))

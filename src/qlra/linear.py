@@ -3,7 +3,9 @@
 Vectors with split-complex entries, the indefinite conjugate-symmetric
 inner product (linear in the first argument), and the action of a 2x2
 matrix, given as a row-major tuple of entries, on a vector.  Dimension
-is fixed at 2: the dichotomous setting needs nothing larger.
+is fixed at 2: the dichotomous setting needs nothing larger.  The squared
+norm of v is inner_product(v, v).re.  Like qlra.algebra, this module is
+object layer, which the float core never imports.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from .algebra import HNumber, _hn, _read_only
 __all__ = [
     "HVector2",
     "inner_product",
-    "sq_norm",
     "mat_apply",
 ]
 
@@ -49,9 +50,6 @@ class HVector2:
     def __add__(self, other: "HVector2") -> "HVector2":
         return _vec(self.c1 + other.c1, self.c2 + other.c2)
 
-    def __sub__(self, other: "HVector2") -> "HVector2":
-        return _vec(self.c1 - other.c1, self.c2 - other.c2)
-
     def scale(self, c) -> "HVector2":
         c = _as_h(c)
         return _vec(c * self.c1, c * self.c2)
@@ -81,11 +79,6 @@ def inner_product(u: HVector2, v: HVector2) -> HNumber:
     # conj swaps the null-cone coordinates; products are componentwise.
     a1, a2, b1, b2 = u.c1, u.c2, v.c1, v.c2
     return _hn(a1.u * b1.v + a2.u * b2.v, a1.v * b1.u + a2.v * b2.u)
-
-
-def sq_norm(v: HVector2) -> float:
-    """<v, v>, which is always real; may be negative or zero."""
-    return inner_product(v, v).re
 
 
 def mat_apply(M: tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]], v: HVector2) -> HVector2:

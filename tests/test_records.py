@@ -156,18 +156,24 @@ def test_prob_context_parses_every_construction(ctx1):
         ProbContext._make(((0.5, 0.5), (0.9, 0.1), M, ((0.9, float("nan")), (0.1, 0.9))))
 
 
-def _imported_modules(code: str) -> set[str]:
+def _run_child(code: str) -> tuple[list[str], set[str]]:
+    """Run ``import sys{code}`` in a -S child; return the lines it printed and the modules it ended with."""
     # The child imports the qlra under test, wherever pytest found it.
     src = str(Path(qlra.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", f"import sys{code}; print(' '.join(sorted(sys.modules)))"],
+        [sys.executable, "-S", "-c", f"import sys{code}\nprint(' '.join(sorted(sys.modules)))"],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    return set(proc.stdout.split())
+    *printed, modules = proc.stdout.splitlines()
+    return printed, set(modules.split())
+
+
+def _imported_modules(code: str) -> set[str]:
+    return _run_child(code)[1]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -175,3 +181,21 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     added = _imported_modules(", qlra.cli") - _imported_modules("")
     assert "qlra.cli" in added
     assert not {"dataclasses", "inspect", "random", "qlra.algebra", "qlra.linear"} & added
+
+
+def test_relation_residual_domain_error_loads_no_object_layer():
+    # Component 1 of the a|b amplitude, (u, v) = (1.0, -1.0), lies off the cone; component 2 does not.
+    printed, modules = _run_child("""
+from qlra import ArgDomainError, Direction, InterferenceProfile, QlraState, Regime
+from qlra.equivalence import relation_residual
+profile = InterferenceProfile((4 / 3, -4 / 3), (1, -1), (0.79, 0.79), Regime.HYPERBOLIC)
+roots = (0.9, 0.1, 0.1, 0.9)
+state_ab = QlraState((1.0, -1.0, 1.0, 1.0), Direction.A_GIVEN_B, profile, roots, (0.9, 0.1))
+state_ba = QlraState((1.0, 1.0, 1.0, 1.0), Direction.B_GIVEN_A, profile, roots, (0.5, 0.5))
+try:
+    relation_residual(state_ab, state_ba)
+except ArgDomainError as exc:
+    print(exc)""")
+    assert printed == ["argument undefined for null-cone coordinates (1.0, -1.0): x^2 - y^2 <= 0"]
+    assert "qlra.equivalence" in modules
+    assert not {"qlra.algebra", "qlra.linear"} & modules
