@@ -6,53 +6,21 @@ checks that the two conditioning orders yield unitarily equivalent
 states.  The pipeline computes on floats; the split-complex object layer
 (``qlra.algebra``, ``qlra.linear``) is imported on its own, and loaded by
 qlra only where an object is handed out.
+
+Each module's ``__all__`` is its list of public names; the package root
+re-exports those lists.
 """
 
 __version__ = "0.1.0"
 
-from .context import (TOLERANCE, Direction, InterferenceProfile, ProbContext, Regime, check_proposition1,
-                      generate_hyperbolic_context, interference_coefficients, is_doubly_stochastic,
-                      lambda_feasible_range, random_hyperbolic_context, validate_context)
-from .engine import (BornReport, QlraState, ViolationReport, born_violation_demo, conditioning_basis,
-                     expansion_consistency, run_qlra, verify_born_rule)
-from .equivalence import (EquivalenceVerdict, analyze, check_consistency, proof_relation_residual,
-                          states_equivalent, transition_unitary)
-from .errors import (ArgDomainError, DegenerateStateError, InfeasibleContextError, QlraError, RegimeError,
-                     StochasticityError, ZeroDivisorError)
+from . import context, engine, equivalence, errors
+from .context import *
+from .engine import *
+from .equivalence import *
+from .errors import *
 
-__all__ = [
-    "__version__",
-    "Direction",
-    "Regime",
-    "InterferenceProfile",
-    "ProbContext",
-    "TOLERANCE",
-    "is_doubly_stochastic",
-    "validate_context",
-    "interference_coefficients",
-    "check_proposition1",
-    "generate_hyperbolic_context",
-    "lambda_feasible_range",
-    "random_hyperbolic_context",
-    "QlraState",
-    "BornReport",
-    "ViolationReport",
-    "run_qlra",
-    "conditioning_basis",
-    "verify_born_rule",
-    "expansion_consistency",
-    "born_violation_demo",
-    "EquivalenceVerdict",
-    "analyze",
-    "transition_unitary",
-    "states_equivalent",
-    "check_consistency",
-    "proof_relation_residual",
-    "QlraError",
-    "ZeroDivisorError",
-    "ArgDomainError",
-    "StochasticityError",
-    "RegimeError",
-    "InfeasibleContextError",
-    "DegenerateStateError",
-]
+__all__ = ["__version__"]
+__all__ += context.__all__
+__all__ += engine.__all__
+__all__ += equivalence.__all__
+__all__ += errors.__all__

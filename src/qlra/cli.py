@@ -6,7 +6,8 @@ map), ``demo-violation`` (the non-doubly-stochastic counterexample).
 
 Reports are serialized deterministically: fixed field order and floats
 rendered with 12 significant digits, so identical inputs produce
-byte-identical output.
+byte-identical output.  ``generate`` writes each context as one line of
+``json.dumps``, whose floats read back exactly.
 """
 
 from __future__ import annotations
@@ -203,25 +204,28 @@ def cmd_generate(args, out) -> int:
         if args.p is not None or args.p_a1 is not None or args.lambda1 is not None:
             print("error: --random excludes --p/--p-a1/--lambda", file=sys.stderr)
             return EXIT_INVALID_INPUT
-        if args.count < 1:
-            print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+        count = 1 if args.count is None else args.count
+        if count < 1:
+            print(f"error: --count must be at least 1, got {count}", file=sys.stderr)
             return EXIT_INVALID_INPUT
         import random  # here, not at the top: no other command needs it
 
-        rng = random.Random(args.seed)
-        for _ in range(args.count):
-            ctx = random_hyperbolic_context(rng)
-            print(dumps(ctx.to_dict()) if args.count == 1 else json.dumps(ctx.to_dict()), file=out)
-        return EXIT_OK
-    if args.p is None or args.p_a1 is None or args.lambda1 is None:
+        rng = random.Random(0 if args.seed is None else args.seed)
+        contexts = (random_hyperbolic_context(rng) for _ in range(count))
+    elif args.count is not None or args.seed is not None:
+        print("error: --count and --seed need --random", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    elif args.p is None or args.p_a1 is None or args.lambda1 is None:
         print("error: provide --p, --p-a1 and --lambda (or --random)", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    try:
-        ctx = generate_hyperbolic_context(args.p, args.p_a1, args.lambda1)
-    except (ValueError, RegimeError, InfeasibleContextError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    print(dumps(ctx.to_dict()), file=out)
+    else:
+        try:
+            contexts = [generate_hyperbolic_context(args.p, args.p_a1, args.lambda1)]
+        except (ValueError, RegimeError, InfeasibleContextError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
+    for ctx in contexts:
+        print(json.dumps(ctx.to_dict()), file=out)
     return EXIT_OK
 
 
@@ -332,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p-a1", dest="p_a1", type=float, default=None)
     p_gen.add_argument("--lambda", dest="lambda1", type=float, default=None)
     p_gen.add_argument("--random", action="store_true")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--count", type=int, default=1)
+    p_gen.add_argument("--seed", type=int, default=None, help="with --random; default 0")
+    p_gen.add_argument("--count", type=int, default=None, help="with --random; default 1")
     p_gen.set_defaults(func=cmd_generate)
 
     p_sw = sub.add_parser("sweep", help="CSV feasibility map over (p, p_a1)")

@@ -1,5 +1,15 @@
 """Exception hierarchy shared by all qlra modules."""
 
+__all__ = [
+    "QlraError",
+    "ZeroDivisorError",
+    "ArgDomainError",
+    "StochasticityError",
+    "RegimeError",
+    "InfeasibleContextError",
+    "DegenerateStateError",
+]
+
 
 class QlraError(Exception):
     """Base class for errors raised by this package."""

@@ -19,7 +19,7 @@ import qlra.engine
 import qlra.equivalence
 import qlra.linear
 from qlra.cli import main
-from qlra.context import random_hyperbolic_context
+from qlra.context import ProbContext, _ds_context, generate_hyperbolic_context, random_hyperbolic_context
 
 
 def run_cli(argv, stdin_text=None):
@@ -441,6 +441,32 @@ def test_generate_ctx1_roundtrip():
     assert code2 == 0
 
 
+def _random_contexts(seed, count):
+    rng = random.Random(seed)
+    return [random_hyperbolic_context(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "argv, made",
+    [
+        (
+            ["--p", "0.9", "--p-a1", "0.5", "--lambda", "1.3333333333"],
+            lambda: [generate_hyperbolic_context(0.9, 0.5, 1.3333333333)],
+        ),
+        (["--random", "--seed", "3"], lambda: _random_contexts(3, 1)),
+        (["--random", "--seed", "3", "--count", "2"], lambda: _random_contexts(3, 2)),
+    ],
+    ids=["fixed", "random", "random_count_2"],
+)
+def test_generate_writes_exact_contexts(argv, made):
+    # One JSON object per line, every float as json.dumps writes it: read back, each context is the one made.
+    code, text = run_cli(["generate", *argv])
+    assert code == 0
+    written = [ProbContext.from_dict(json.loads(line)) for line in text.splitlines()]
+    assert written == made()
+    assert all(_ds_context(ctx) == ctx for ctx in written)
+
+
 def test_generate_infeasible(capsys):
     code, _ = run_cli(["generate", "--p", "0.5", "--p-a1", "0.5", "--lambda", "1.5"])
     assert code == 1
@@ -518,10 +544,19 @@ def test_sweep_skips_points_outside_unit_interval():
     assert [row.split(",")[0] for row in text.splitlines()[1:]] == ["0.25", "0.5"]
 
 
+# The console-script goldens of the commands that do not analyze: arguments and golden file.
+WRITTEN_GOLDENS = [
+    ("demo-violation --p 0.7", "demo_violation_report.json"),
+    ("generate --p 0.9 --p-a1 0.5 --lambda 1.3333333333", "generate_ctx1.jsonl"),
+    ("sweep --p-grid 0.1:0.9:0.4 --pa-grid 0.5:0.5:0.1", "sweep_small.csv"),
+]
+
+
 def test_demo_violation(capsys):
-    want = (Path(__file__).parent / "demo_violation_report.json").read_text()
+    for args, golden in WRITTEN_GOLDENS:
+        want = (Path(__file__).parent / golden).read_text()
+        assert run_cli(args.split()) == (0, want), args
     code, text = run_cli(["demo-violation", "--p", "0.7"])
-    assert (code, text) == (0, want)
     report = json.loads(text)
     assert report["basis_overlap"] == pytest.approx(0.571429, abs=1e-6)
     # p = 0.5 is doubly stochastic; at the tiny p, basis_overlap_sq overflows,
@@ -562,6 +597,9 @@ def test_argument_errors_exit_1(ctx1_file, capsys):
     assert assert_one_error_line(capsys).startswith("error: --random excludes ")
     assert run_cli(["generate"])[0] == 1
     assert assert_one_error_line(capsys).startswith("error: provide --p, --p-a1 and --lambda ")
+    for extra in (["--count", "0"], ["--seed", "3"]):
+        assert run_cli(["generate", "--p", "0.9", "--p-a1", "0.5", "--lambda", "1.3333333333", *extra])[0] == 1
+        assert assert_one_error_line(capsys) == "error: --count and --seed need --random\n"
 
 
 def test_tolerance_governs_every_check(tmp_path):

@@ -199,3 +199,14 @@ except ArgDomainError as exc:
     assert printed == ["argument undefined for null-cone coordinates (1.0, -1.0): x^2 - y^2 <= 0"]
     assert "qlra.equivalence" in modules
     assert not {"qlra.algebra", "qlra.linear"} & modules
+
+
+def test_package_root_reexports_each_module_all():
+    modules = (qlra.context, qlra.engine, qlra.equivalence, qlra.errors)
+    assert qlra.__all__ == ["__version__"] + [name for module in modules for name in module.__all__]
+    assert len(set(qlra.__all__)) == len(qlra.__all__)
+    assert all(hasattr(qlra, name) for name in qlra.__all__)
+    namespace = {}
+    exec("from qlra import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(qlra.__all__)
