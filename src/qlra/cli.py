@@ -246,23 +246,24 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args, out) -> int:
+    # A bad grid exits before the header; a point whose band underflows, after the rows before it.
     try:
         p_grid = _parse_grid(args.p_grid)
         pa_grid = _parse_grid(args.pa_grid)
+        print("p,p_a1,band_low,band_high,hyperbolic_feasible", file=out)
+        for p in p_grid:
+            for p_a1 in pa_grid:
+                # Raw band before the |lambda| > 1 cut.
+                _, _, lo, hi = _band(p, p_a1)
+                feasible = bool(lambda_feasible_range(p, p_a1))
+                print(
+                    f"{_fmt_float(p)},{_fmt_float(p_a1)},{_fmt_float(lo)},"
+                    f"{_fmt_float(hi)},{'true' if feasible else 'false'}",
+                    file=out,
+                )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    print("p,p_a1,band_low,band_high,hyperbolic_feasible", file=out)
-    for p in p_grid:
-        for p_a1 in pa_grid:
-            # Raw band before the |lambda| > 1 cut.
-            _, _, lo, hi = _band(p, p_a1)
-            feasible = bool(lambda_feasible_range(p, p_a1))
-            print(
-                f"{_fmt_float(p)},{_fmt_float(p_a1)},{_fmt_float(lo)},"
-                f"{_fmt_float(hi)},{'true' if feasible else 'false'}",
-                file=out,
-            )
     return EXIT_OK
 
 

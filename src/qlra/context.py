@@ -216,6 +216,19 @@ def _ds_context(ctx: ProbContext) -> ProbContext:
     return tuple.__new__(ProbContext, fields)  # floats already: no parse gate
 
 
+def _oriented(ctx: ProbContext, direction: Direction) -> tuple:
+    """(conditioning marginals, conditioned marginals, transition matrix) of ctx in one conditioning order.
+
+    The one place that maps a direction to its inputs: b|a conditions on a through P_b_given_a, a|b on b
+    through P_a_given_b, whose default is the transpose of P_b_given_a.  ValueError unless direction is a Direction.
+    """
+    if direction is _B_GIVEN_A:
+        return ctx.p_a, ctx.p_b, ctx.p_b_given_a
+    if direction is _A_GIVEN_B:
+        return ctx.p_b, ctx.p_a, ctx.p_a_given_b or _transpose(ctx.p_b_given_a)
+    raise ValueError(f"direction must be a Direction, got {direction!r}")
+
+
 def interference_coefficients(ctx: ProbContext, direction: Direction) -> InterferenceProfile:
     """Coefficients of interference for one conditioning order.
 
@@ -225,13 +238,7 @@ def interference_coefficients(ctx: ProbContext, direction: Direction) -> Interfe
     Raises ValueError unless direction is a Direction, and RegimeError
     when a product under the square root is not strictly positive.
     """
-    if direction is _B_GIVEN_A:
-        (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = ctx.p_a, ctx.p_b, ctx.p_b_given_a
-    elif direction is _A_GIVEN_B:
-        M = ctx.p_a_given_b or _transpose(ctx.p_b_given_a)  # a defaulted a|b matrix is M's transpose
-        (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = ctx.p_b, ctx.p_a, M
-    else:
-        raise ValueError(f"direction must be a Direction, got {direction!r}")
+    (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = _oriented(ctx, direction)
     prod0, prod1 = (c0 * m00) * (c1 * m01), (c0 * m10) * (c1 * m11)
     if prod0 <= 0.0 or prod1 <= 0.0:
         raise RegimeError(f"degenerate denominator for outcome {0 if prod0 <= 0.0 else 1}: "
@@ -257,12 +264,7 @@ def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-1
     ValueError unless tol is positive and finite and direction a Direction.
     """
     _require_tolerance(tol)
-    if direction is _B_GIVEN_A:
-        (c0, c1), M = ctx.p_a, ctx.p_b_given_a
-    elif direction is _A_GIVEN_B:
-        (c0, c1), M = ctx.p_b, ctx.p_a_given_b or _transpose(ctx.p_b_given_a)
-    else:
-        raise ValueError(f"direction must be a Direction, got {direction!r}")
+    (c0, c1), _, M = _oriented(ctx, direction)
     if not is_doubly_stochastic(M, tol=max(tol, TOLERANCE)):
         raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")
     profile = interference_coefficients(ctx, direction)
@@ -272,9 +274,13 @@ def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-1
 
 
 def _band(p: float, p_a1: float) -> tuple[float, float, float, float]:
-    """(S, R, band_low, band_high): feasible raw range of lam1."""
+    """(S, R, band_low, band_high): feasible raw range of lam1; ValueError unless p, p_a1 in (0,1) and R > 0."""
+    if not (0.0 < p < 1.0 and 0.0 < p_a1 < 1.0):
+        raise ValueError("p and p_a1 must lie in (0,1)")
     S = p_a1 * p + (1.0 - p_a1) * (1.0 - p)
     R = math.sqrt(p_a1 * p * (1.0 - p_a1) * (1.0 - p))
+    if R == 0.0:
+        raise ValueError(f"p={p!r} and p_a1={p_a1!r} give no band: p*p_a1*(1-p)*(1-p_a1) underflows to 0")
     return S, R, (0.0 - S) / (2.0 * R), (1.0 - S) / (2.0 * R)
 
 
@@ -285,8 +291,6 @@ def lambda_feasible_range(p: float, p_a1: float) -> tuple[tuple[float, float], .
     symmetric matrix [[p, 1-p], [1-p, p]]; returns zero, one, or two
     open (low, high) intervals, negative side first.
     """
-    if not (0.0 < p < 1.0 and 0.0 < p_a1 < 1.0):
-        raise ValueError("p and p_a1 must lie in (0,1)")
     _, _, lo, hi = _band(p, p_a1)
     out = []
     if lo < -1.0:
@@ -305,11 +309,9 @@ def generate_hyperbolic_context(p: float, p_a1: float, lambda1: float) -> ProbCo
     validate_context rejects (say, p within POSITIVITY_MARGIN of 0)
     raises InfeasibleContextError naming the violations.
     """
-    if not (0.0 < p < 1.0 and 0.0 < p_a1 < 1.0):
-        raise ValueError("p and p_a1 must lie in (0,1)")
+    S, R, _, _ = _band(p, p_a1)
     if abs(lambda1) <= 1.0:
         raise RegimeError(f"|lambda1|={abs(lambda1)!r} <= 1: not hyperbolic")
-    S, R, _, _ = _band(p, p_a1)
     p_b1 = S + 2.0 * lambda1 * R
     if not (POSITIVITY_MARGIN < p_b1 < 1.0 - POSITIVITY_MARGIN):
         intervals = lambda_feasible_range(p, p_a1)

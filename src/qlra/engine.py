@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .context import (_B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, InterferenceProfile, Matrix2,
-                      ProbContext, _as_matrix, _ds_context, interference_coefficients, is_doubly_stochastic,
-                      validate_context)
+from .context import (_HYPERBOLIC, TOLERANCE, Direction, InterferenceProfile, Matrix2, ProbContext, _as_matrix,
+                      _ds_context, _oriented, interference_coefficients, is_doubly_stochastic, validate_context)
 from .errors import RegimeError, StochasticityError
 
 __all__ = [
@@ -149,10 +148,7 @@ def reconstruct(
     """run_qlra's step on a validated ctx's four numbers (context._ds_context), given the direction's
     hyperbolic interference profile and a sign_choice of +-1.  It checks nothing: the core has.
     """
-    if direction is _B_GIVEN_A:
-        m, ((m00, m01), (m10, m11)) = ctx.p_a, ctx.p_b_given_a
-    else:
-        m, ((m00, m01), (m10, m11)) = ctx.p_b, ctx.p_a_given_b
+    m, _, ((m00, m01), (m10, m11)) = _oriented(ctx, direction)
     m0, m1 = m
     s = profile.epsilon[0]
     t = sign_choice * profile.theta[0]
@@ -179,11 +175,8 @@ class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_re
 
 
 def verify_born_rule(state: QlraState, ctx: ProbContext) -> BornReport:
-    """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs."""
-    if state.direction is _B_GIVEN_A:
-        (c0, c1), (o0, o1) = ctx.p_a, ctx.p_b
-    else:
-        (c0, c1), (o0, o1) = ctx.p_b, ctx.p_a
+    """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs; ValueError for a bad direction."""
+    (c0, c1), (o0, o1), _ = _oriented(ctx, state.direction)
     u1, v1, u2, v2 = state.amplitude
     r00, r01, r10, r11 = state.basis_roots
     # For the real e_k, conj(e_k) = e_k: <psi, e_k> = psi_1*e_k1 + psi_2*e_k2.

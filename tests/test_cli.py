@@ -119,6 +119,12 @@ def test_analyze_malformed_json_exit_1(tmp_path, capsys):
         code, _ = run_cli(["analyze", str(path)])
         assert code == 1
         assert_one_error_line(capsys)
+    # Only an absent P_a_given_b defaults to the transpose; an explicit null is a bad field.
+    path.write_text(json.dumps(dict(CTX1, P_a_given_b=None)))
+    assert run_cli(["analyze", str(path)]) == (1, "")
+    assert assert_one_error_line(capsys) == (
+        "error: bad context: field 'P_a_given_b' must be a 2x2 array of finite numbers, got None\n"
+    )
 
 
 def test_analyze_unreadable_input_exit_1(tmp_path, capsys):
@@ -368,7 +374,10 @@ def test_analyze_python_calls(ctx1_file):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert len(calls) == 62, sorted(calls)
+    assert len(calls) == 68, sorted(calls)
+    # context._oriented decides each direction's inputs: once per direction in each of the coefficients,
+    # the reconstruction and the Born check.
+    assert calls.count("_oriented") == 6
     # Only the public Born and expansion checks test finiteness; the core's bound makes it certain.
     assert calls.count("_require_finite") == 4
     assert not {"_fmt_float", "marginals", "matrix", "a_given_b"} & set(calls)
@@ -470,8 +479,9 @@ def test_generate_writes_exact_contexts(argv, made):
 def test_generate_infeasible(capsys):
     code, _ = run_cli(["generate", "--p", "0.5", "--p-a1", "0.5", "--lambda", "1.5"])
     assert code == 1
-    # p_b1 is feasible, but a matrix entry or an a-marginal is within the positivity margin.
-    for p, p_a1 in (("1e-13", "0.5"), ("0.5", "1e-13")):
+    # p_b1 is feasible, but a matrix entry or an a-marginal is within the positivity margin; at 1e-200
+    # the band's width p*p_a1*(1-p)*(1-p_a1) underflows to 0.
+    for p, p_a1 in (("1e-13", "0.5"), ("0.5", "1e-13"), ("1e-200", "1e-200")):
         capsys.readouterr()
         assert run_cli(["generate", "--p", p, "--p-a1", p_a1, "--lambda", "1.5"]) == (1, "")
         assert_one_error_line(capsys)
@@ -497,7 +507,7 @@ def test_analyze_determinism(ctx1_file):
     assert run_cli(["analyze", ctx1_file]) == run_cli(["analyze", ctx1_file])
 
 
-def test_sweep_single_cells():
+def test_sweep_single_cells(capsys):
     code, text = run_cli(["sweep", "--p-grid", "0.9:0.9:0.1", "--pa-grid", "0.5:0.5:0.1"])
     assert code == 0
     header, row = text.strip().splitlines()
@@ -510,6 +520,11 @@ def test_sweep_single_cells():
     code, text = run_cli(["sweep", "--p-grid", "0.5:0.5:0.1", "--pa-grid", "0.5:0.5:0.1"])
     row = text.strip().splitlines()[1]
     assert row.endswith("false")
+
+    # The band width p*p_a1*(1-p)*(1-p_a1) of this cell underflows to 0; the header is already written.
+    code, text = run_cli(["sweep", "--p-grid", "1e-200:1e-200:1", "--pa-grid", "1e-200:1e-200:1"])
+    assert code == 1 and text == "p,p_a1,band_low,band_high,hyperbolic_feasible\n"
+    assert assert_one_error_line(capsys).startswith("error: p=1e-200 and p_a1=1e-200 give no band")
 
 
 def test_sweep_grid_shape():

@@ -30,6 +30,9 @@ def test_marginal_sum_violation():
         p_a=(0.7, 0.2), p_b=(0.9, 0.1), p_b_given_a=((0.9, 0.1), (0.1, 0.9))
     )
     assert any("p_a" in v and "sum" in v for v in validate_context(ctx))
+    # Each p_b entry is checked for strict positivity on its own.
+    outside = ["p_b[0]=0.0 outside (0,1)", "p_b[1]=1.0 outside (0,1)"]
+    assert validate_context(ctx._replace(p_a=(0.5, 0.5), p_b=(0.0, 1.0))) == outside
 
 
 def test_not_doubly_stochastic_reported():
@@ -62,6 +65,8 @@ def test_is_doubly_stochastic():
     for p in (0.05, 0.3, 0.5, 0.99):
         assert is_doubly_stochastic(((p, 1 - p), (1 - p, p)))
     assert not is_doubly_stochastic(((0.7, 0.7), (0.3, 0.3)))
+    # Every line sums to 1, but an entry is negative.
+    assert not is_doubly_stochastic(((1.5, -0.5), (-0.5, 1.5)))
 
 
 def test_default_a_given_b_is_transpose():
@@ -208,6 +213,14 @@ def test_generate_infeasible():
         generate_hyperbolic_context(0.9, 0.5, 0.5)
     with pytest.raises(ValueError):
         generate_hyperbolic_context(1.2, 0.5, 1.5)
+    # The range error comes before the regime error.
+    with pytest.raises(ValueError, match=r"p and p_a1 must lie in \(0,1\)"):
+        generate_hyperbolic_context(1.2, 0.5, 0.5)
+    # The band's width p*p_a1*(1-p)*(1-p_a1) underflows to 0: no band, and no division by it.
+    with pytest.raises(ValueError, match="p=1e-200 and p_a1=1e-200 give no band"):
+        generate_hyperbolic_context(1e-200, 1e-200, 2.0)
+    with pytest.raises(ValueError, match="p=1e-200 and p_a1=1e-200 give no band"):
+        lambda_feasible_range(1e-200, 1e-200)
     with pytest.raises(InfeasibleContextError, match="no feasible context found in 0 tries"):
         random_hyperbolic_context(random.Random(0), max_tries=0)
 
@@ -327,6 +340,11 @@ def test_from_dict_errors():
                     "P_a_given_b": [[0.9, 0.1], [bad, 0.9]],
                 }
             )
+    # Only an absent P_a_given_b defaults; an explicit null is rejected.
+    with pytest.raises(ValueError, match=r"field 'P_a_given_b' must be a 2x2 array of finite numbers, got None"):
+        ProbContext.from_dict(
+            {"p_a": [0.5, 0.5], "p_b": [0.9, 0.1], "P_b_given_a": [[0.9, 0.1], [0.1, 0.9]], "P_a_given_b": None}
+        )
 
 
 def test_dict_roundtrip(ctx1):

@@ -145,6 +145,9 @@ def test_verify_born_rule_detects_corruption(ctx1):
     u1, v1, u2, v2 = state.amplitude
     with pytest.raises(ValueError, match=r"non-finite null-cone coordinates: inf, "):
         verify_born_rule(bad._replace(amplitude=(math.inf, v1, u2, v2)), ctx1)
+    # A direction that is not a Direction raises here too, as it does in run_qlra.
+    with pytest.raises(ValueError, match="direction must be a Direction"):
+        verify_born_rule(state._replace(direction="b_given_a"), ctx1)
 
 
 def test_born_rule_random_contexts(rng):
