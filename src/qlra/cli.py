@@ -18,7 +18,6 @@ import math
 import operator
 import sys
 from functools import partial
-from itertools import starmap
 
 from . import __version__
 from .context import (TOLERANCE, Direction, ProbContext, _band, _require_tolerance,
@@ -62,101 +61,98 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-# The writer below knows the `analyze` report's shape and formats each section's floats with one %-template;
-# dumps of the parsed report must give back its bytes, and the tests hold it to that.
+# The writer below knows the `analyze` report's shape: it joins the constant templates of the parts a report
+# has and fills them with one %; dumps of the parsed report must give back its bytes, and the tests hold it to that.
 _str = json.encoder.encode_basestring_ascii
 _plus_zero = partial(operator.add, 0.0)  # 0.0 + x is x, except that -0.0 becomes 0.0
+_HEAD = (
+    '{\n  "tool": "qlra",\n  "version": ' + _str(__version__) + ',\n  "tolerance": %.12g,\n  "sign_branch": %d,\n'
+    '  "input": {\n    "p_a": [%.12g, %.12g],\n    "p_b": [%.12g, %.12g],\n    "P_b_given_a": '
+)
+_MATRIX, _MATRIX_LINES = "[[%.12g, %.12g], [%.12g, %.12g]]", "[\n      [%.12g, %.12g],\n      [%.12g, %.12g]\n    ]"
+_VALIDATION = '\n  },\n  "p_a_given_b_defaulted": %s,\n  "validation": {\n    "valid": '
+_GIVEN, _DEFAULTED = _VALIDATION % "false", _VALIDATION % "true"
+_VALID = 'true,\n    "violations": []\n  }'
+# A direction's entry: its name, _ENTRY, its regime, then _BORN or the error.  Direction and Regime values are
+# plain identifiers, so in quotes each is its JSON string.
+_ENTRY = '": {\n      "lambda": [%.12g, %.12g],\n      "epsilon": [%d, %d],\n      "theta": [%.12g, %.12g],\n      "regime": "'
+_BORN = (
+    '",\n      "born_residuals": {\n        "conditioned": [%.12g, %.12g],\n        "conditioning": [%.12g, %.12g],\n'
+    '        "max": %.12g\n      },\n      "expansion_deviation": %.12g\n    }'
+)
+_NOT_HYPERBOLIC = ': |lambda| <= 1 for at least one outcome; hyperbolic reconstruction not applicable"\n    }'
+# A verdict has gamma and sign exactly when it is equivalent.
+_EQUIVALENCE = ',\n  "equivalence": {\n    "equivalent": %s,\n    "gamma": %s,\n    "sign": %s,\n    "symmetry_holds": '
+_EQUIVALENT, _NOT_EQUIVALENT = _EQUIVALENCE % ("true", "%.12g", "%d"), _EQUIVALENCE % ("false", "null", "null")
 
 
-def _fill(template: str, values: tuple) -> str:
-    """template % values, each %.12g slot written as _fmt_float writes it: non-finite raises, -0 is 0."""
+def _matrix_template(M) -> str:
+    """The template of a 2x2 matrix in the report: on one line unless a row, as dumps writes it, has 40 characters."""
+    (a, b), (c, d) = M
+    # A float in [1e-99, 1e100) has at most 17 characters at %.12g, so a row of two of them has at most 38.
+    if 1e-99 <= a < 1e100 and 1e-99 <= b < 1e100 and 1e-99 <= c < 1e100 and 1e-99 <= d < 1e100:
+        return _MATRIX
+    # Unnormalized, -0.0 is written "-0", one character more than "0"; that cannot tip a row, whose other float
+    # has at most 19.
+    short = max(len("[%.12g, %.12g]" % (a, b)), len("[%.12g, %.12g]" % (c, d))) < 40
+    return _MATRIX if short else _MATRIX_LINES
+
+
+def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict=None, residual=None) -> str:
+    """The analyze report from equivalence.analyze's result (directions: its entries), filled with one %.
+
+    Each float slot is written as _fmt_float writes it: a non-finite value raises, and -0 is 0.
+    """
+    (a0, a1), (b0, b1), M, N = ctx
+    (m0, m1), (m2, m3) = M
+    template = [_HEAD, _matrix_template(M)]
+    values = (tolerance, sign_branch, a0, a1, b0, b1, m0, m1, m2, m3)
+    if N is None:
+        template.append(_DEFAULTED)
+    else:
+        (n0, n1), (n2, n3) = N
+        template += (',\n    "P_a_given_b": ', _matrix_template(N), _GIVEN)
+        values += (n0, n1, n2, n3)
+    if violations:
+        listed = list(map(_str, violations))
+        if max(map(len, listed)) < 40:
+            listed = "[" + ", ".join(listed) + "]"
+        else:
+            listed = "[\n      " + ",\n      ".join(listed) + "\n    ]"
+        template += ('false,\n    "violations": ', listed.replace("%", "%%"), "\n  }")
+    else:
+        template.append(_VALID)
+    if directions:
+        template.append(',\n  "directions": {\n')
+        for direction, ((l0, l1), (e0, e1), (t0, t1), regime), born, deviation in directions:
+            # _value_ is .value without the Enum property's Python-level call.
+            template += ("    \"", direction._value_, _ENTRY, regime._value_)
+            values += (l0, l1, e0, e1, t0, t1)
+            if born is None:  # off the hyperbolic regime
+                template += ('",\n      "error": "regime is ', regime._value_, _NOT_HYPERBOLIC, ",\n")
+            else:
+                (c0, c1), (k0, k1) = born
+                template += (_BORN, ",\n")
+                values += (c0, c1, k0, k1, max(c0, c1, k0, k1), deviation)
+        template[-1] = "\n  }"  # in place of the last entry's separator
+    if verdict is not None:
+        equivalent, gamma, sign, deviation, symmetry_holds = verdict
+        template += (_EQUIVALENT if equivalent else _NOT_EQUIVALENT, "true" if symmetry_holds else "false")
+        if equivalent:
+            values += (gamma, sign)
+        template.append(',\n    "max_component_deviation": %.12g')
+        values += (deviation,)
+        if residual is not None:
+            template.append(',\n    "proof_relation_residual": %.12g')
+            values += (residual,)
+        template.append("\n  }")
+    template.append("\n}")
     if not math.isfinite(sum(values)):  # an inf or nan term makes the sum inf or nan; so can overflow
         for x in values:
             _fmt_float(x)  # raises for the first non-finite value
     if 0.0 in values:  # 0.0 or -0.0
         values = tuple(map(_plus_zero, values))
-    return template % values
-
-
-def _matrix(M) -> str:
-    """dumps of a 2x2 float matrix at indent 2 of the report."""
-    (a, b), (c, d) = M
-    text = _fill("[[%.12g, %.12g], [%.12g, %.12g]]", (a, b, c, d))
-    i = text.index("], [") + 1  # floats are written without brackets
-    r0, r1 = text[1:i], text[i + 2:-1]
-    if len(r0) < 40 and len(r1) < 40:
-        return text
-    return f"[\n      {r0},\n      {r1}\n    ]"
-
-
-def _direction_json(direction, profile, born, deviation) -> str:
-    """One entry of the report's "directions", at indent 2; born is None off the hyperbolic regime."""
-    (l0, l1), (e0, e1), (t0, t1), _ = profile
-    regime = profile.regime.value
-    head = (
-        f'    {_str(direction.value)}: {{\n'
-        f'      "lambda": [%.12g, %.12g],\n      "epsilon": [{e0}, {e1}],\n'
-        f'      "theta": [%.12g, %.12g],\n      "regime": {_str(regime)},\n'
-    )
-    if born is None:
-        error = (
-            f"regime is {regime}: |lambda| <= 1 for at least "
-            "one outcome; hyperbolic reconstruction not applicable"
-        )
-        return _fill(f'{head}      "error": {_str(error)}\n    }}', (l0, l1, t0, t1))
-    (c0, c1), (k0, k1) = born
-    return _fill(
-        f'{head}      "born_residuals": {{\n'
-        '        "conditioned": [%.12g, %.12g],\n'
-        '        "conditioning": [%.12g, %.12g],\n'
-        '        "max": %.12g\n      },\n'
-        '      "expansion_deviation": %.12g\n    }',
-        (l0, l1, t0, t1, c0, c1, k0, k1, born.max_residual, deviation),
-    )
-
-
-def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict=None, residual=None) -> str:
-    """The analyze report, written in one pass from equivalence.analyze's result (directions: its entries)."""
-    (a0, a1), (b0, b1), M, N = ctx
-    head = (
-        f'{{\n  "tool": "qlra",\n  "version": {_str(__version__)},\n  "tolerance": %.12g,\n  "sign_branch": '
-        f'{sign_branch},\n  "input": {{\n    "p_a": [%.12g, %.12g],\n    "p_b": [%.12g, %.12g],\n'
-    )
-    parts = [_fill(head, (tolerance, a0, a1, b0, b1)), '    "P_b_given_a": ', _matrix(M)]
-    if N is not None:
-        parts.append(f',\n    "P_a_given_b": {_matrix(N)}')
-    listed = list(map(_str, violations))
-    if not listed:
-        listed = "[]"
-    elif max(map(len, listed)) < 40:
-        listed = f"[{', '.join(listed)}]"
-    else:
-        listed = "[\n      " + ",\n      ".join(listed) + "\n    ]"
-    parts.append(
-        f'\n  }},\n  "p_a_given_b_defaulted": {"false" if N is not None else "true"},\n'
-        f'  "validation": {{\n    "valid": {"false" if violations else "true"},\n'
-        f'    "violations": {listed}\n  }}'
-    )
-    if directions:
-        entries = ",\n".join(starmap(_direction_json, directions))
-        parts.append(f',\n  "directions": {{\n{entries}\n  }}')
-    if verdict is not None:
-        gamma, sign = verdict.gamma, verdict.sign
-        deviation = verdict.max_component_deviation
-        values = (deviation,) if gamma is None else (gamma, deviation)
-        template = (
-            f',\n  "equivalence": {{\n    "equivalent": {"true" if verdict.equivalent else "false"},\n'
-            f'    "gamma": {"null" if gamma is None else "%.12g"},\n'
-            f'    "sign": {"null" if sign is None else sign},\n'
-            f'    "symmetry_holds": {"true" if verdict.symmetry_holds else "false"},\n'
-            '    "max_component_deviation": %.12g'
-        )
-        if residual is not None:
-            template += ',\n    "proof_relation_residual": %.12g'
-            values += (residual,)
-        parts.append(_fill(template + "\n  }", values))
-    parts.append("\n}")
-    return "".join(parts)
+    return "".join(template) % values
 
 
 def _read_input(path: str) -> str:

@@ -77,6 +77,10 @@ def _transpose(M: Matrix2) -> Matrix2:
 
 def _as_pair(v, what: str, shape: str = "a 2-array") -> tuple[float, float]:
     """Two finite floats, from anything float() takes; else ValueError naming `what`."""
+    if type(v) is list and len(v) == 2:  # JSON's floats are taken as they are
+        x, y = v
+        if type(x) is float and type(y) is float and math.isfinite(x + y):  # x + y is finite only if both are
+            return x, y
     try:
         pair = tuple(map(float, v)) if isinstance(v, (list, tuple)) else ()
     except (TypeError, ValueError, OverflowError):

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -229,6 +230,11 @@ def test_analyze_symmetric_with_stochastic_slack_exit_0(ctx, tolerance):
 DEFAULTED = {k: v for k, v in CTX1.items() if k != "P_a_given_b"}
 
 LONG = -1.23456789012e-100  # 19 characters: a row of two is past the 40-character inline width
+BOUNDARY = dict(
+    CTX1,
+    P_b_given_a=[[-1.23456789012e-10, -1.23456789012e-10], [0.1, 0.9]],
+    P_a_given_b=[[LONG, 1.2345678901e-10], [0.1, 0.9]],
+)
 
 
 # Symmetric, with lambda_1 of the same sign in both directions: the
@@ -326,6 +332,8 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
         (dict(CTX1, p_a=[0.7, 0.7]), [], 1, "ctx_one_violation_report.json"),
         # Doubly stochastic only within the tolerance: the report of its four numbers.
         (with_diagonal_slack(5e-10, [0]), [], 0, "ctx_slack_report.json"),
+        # One matrix row at 40 characters, on its own line, and one at 39, inline.
+        (BOUNDARY, [], 1, "ctx_boundary_matrix_report.json"),
     ],
 )
 def test_analyze_verdict_path_report_bytes(ctx, options, code, golden):
@@ -357,8 +365,9 @@ def test_analyze_builds_no_algebra_objects(ctx, code, tmp_path):
 
 def test_analyze_python_calls(ctx1_file):
     # Python-level calls into qlra during one `qlra analyze` of CTX1, parsing and writing included.
-    # The count is exact, so it guards the straight-line stages and the template writer where timings
-    # cannot: a per-float formatting call, a per-outcome generator or an Enum-keyed accessor shows here.
+    # The count is exact, so it guards the straight-line stages and the one-% writer where timings
+    # cannot: a per-float formatting call, a per-section writer, a per-outcome generator or an Enum-keyed
+    # accessor shows here.
     # The path runs no list, set or dict comprehension, which Python 3.12 inlines, so the count is
     # the same on every supported version.
     package = os.path.join(os.path.dirname(qlra.__file__), "")
@@ -374,7 +383,8 @@ def test_analyze_python_calls(ctx1_file):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert len(calls) == 68, sorted(calls)
+    # Three of them write the report: _report_json, and _matrix_template once per matrix.
+    assert len(calls) == 58, sorted(calls)
     # context._oriented decides each direction's inputs: once per direction in each of the coefficients,
     # the reconstruction and the Born check.
     assert calls.count("_oriented") == 6
@@ -704,6 +714,53 @@ def test_report_writer_matches_dumps(written_reports):
     assert '"p_a_given_b_defaulted": true' in written
     assert '"p_a": [0, 1],' in written and '"P_a_given_b": [[0.9, 0.1], [0, 0.9]]' in written
     assert "p_a[0]=-0.0 outside (0,1)" in written and "P_a_given_b[1][0]=-0.0 outside (0,1)" in written
+
+
+# Matrix rows at the edge of dumps's one-line rule: a row goes on its own line from 40 characters, that is
+# when its two 12-digit floats have 36 characters together.  Whether the matrix then spans several lines:
+BOUNDARY_ROWS = [
+    ([LONG, LONG], True),  # 19 + 19 characters
+    ([-1e-100, -1e-100], False),  # a 3-digit exponent, but few digits
+    ([LONG, 0.1], False),
+    ([1.23456789012e100, 1.23456789012e100], True),  # 18 + 18
+    ([1.23456789012e-100, 1.23456789012e-100], True),  # 18 + 18
+    ([-1.23456789012e-10, -1.23456789012e-10], True),  # 18 + 18, 2-digit exponents
+    ([-0.000123456789012, -0.000123456789012], True),  # 18 + 18, no exponent
+    ([0.000123456789012, 0.000123456789012], False),  # 17 + 17
+    ([LONG, 1.23456789012e-10], True),  # 19 + 17
+    ([LONG, 1.2345678901e-10], False),  # 19 + 16
+    ([-0.0, -0.0], False),  # written as 0
+    ([LONG, -0.0], False),
+]
+
+
+@pytest.mark.parametrize("row, lines", BOUNDARY_ROWS)
+def test_report_matrix_layout_boundary(row, lines, written_reports, capsys):
+    for key in ("P_b_given_a", "P_a_given_b"):
+        code, text = run_cli(["analyze", "-"], stdin_text=json.dumps(dict(CTX1, **{key: [row, [0.1, 0.9]]})))
+        assert code == 1 and capsys.readouterr().err == ""
+        assert (f'"{key}": [\n      [' in text) == lines
+        assert text == written_reports[-1] + "\n"
+    assert len(written_reports) == 2
+
+
+# Finite JSON floats, subnormals and the boundary rows' values among them.
+finite_entries = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 1e-100, -1e-100, 1e100, -1e100, *(x for row, _ in BOUNDARY_ROWS for x in row)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite_entries, min_size=8, max_size=8))
+def test_report_writer_lays_out_any_finite_matrix(entries):
+    # p_a does not sum to 1, so each context is invalid, whatever its matrices.
+    ctx = dict(CTX1, p_a=[0.7, 0.7], P_b_given_a=[entries[0:2], entries[2:4]], P_a_given_b=[entries[4:6], entries[6:]])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run_cli(["analyze", "-"], stdin_text=json.dumps(ctx))
+    assert code == 1 and err.getvalue() == ""
+    report = text[:-1]  # print's newline
+    assert qlra.cli.dumps(json.loads(report)) == report
 
 
 def test_report_writer_rejects_non_finite(monkeypatch):

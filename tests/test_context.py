@@ -347,6 +347,45 @@ def test_from_dict_errors():
         )
 
 
+# Pairs that JSON and Python hand the parse gate, and the floats float() makes of them.
+PAIRS = [
+    [0.9, 0.1],
+    [1, 0],
+    [True, False],
+    ["0.25", "1e-3"],
+    (0.9, 0.1),
+    [-0.0, 0.0],
+    [1e308, 1e308],  # finite, though their sum is not
+    [5e-324, 1],
+]
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=repr)
+def test_from_dict_reads_every_pair_as_float_does(pair):
+    d = {"p_a": pair, "p_b": pair, "P_b_given_a": [pair, pair], "P_a_given_b": [pair, pair]}
+    ctx = ProbContext.from_dict(d)
+    want = tuple(map(float, pair))
+    for field in (ctx.p_a, ctx.p_b, *ctx.p_b_given_a, *ctx.p_a_given_b):
+        assert field == want and type(field) is tuple
+        assert all(type(x) is float for x in field)
+        assert [math.copysign(1.0, x) for x in field] == [math.copysign(1.0, x) for x in want]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0.9, float("nan")], [float("inf"), 0.1], [1e308, float("-inf")], [0.5], [0.5, 0.5, 0.5], [], None, "0.5"],
+    ids=repr,
+)
+def test_from_dict_rejects_pairs_with_the_same_message(bad):
+    base = {"p_a": [0.5, 0.5], "p_b": [0.9, 0.1], "P_b_given_a": [[0.9, 0.1], [0.1, 0.9]]}
+    with pytest.raises(ValueError) as marginal:
+        ProbContext.from_dict(dict(base, p_b=bad))
+    assert str(marginal.value) == f"field 'p_b' must be a 2-array of finite numbers, got {bad!r}"
+    with pytest.raises(ValueError) as row:
+        ProbContext.from_dict(dict(base, P_a_given_b=[[0.9, 0.1], bad]))
+    assert str(row.value) == f"field 'P_a_given_b' must be a 2x2 array of finite numbers, got {bad!r}"
+
+
 def test_dict_roundtrip(ctx1):
     assert ProbContext.from_dict(ctx1.to_dict()) == ctx1
     # Whatever float() reads is a number, quoted numbers included.
