@@ -20,7 +20,7 @@ import sys
 from functools import partial
 
 from . import __version__
-from .context import (TOLERANCE, Direction, ProbContext, _band, _require_tolerance,
+from .context import (TOLERANCE, Direction, ProbContext, Regime, _band, _require_tolerance,
                       generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context)
 from .engine import born_violation_demo
 from .equivalence import analyze
@@ -61,8 +61,8 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-# The writer below knows the `analyze` report's shape: it joins the constant templates of the parts a report
-# has and fills them with one %; dumps of the parsed report must give back its bytes, and the tests hold it to that.
+# The writer below knows the `analyze` report's shape: it joins the constant of each section the report has and
+# fills them with one %; dumps of the parsed report must give back its bytes, and the tests hold it to that.
 _str = json.encoder.encode_basestring_ascii
 _plus_zero = partial(operator.add, 0.0)  # 0.0 + x is x, except that -0.0 becomes 0.0
 _HEAD = (
@@ -71,19 +71,35 @@ _HEAD = (
 )
 _MATRIX, _MATRIX_LINES = "[[%.12g, %.12g], [%.12g, %.12g]]", "[\n      [%.12g, %.12g],\n      [%.12g, %.12g]\n    ]"
 _VALIDATION = '\n  },\n  "p_a_given_b_defaulted": %s,\n  "validation": {\n    "valid": '
-_GIVEN, _DEFAULTED = _VALIDATION % "false", _VALIDATION % "true"
 _VALID = 'true,\n    "violations": []\n  }'
-# A direction's entry: its name, _ENTRY, its regime, then _BORN or the error.  Direction and Regime values are
-# plain identifiers, so in quotes each is its JSON string.
+# The input section up to "valid", by the templates of P_b_given_a and P_a_given_b (None when defaulted).
+_INPUT = {
+    (m, n): _HEAD + m + (',\n    "P_a_given_b": ' + n if n else "") + _VALIDATION % ("false" if n else "true")
+    for m in (_MATRIX, _MATRIX_LINES) for n in (_MATRIX, _MATRIX_LINES, None)
+}
+# A direction's entry by (direction, regime, has a Born report): its lambda, epsilon and theta, then the Born
+# report or the error.  Direction and Regime values are plain identifiers, so in quotes each is its JSON string.
 _ENTRY = '": {\n      "lambda": [%.12g, %.12g],\n      "epsilon": [%d, %d],\n      "theta": [%.12g, %.12g],\n      "regime": "'
 _BORN = (
     '",\n      "born_residuals": {\n        "conditioned": [%.12g, %.12g],\n        "conditioning": [%.12g, %.12g],\n'
     '        "max": %.12g\n      },\n      "expansion_deviation": %.12g\n    }'
 )
 _NOT_HYPERBOLIC = ': |lambda| <= 1 for at least one outcome; hyperbolic reconstruction not applicable"\n    }'
-# A verdict has gamma and sign exactly when it is equivalent.
+_ENTRIES = {
+    (d.value, r.value, born): '    "' + d.value + _ENTRY + r.value
+    + (_BORN if born else '",\n      "error": "regime is ' + r.value + _NOT_HYPERBOLIC)
+    for d in Direction for r in Regime for born in (True, False)
+}
+# The directions' closing and the equivalence block, by (equivalent, symmetry holds, has a residual).  A verdict
+# has gamma and sign exactly when it is equivalent.
 _EQUIVALENCE = ',\n  "equivalence": {\n    "equivalent": %s,\n    "gamma": %s,\n    "sign": %s,\n    "symmetry_holds": '
 _EQUIVALENT, _NOT_EQUIVALENT = _EQUIVALENCE % ("true", "%.12g", "%d"), _EQUIVALENCE % ("false", "null", "null")
+_EQUIVALENCES = {
+    (eq, sym, res): "\n  }" + (_EQUIVALENT if eq else _NOT_EQUIVALENT) + ("true" if sym else "false")
+    + ',\n    "max_component_deviation": %.12g' + (',\n    "proof_relation_residual": %.12g' if res else "")
+    + "\n  }\n}"
+    for eq in (True, False) for sym in (True, False) for res in (True, False)
+}
 
 
 def _matrix_template(M) -> str:
@@ -101,17 +117,15 @@ def _matrix_template(M) -> str:
 def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict=None, residual=None) -> str:
     """The analyze report from equivalence.analyze's result (directions: its entries), filled with one %.
 
-    Each float slot is written as _fmt_float writes it: a non-finite value raises, and -0 is 0.
+    Each float slot is written as _fmt_float writes it: a non-finite value raises, and -0 is 0.  A verdict
+    comes with the directions it compares.
     """
     (a0, a1), (b0, b1), M, N = ctx
     (m0, m1), (m2, m3) = M
-    template = [_HEAD, _matrix_template(M)]
     values = (tolerance, sign_branch, a0, a1, b0, b1, m0, m1, m2, m3)
-    if N is None:
-        template.append(_DEFAULTED)
-    else:
+    head = _INPUT[_matrix_template(M), N and _matrix_template(N)]  # N is None when defaulted
+    if N is not None:
         (n0, n1), (n2, n3) = N
-        template += (',\n    "P_a_given_b": ', _matrix_template(N), _GIVEN)
         values += (n0, n1, n2, n3)
     if violations:
         listed = list(map(_str, violations))
@@ -119,47 +133,35 @@ def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict
             listed = "[" + ", ".join(listed) + "]"
         else:
             listed = "[\n      " + ",\n      ".join(listed) + "\n    ]"
-        template += ('false,\n    "violations": ', listed.replace("%", "%%"), "\n  }")
+        template = [head, 'false,\n    "violations": ', listed.replace("%", "%%"), "\n  }\n}"]
+    elif not directions:
+        template = [head, _VALID, "\n}"]
     else:
-        template.append(_VALID)
-    if directions:
-        template.append(',\n  "directions": {\n')
+        template = [head + _VALID + ',\n  "directions": {\n']
         for direction, ((l0, l1), (e0, e1), (t0, t1), regime), born, deviation in directions:
             # _value_ is .value without the Enum property's Python-level call.
-            template += ("    \"", direction._value_, _ENTRY, regime._value_)
-            values += (l0, l1, e0, e1, t0, t1)
+            template += (_ENTRIES[direction._value_, regime._value_, born is not None], ",\n")
             if born is None:  # off the hyperbolic regime
-                template += ('",\n      "error": "regime is ', regime._value_, _NOT_HYPERBOLIC, ",\n")
+                values += (l0, l1, e0, e1, t0, t1)
             else:
                 (c0, c1), (k0, k1) = born
-                template += (_BORN, ",\n")
-                values += (c0, c1, k0, k1, max(c0, c1, k0, k1), deviation)
-        template[-1] = "\n  }"  # in place of the last entry's separator
-    if verdict is not None:
-        equivalent, gamma, sign, deviation, symmetry_holds = verdict
-        template += (_EQUIVALENT if equivalent else _NOT_EQUIVALENT, "true" if symmetry_holds else "false")
-        if equivalent:
-            values += (gamma, sign)
-        template.append(',\n    "max_component_deviation": %.12g')
-        values += (deviation,)
-        if residual is not None:
-            template.append(',\n    "proof_relation_residual": %.12g')
-            values += (residual,)
-        template.append("\n  }")
-    template.append("\n}")
+                values += (l0, l1, e0, e1, t0, t1, c0, c1, k0, k1, max(c0, c1, k0, k1), deviation)
+        if verdict is None:
+            template[-1] = "\n  }\n}"  # in place of the last entry's separator
+        else:
+            equivalent, gamma, sign, deviation, symmetry_holds = verdict
+            template[-1] = _EQUIVALENCES[equivalent, symmetry_holds, residual is not None]
+            verdict_values = (gamma, sign, deviation) if equivalent else (deviation,)
+            values += verdict_values if residual is None else verdict_values + (residual,)
     if not math.isfinite(sum(values)):  # an inf or nan term makes the sum inf or nan; so can overflow
         for x in values:
             _fmt_float(x)  # raises for the first non-finite value
-    if 0.0 in values:  # 0.0 or -0.0
+    # Only an invalid context's input can be -0.0: on a valid one every echoed input lies in [1e-12, 1 - 1e-12] and
+    # tolerance is positive; lambda's numerator is a difference of positive floats, theta comes from acos or acosh,
+    # the Born, expansion, deviation and residual values are built from abs, and gamma is at worst x - x = +0.
+    if violations and 0.0 in values:  # 0.0 or -0.0
         values = tuple(map(_plus_zero, values))
     return "".join(template) % values
-
-
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def cmd_analyze(args, out) -> int:
@@ -170,7 +172,11 @@ def cmd_analyze(args, out) -> int:
         print(f"error: tolerance {args.tolerance!r} is not positive and finite", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        text = _read_input(args.input)
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -208,18 +208,6 @@ def _check_matrix(name: str, M: Matrix2, tol: float, violations: list[str]) -> N
         violations.append(f"{name} is not doubly stochastic ({off})")
 
 
-def _ds_context(ctx: ProbContext) -> ProbContext:
-    """A valid ctx read as four numbers (p_a1, p_b1, p, p'), p and p' the mean diagonals of its matrices.
-
-    Idempotent in floats: a context of this exactly doubly stochastic form comes back bit for bit.
-    """
-    (a, _), (b, _), M, N = ctx
-    N = N or M  # a defaulted a|b matrix is the transpose of M, which has M's diagonal
-    p, q = (M[0][0] + M[1][1]) / 2.0, (N[0][0] + N[1][1]) / 2.0
-    fields = ((a, 1.0 - a), (b, 1.0 - b), ((p, 1.0 - p), (1.0 - p, p)), ((q, 1.0 - q), (1.0 - q, q)))
-    return tuple.__new__(ProbContext, fields)  # floats already: no parse gate
-
-
 def _oriented(ctx: ProbContext, direction: Direction) -> tuple:
     """(conditioning marginals, conditioned marginals, transition matrix) of ctx in one conditioning order.
 
@@ -243,18 +231,24 @@ def interference_coefficients(ctx: ProbContext, direction: Direction) -> Interfe
     when a product under the square root is not strictly positive.
     """
     (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = _oriented(ctx, direction)
-    prod0, prod1 = (c0 * m00) * (c1 * m01), (c0 * m10) * (c1 * m11)
+    return _coefficients(c0, c1, o0, o1, m00, m01, m10, m11)
+
+
+def _coefficients(c0, c1, o0, o1, m00, m01, m10, m11) -> InterferenceProfile:
+    """interference_coefficients on one order's floats: conditioning marginals c, conditioned o, matrix m."""
+    k00, k01, k10, k11 = c0 * m00, c1 * m01, c0 * m10, c1 * m11  # the joint probabilities
+    prod0, prod1 = k00 * k01, k10 * k11
     if prod0 <= 0.0 or prod1 <= 0.0:
         raise RegimeError(f"degenerate denominator for outcome {0 if prod0 <= 0.0 else 1}: "
                           "probabilities must be strictly positive")
-    lam0 = (o0 - (c0 * m00 + c1 * m01)) / (2.0 * math.sqrt(prod0))
-    lam1 = (o1 - (c0 * m10 + c1 * m11)) / (2.0 * math.sqrt(prod1))
+    lam0 = (o0 - (k00 + k01)) / (2.0 * math.sqrt(prod0))
+    lam1 = (o1 - (k10 + k11)) / (2.0 * math.sqrt(prod1))
     big0, big1 = abs(lam0) > 1.0, abs(lam1) > 1.0
     regime = _HYPERBOLIC if big0 and big1 else _HYPER_TRIGONOMETRIC if big0 or big1 else _TRIGONOMETRIC
     theta0 = math.acosh(abs(lam0)) if big0 else math.acos(max(-1.0, min(1.0, lam0)))
     theta1 = math.acosh(abs(lam1)) if big1 else math.acos(max(-1.0, min(1.0, lam1)))
     epsilon = (1 if lam0 >= 0 else -1, 1 if lam1 >= 0 else -1)
-    return InterferenceProfile((lam0, lam1), epsilon, (theta0, theta1), regime)
+    return tuple.__new__(InterferenceProfile, ((lam0, lam1), epsilon, (theta0, theta1), regime))
 
 
 def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-10) -> bool:

@@ -4,10 +4,12 @@ Given a valid context in the hyperbolic regime, builds a normalized
 split-complex amplitude whose squared moduli reproduce the marginals of
 both observables (Born's rule), for either conditioning order.  Also
 reproduces the classic counterexample showing why double stochasticity
-is essential.  A state holds floats, which the checks read.  HVector2s are
-built only by ``conditioning_basis`` and QlraState's properties, which
-import qlra.algebra and qlra.linear in their bodies: the pipeline never
-loads the object layer.
+is essential.  The pipeline's core reads a valid context once as its four
+numbers (p_a1, p_b1, p, p'); per direction, context._coefficients and _state
+compute on floats, and _born and expansion_consistency check a state, as the
+public functions do on their records.  HVector2s are built only by
+``conditioning_basis`` and QlraState's properties, which import qlra.algebra
+and qlra.linear in their bodies: the pipeline never loads the object layer.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .context import (_HYPERBOLIC, TOLERANCE, Direction, InterferenceProfile, Matrix2, ProbContext, _as_matrix,
-                      _ds_context, _oriented, interference_coefficients, is_doubly_stochastic, validate_context)
+from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, InterferenceProfile, Matrix2,
+                      ProbContext, _as_matrix, _coefficients, _oriented, interference_coefficients,
+                      is_doubly_stochastic, validate_context)
 from .errors import RegimeError, StochasticityError
 
 __all__ = [
@@ -86,8 +89,6 @@ def _basis_vectors(roots: tuple[float, float, float, float]) -> tuple[HVector2, 
 
 def _require_finite(*coords: float) -> None:
     """algebra._hn's check on each null-cone pair (u, v) of coords: ValueError names the first bad one."""
-    if math.isfinite(sum(coords)):  # an inf or nan term makes the sum inf or nan
-        return
     for u, v in zip(coords[::2], coords[1::2]):
         if not (math.isfinite(u) and math.isfinite(v)):
             raise ValueError(f"non-finite null-cone coordinates: {u!r}, {v!r}")
@@ -103,53 +104,69 @@ def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> Ql
 
     where m are the conditioning marginals and sc = sign_choice.  Both
     phase branches satisfy Born's rule for all four probabilities.  ctx is
-    validated at TOLERANCE and read as its four numbers, context._ds_context.
+    validated at TOLERANCE and read as its four numbers (p_a1, p_b1, p, p').
     """
-    _, (state,) = _reconstructed(ctx, TOLERANCE, sign_choice, (direction,))
+    _, _, (state,) = _reconstructed(ctx, TOLERANCE, sign_choice, (direction,))
     return state
 
 
 def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
     """The pipeline's core, and the one place that checks its arguments: validate ctx once at tol; if
-    valid, check sign_choice (ValueError unless +-1), read ctx as its four numbers ds (context._ds_context)
-    and per direction compute the interference profile (ValueError for a direction that is not a
-    Direction) and, if hyperbolic, the state.
-    Returns (violations, ds, [(direction, profile, state or None)]), or (violations, None, []).
+    valid, check sign_choice (ValueError unless +-1), read ctx once as its four numbers (p_a1, p_b1, p, p'),
+    p and p' the mean diagonals of its matrices, and per direction compute the interference profile
+    (ValueError for a direction that is not a Direction) and, if hyperbolic, the state.
+    Returns (violations, p, p', [(direction, profile, state or None, conditioning marginals, conditioned
+    marginals)]), the marginals as ctx has them, or (violations, None, None, []).
     """
     violations = validate_context(ctx, tol)
     if violations:
-        return violations, None, []
+        return violations, None, None, []
     if sign_choice not in (1, -1):
         raise ValueError("sign_choice must be +1 or -1")
-    ds, steps = _ds_context(ctx), []
-    for d in directions:
-        profile = interference_coefficients(ds, d)
-        state = reconstruct(ds, d, profile, sign_choice) if profile.regime is _HYPERBOLIC else None
-        steps.append((d, profile, state))
-    return violations, ds, steps
+    p_a, p_b, M, N = ctx
+    N = N or M  # a defaulted a|b matrix is the transpose of M, which has M's diagonal
+    p, q = (M[0][0] + M[1][1]) / 2.0, (N[0][0] + N[1][1]) / 2.0
+    steps = []
+    for d in directions:  # a direction is (conditioning marginal, conditioned marginal, diagonal)
+        if d is _B_GIVEN_A:
+            c, o, diag = p_a, p_b, p
+        elif d is _A_GIVEN_B:
+            c, o, diag = p_b, p_a, q
+        else:
+            _oriented(ctx, d)  # raises its ValueError: d is not a Direction
+        # The stages see the exactly doubly stochastic context [[diag, off], [off, diag]] of the four numbers.
+        x, x1, y, off = c[0], 1.0 - c[0], o[0], 1.0 - diag
+        profile = _coefficients(x, x1, y, 1.0 - y, diag, off, off, diag)
+        state = _state(x, x1, diag, off, off, diag, profile, d, sign_choice) if profile.regime is _HYPERBOLIC else None
+        steps.append((d, profile, state, c, o))
+    return violations, p, q, steps
 
 
 def _reconstructed(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
-    """(ds, one state per direction) from the core.  Raises StochasticityError for an invalid ctx,
+    """(p, p', one state per direction) from the core.  Raises StochasticityError for an invalid ctx,
     then the core's ValueError, then RegimeError for the first direction that is not hyperbolic.
     """
-    violations, ds, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
+    violations, p, q, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
     if violations:
         raise StochasticityError("invalid context: " + "; ".join(violations))
-    for d, profile, state in steps:
+    for d, profile, state, _, _ in steps:
         if state is None:
             raise RegimeError(f"{d.value} data is {profile.regime.value}, not hyperbolic (lam={profile.lam})")
-    return ds, [state for _, _, state in steps]
+    return p, q, [step[2] for step in steps]
 
 
 def reconstruct(
     ctx: ProbContext, direction: Direction, profile: InterferenceProfile, sign_choice: int
 ) -> QlraState:
-    """run_qlra's step on a validated ctx's four numbers (context._ds_context), given the direction's
-    hyperbolic interference profile and a sign_choice of +-1.  It checks nothing: the core has.
+    """The core's step on a context of the exactly doubly stochastic form its four numbers give, given the
+    direction's hyperbolic interference profile and a sign_choice of +-1.  It checks nothing: the core has.
     """
-    m, _, ((m00, m01), (m10, m11)) = _oriented(ctx, direction)
-    m0, m1 = m
+    (m0, m1), _, ((m00, m01), (m10, m11)) = _oriented(ctx, direction)
+    return _state(m0, m1, m00, m01, m10, m11, profile, direction, sign_choice)
+
+
+def _state(m0, m1, m00, m01, m10, m11, profile, direction, sign_choice) -> QlraState:
+    """reconstruct on floats: conditioning marginals m and transition matrix entries m00..m11."""
     s = profile.epsilon[0]
     t = sign_choice * profile.theta[0]
     eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
@@ -161,7 +178,7 @@ def reconstruct(
     # |lam| <= 1/(2*1e-24), e^theta <= 2|lam| <= 1e24, and every coordinate, here and in the verdict's
     # transported amplitude, stays below 1e25.
     roots = (math.sqrt(m00), math.sqrt(m01), math.sqrt(m10), math.sqrt(m11))
-    return QlraState(amplitude, direction, profile, roots, m, sign_choice)
+    return tuple.__new__(QlraState, (amplitude, direction, profile, roots, (m0, m1), sign_choice))
 
 
 class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_residuals")):
@@ -176,14 +193,22 @@ class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_re
 
 def verify_born_rule(state: QlraState, ctx: ProbContext) -> BornReport:
     """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs; ValueError for a bad direction."""
-    (c0, c1), (o0, o1), _ = _oriented(ctx, state.direction)
-    u1, v1, u2, v2 = state.amplitude
-    r00, r01, r10, r11 = state.basis_roots
+    c, o, _ = _oriented(ctx, state.direction)
+    return _born(state.amplitude, state.basis_roots, c, o)
+
+
+def _born(amplitude, roots, c, o) -> BornReport:
+    """verify_born_rule on a state's floats, against conditioning marginals c and conditioned marginals o."""
+    (c0, c1), (o0, o1) = c, o
+    u1, v1, u2, v2 = amplitude
+    r00, r01, r10, r11 = roots
     # For the real e_k, conj(e_k) = e_k: <psi, e_k> = psi_1*e_k1 + psi_2*e_k2.
     iu1, iv1 = u1 * r00 + u2 * r10, v1 * r00 + v2 * r10
     iu2, iv2 = u1 * r01 - u2 * r11, v1 * r01 - v2 * r11
-    _require_finite(iu1, iv1, iu2, iv2)
-    return BornReport((abs(u1 * v1 - o0), abs(u2 * v2 - o1)), (abs(iu1 * iv1 - c0), abs(iu2 * iv2 - c1)))
+    if not math.isfinite(iu1 + iv1 + iu2 + iv2):
+        _require_finite(iu1, iv1, iu2, iv2)
+    conditioned = (abs(u1 * v1 - o0), abs(u2 * v2 - o1))
+    return tuple.__new__(BornReport, (conditioned, (abs(iu1 * iv1 - c0), abs(iu2 * iv2 - c1))))
 
 
 def expansion_consistency(state: QlraState) -> float:
@@ -195,24 +220,17 @@ def expansion_consistency(state: QlraState) -> float:
     (m0, m1), profile = state.conditioning_marginals, state.profile
     t = state.sign_choice * profile.theta[0]
     eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
-    _require_finite(eu, ev)
+    if not math.isfinite(eu + ev):
+        _require_finite(eu, ev)
     r1 = math.sqrt(m0)
     r2 = profile.epsilon[0] * math.sqrt(m1)
     ku, kv = r2 * eu, r2 * ev
     u1, v1, u2, v2 = state.amplitude
     r00, r01, r10, r11 = state.basis_roots
-    return max(
-        component_gap(u1 - (r1 * r00 + ku * r01), v1 - (r1 * r00 + kv * r01)),
-        component_gap(u2 - (r1 * r10 - ku * r11), v2 - (r1 * r10 - kv * r11)),
-    )
-
-
-def component_gap(du: float, dv: float) -> float:
-    """max(|re|, |hy|) of the difference whose null-cone coordinates are (du, dv).
-
-    re, hy = (du + dv)/2, (du - dv)/2, and max(|a + b|, |a - b|) = |a| + |b|.
-    """
-    return 0.5 * (abs(du) + abs(dv))
+    du1, dv1 = u1 - (r1 * r00 + ku * r01), v1 - (r1 * r00 + kv * r01)
+    du2, dv2 = u2 - (r1 * r10 - ku * r11), v2 - (r1 * r10 - kv * r11)
+    # A component's gap max(|re|, |hy|) is (|du| + |dv|)/2, as max(|a + b|, |a - b|) = |a| + |b|.
+    return 0.5 * max(abs(du1) + abs(dv1), abs(du2) + abs(dv2))
 
 
 class ViolationReport(namedtuple(

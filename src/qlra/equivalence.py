@@ -12,8 +12,8 @@ import math
 from collections import namedtuple
 
 from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _require_tolerance
-from .engine import (QlraState, _reconstructed, _validate_and_reconstruct, component_gap, conditioning_basis,
-                     expansion_consistency, verify_born_rule)
+from .engine import (QlraState, _born, _reconstructed, _validate_and_reconstruct, conditioning_basis,
+                     expansion_consistency)
 from .errors import ArgDomainError, DegenerateStateError
 
 __all__ = [
@@ -93,34 +93,32 @@ def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = No
     bu1, bv1, bu2, bv2 = b
     # The multiplier c = a_k / b_k, componentwise in null-cone coordinates.
     cu, cv = (au1 / bu1, av1 / bv1) if abs(bu1 * bv1) >= abs(bu2 * bv2) else (au2 / bu2, av2 / bv2)
-    deviation = max(
-        component_gap(au1 - cu * bu1, av1 - cv * bv1),
-        component_gap(au2 - cu * bu2, av2 - cv * bv2),
-    )
+    du1, dv1, du2, dv2 = au1 - cu * bu1, av1 - cv * bv1, au2 - cu * bu2, av2 - cv * bv2
+    deviation = 0.5 * max(abs(du1) + abs(dv1), abs(du2) + abs(dv2))  # as engine.expansion_consistency's gap
     sq_mod = cu * cv
     # |c|^2 within tol of 1, on the cone where the argument is defined; coordinates of size cosh(theta)
-    # carry rounding errors of that size.
-    scale = max(1.0, abs(au1), abs(av1), abs(au2), abs(av2), abs(bu1), abs(bv1), abs(bu2), abs(bv2))
+    # carry rounding errors of that size.  The scale is at least 1, so a deviation within tol needs none.
+    scale = 1.0 if deviation <= tol else max(1.0, *map(abs, a), *map(abs, b))
     if not (abs(sq_mod - 1.0) <= tol and sq_mod > 0.0 and deviation <= tol * scale):
-        return EquivalenceVerdict(False, None, None, deviation, symmetry_holds)
+        return tuple.__new__(EquivalenceVerdict, (False, None, None, deviation, symmetry_holds))
     # cu and cv share a sign, the sign of c.re = (cu + cv)/2.
-    return EquivalenceVerdict(True, _arg(cu, cv), 1 if cu > 0 else -1, deviation, symmetry_holds)
+    return tuple.__new__(EquivalenceVerdict, (True, _arg(cu, cv), 1 if cu > 0 else -1, deviation, symmetry_holds))
 
 
 def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, directions=tuple(Direction)):
     """The QLRA pipeline: engine's validate-and-reconstruct core, then each check once per direction.
 
-    The stages read ctx as its four numbers (context._ds_context); Born residuals take its own marginals.
+    The core reads ctx once as its four numbers (p_a1, p_b1, p, p'); Born residuals take its own marginals.
     Returns (violations, entries, verdict, residual), the rest empty when there are violations.
     ``entries`` holds one (Direction, InterferenceProfile, BornReport, expansion deviation) per
     direction, the last two None off the hyperbolic regime.  The verdict needs both orders asked for
     and hyperbolic, the proof relation residual the verdict's transpose symmetry; else each is None.
     """
-    violations, ds, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
-    # A direction without a state (not hyperbolic) gets no Born report and no expansion deviation.
+    violations, p, q, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
     entries, state_ba, state_ab = [], None, None
-    for d, profile, state in steps:
-        born = state and verify_born_rule(state, ctx)
+    # A direction without a state (not hyperbolic) gets no Born report and no expansion deviation.
+    for d, profile, state, c, o in steps:
+        born = state and _born(state.amplitude, state.basis_roots, c, o)
         entries.append((d, profile, born, state and expansion_consistency(state)))
         if d is _B_GIVEN_A:
             state_ba = state
@@ -128,7 +126,7 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
             state_ab = state
     if state_ba is None or state_ab is None:  # invalid, one direction asked for, or one not hyperbolic
         return violations, entries, None, None
-    verdict = consistency_verdict(ds, state_ba, state_ab, tol)
+    verdict = _verdict(state_ba, state_ab, p, q, tol)
     residual = relation_residual(state_ab, state_ba) if verdict.symmetry_holds else None
     return violations, entries, verdict, residual
 
@@ -141,16 +139,21 @@ def check_consistency(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int
     the consistency theorem says the two answers agree.  Raises StochasticityError when ctx
     is invalid at tol, and RegimeError for the first direction that is not hyperbolic.
     """
-    ds, (state_ba, state_ab) = _reconstructed(ctx, tol, sign_choice, tuple(Direction))
-    return consistency_verdict(ds, state_ba, state_ab, tol)
+    p, q, (state_ba, state_ab) = _reconstructed(ctx, tol, sign_choice, tuple(Direction))
+    return _verdict(state_ba, state_ab, p, q, tol)
 
 
 def consistency_verdict(
     ctx: ProbContext, state_ba: QlraState, state_ab: QlraState, tol: float
 ) -> EquivalenceVerdict:
-    """check_consistency's comparison, for the two amplitudes of a validated context's
-    doubly stochastic form ctx (context._ds_context), built on the same sign_choice.
+    """check_consistency's comparison, for the two amplitudes, built on the same sign_choice, of a context
+    ctx of the exactly doubly stochastic form its four numbers give.
     """
+    return _verdict(state_ba, state_ab, ctx.p_b_given_a[0][0], ctx.p_a_given_b[0][0], tol)
+
+
+def _verdict(state_ba: QlraState, state_ab: QlraState, p: float, q: float, tol: float) -> EquivalenceVerdict:
+    """consistency_verdict, given the diagonals p and p' = q of the two transition matrices."""
     # The transition unitary's columns are the b|a conditioning basis: U = [[r00, r01], [r10, -r11]].
     r00, r01, r10, r11 = state_ba.basis_roots
     bu1, bv1, bu2, bv2 = state_ba.amplitude
@@ -166,8 +169,7 @@ def consistency_verdict(
     u1, v1, u2, v2 = state_ab.amplitude
     if state_ba.profile.epsilon[0] == state_ab.profile.epsilon[0]:
         u1, v1, u2, v2 = v1, u1, v2, u2
-    symmetry_holds = abs(ctx.p_b_given_a[0][0] - ctx.p_a_given_b[0][0]) <= tol  # |p - p'|
-    return _equivalent((u1, v1, u2, v2), transported, tol, symmetry_holds)
+    return _equivalent((u1, v1, u2, v2), transported, tol, abs(p - q) <= tol)  # symmetry: |p - p'| <= tol
 
 
 def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
@@ -180,7 +182,7 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
     or RegimeError, the a|b direction first; ArgDomainError when an a|b component has no hyperbolic argument.
     """
     directions = (Direction.A_GIVEN_B, Direction.B_GIVEN_A)
-    _, (state_ab, state_ba) = _reconstructed(ctx, TOLERANCE, sign_choice, directions)
+    _, _, (state_ab, state_ba) = _reconstructed(ctx, TOLERANCE, sign_choice, directions)
     return relation_residual(state_ab, state_ba)
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qlra import (
+    TOLERANCE,
     InfeasibleContextError,
     ProbContext,
     RegimeError,
@@ -10,6 +11,7 @@ from qlra import (
     lambda_feasible_range,
     validate_context,
 )
+from qlra.engine import _validate_and_reconstruct
 
 
 @pytest.fixture
@@ -47,3 +49,17 @@ def extreme_contexts() -> list[ProbContext]:
                     if not validate_context(ctx):
                         contexts.append(ctx)
     return contexts
+
+
+@pytest.fixture(scope="session")
+def ds_form():
+    """form(ctx, tol): the exactly doubly stochastic context of the four numbers (p_a1, p_b1, p, p') that the
+    pipeline's core reads from a ctx valid at tol."""
+
+    def form(ctx: ProbContext, tol: float = TOLERANCE) -> ProbContext:
+        violations, p, q, _ = _validate_and_reconstruct(ctx, tol, 1, ())
+        assert not violations, violations
+        a, b = ctx.p_a[0], ctx.p_b[0]
+        return ProbContext((a, 1.0 - a), (b, 1.0 - b), ((p, 1.0 - p), (1.0 - p, p)), ((q, 1.0 - q), (1.0 - q, q)))
+
+    return form

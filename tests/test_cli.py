@@ -20,7 +20,7 @@ import qlra.engine
 import qlra.equivalence
 import qlra.linear
 from qlra.cli import main
-from qlra.context import ProbContext, _ds_context, generate_hyperbolic_context, random_hyperbolic_context
+from qlra.context import ProbContext, generate_hyperbolic_context, random_hyperbolic_context
 
 
 def run_cli(argv, stdin_text=None):
@@ -248,24 +248,28 @@ SAME_SIGN = {
 }
 
 
-# Calls of each stage per analyze run: validation once, the per-direction stages once per direction.
+# Calls of each stage per analyze run: validation once; the per-direction pass (the coefficients and, where
+# hyperbolic, the state, its Born check and its expansion deviation) once per direction; the verdict and the
+# relation residual once.  The public per-direction functions, which read a raw context, are not on the path.
 STAGE_CALLS = {
     "validate_context": 1,
-    "interference_coefficients": 2,
-    "reconstruct": 2,
-    "verify_born_rule": 2,
+    "_coefficients": 2,
+    "_state": 2,
+    "_born": 2,
     "expansion_consistency": 2,
-    "consistency_verdict": 1,
+    "_verdict": 1,
     "relation_residual": 1,
+    "interference_coefficients": 0,
+    "reconstruct": 0,
+    "verify_born_rule": 0,
+    "consistency_verdict": 0,
 }
 # The same counts for the library's other entry points (run_qlra per direction): each validates
 # once, and none runs a check whose result it drops.
-NO_CHECKS = dict.fromkeys(
-    ("verify_born_rule", "expansion_consistency", "consistency_verdict", "relation_residual"), 0
-)
+NO_CHECKS = dict.fromkeys(("_born", "expansion_consistency", "_verdict", "relation_residual"), 0)
 ENTRY_POINT_CALLS = {
-    "run_qlra": {**STAGE_CALLS, **NO_CHECKS, "interference_coefficients": 1, "reconstruct": 1},
-    "check_consistency": {**STAGE_CALLS, **NO_CHECKS, "consistency_verdict": 1},
+    "run_qlra": {**STAGE_CALLS, **NO_CHECKS, "_coefficients": 1, "_state": 1},
+    "check_consistency": {**STAGE_CALLS, **NO_CHECKS, "_verdict": 1},
     "proof_relation_residual": {**STAGE_CALLS, **NO_CHECKS, "relation_residual": 1},
 }
 
@@ -384,12 +388,14 @@ def test_analyze_python_calls(ctx1_file):
         sys.setprofile(None)
     assert code == 0
     # Three of them write the report: _report_json, and _matrix_template once per matrix.
-    assert len(calls) == 58, sorted(calls)
-    # context._oriented decides each direction's inputs: once per direction in each of the coefficients,
-    # the reconstruction and the Born check.
-    assert calls.count("_oriented") == 6
-    # Only the public Born and expansion checks test finiteness; the core's bound makes it certain.
-    assert calls.count("_require_finite") == 4
+    assert len(calls) == 40, sorted(calls)
+    # The core reads the context once as its four numbers, so no direction asks context._oriented; each
+    # direction runs the pass once.  The finiteness the core's bound makes certain is tested inline, without
+    # a call.
+    stages = ("_oriented", "_coefficients", "_state", "_born", "expansion_consistency", "_require_finite")
+    assert {name: calls.count(name) for name in stages} == {
+        "_oriented": 0, "_coefficients": 2, "_state": 2, "_born": 2, "expansion_consistency": 2, "_require_finite": 0
+    }
     assert not {"_fmt_float", "marginals", "matrix", "a_given_b"} & set(calls)
 
 
@@ -398,33 +404,56 @@ def flat(x):
     return [y for item in x for y in flat(item)] if isinstance(x, (list, tuple)) else [x]
 
 
-def test_analyze_prints_the_api_numbers(rng):
-    # Each number analyze prints is the one the public functions return, written by _fmt_float,
-    # under its own key.
-    contexts = [ASYMMETRIC, DEFAULTED] + [random_hyperbolic_context(rng).to_dict() for _ in range(200)]
-    for d in contexts:
+def slacked_context(rng, tol):
+    """A random hyperbolic context, each entry offset by U(-0.2, 0.2)*tol, the a|b matrix independently."""
+    exact = random_hyperbolic_context(rng)
+
+    def off(pair):
+        return [x + rng.uniform(-0.2, 0.2) * tol for x in pair]
+
+    matrices = [[off(row) for row in M] for M in (exact.p_b_given_a, exact.p_a_given_b)]
+    return dict(zip(("p_a", "p_b", "P_b_given_a", "P_a_given_b"), (off(exact.p_a), off(exact.p_b), *matrices)))
+
+
+def test_analyze_prints_the_api_numbers(rng, ds_form):
+    # Each number analyze prints is the one the public functions return on the context's four-number form,
+    # written by _fmt_float, under its own key; the Born residuals are measured against the input's own
+    # marginals.  The random contexts are exactly doubly stochastic, their own four-number form, or carry
+    # slack within the tolerance, which only the four-number form takes out.  The private reconstruct and
+    # consistency_verdict, on that form, return the states and the verdict the entry points return.
+    slack_tol = 1e-6
+    contexts = [(ASYMMETRIC, qlra.TOLERANCE), (DEFAULTED, qlra.TOLERANCE)]
+    contexts += [(random_hyperbolic_context(rng).to_dict(), qlra.TOLERANCE) for _ in range(200)]
+    contexts += [(slacked_context(rng, slack_tol), slack_tol) for _ in range(150)]
+    for d, tol in contexts:
         ctx = qlra.ProbContext.from_dict(d)
+        ds = ds_form(ctx, tol)
         for sc in (1, -1):
-            code, text = run_cli(["analyze", "-", "--sign-branch", str(sc)], stdin_text=json.dumps(d))
+            argv = ["analyze", "-", "--sign-branch", str(sc), "--tolerance", repr(tol)]
+            code, text = run_cli(argv, stdin_text=json.dumps(d))
             report = json.loads(text)
             echo = {"p_a": ctx.p_a, "p_b": ctx.p_b, "P_b_given_a": ctx.p_b_given_a}
             if not ctx.a_given_b_defaulted:
                 echo["P_a_given_b"] = ctx.p_a_given_b
             assert list(report["input"]) == list(echo)
             api, printed = flat(list(echo.values())), flat(list(report["input"].values()))
+            states = {}
             for direction in qlra.Direction:
-                profile = qlra.interference_coefficients(ctx, direction)
+                profile = qlra.interference_coefficients(ds, direction)
                 entry = report["directions"][direction.value]
                 assert entry["regime"] == profile.regime.value
                 api += [*profile.lam, *profile.epsilon, *profile.theta]
                 printed += [*entry["lambda"], *entry["epsilon"], *entry["theta"]]
-                state = qlra.run_qlra(ctx, direction, sc)
+                state = qlra.run_qlra(ds, direction, sc)
+                assert qlra.engine.reconstruct(ds, direction, profile, sc) == state
+                states[direction] = state
                 born = qlra.verify_born_rule(state, ctx)
                 api += [*born.conditioned_residuals, *born.conditioning_residuals, born.max_residual]
                 api.append(qlra.expansion_consistency(state))
                 printed += [*entry["born_residuals"]["conditioned"], *entry["born_residuals"]["conditioning"]]
                 printed += [entry["born_residuals"]["max"], entry["expansion_deviation"]]
-            verdict, eq = qlra.check_consistency(ctx, sign_choice=sc), report["equivalence"]
+            verdict, eq = qlra.check_consistency(ds, tol, sc), report["equivalence"]
+            assert qlra.equivalence.consistency_verdict(ds, *states.values(), tol) == verdict
             assert code == (0 if verdict.equivalent else 3)
             assert verdict.equivalent is eq["equivalent"] and verdict.symmetry_holds is eq["symmetry_holds"]
             assert verdict.sign == eq["sign"] and (verdict.gamma is None) == (eq["gamma"] is None)
@@ -434,7 +463,7 @@ def test_analyze_prints_the_api_numbers(rng):
                 api.append(verdict.gamma)
                 printed.append(eq["gamma"])
             if verdict.symmetry_holds:
-                api.append(qlra.proof_relation_residual(ctx, sc))
+                api.append(qlra.proof_relation_residual(ds, sc))
                 printed.append(eq["proof_relation_residual"])
             else:
                 assert "proof_relation_residual" not in eq
@@ -477,13 +506,13 @@ def _random_contexts(seed, count):
     ],
     ids=["fixed", "random", "random_count_2"],
 )
-def test_generate_writes_exact_contexts(argv, made):
+def test_generate_writes_exact_contexts(argv, made, ds_form):
     # One JSON object per line, every float as json.dumps writes it: read back, each context is the one made.
     code, text = run_cli(["generate", *argv])
     assert code == 0
     written = [ProbContext.from_dict(json.loads(line)) for line in text.splitlines()]
     assert written == made()
-    assert all(_ds_context(ctx) == ctx for ctx in written)
+    assert all(ds_form(ctx) == ctx for ctx in written)
 
 
 def test_generate_infeasible(capsys):

@@ -18,7 +18,6 @@ from qlra import (
     random_hyperbolic_context,
     validate_context,
 )
-from qlra.context import _ds_context
 
 
 def test_ctx1_valid(ctx1):
@@ -241,17 +240,17 @@ def test_generate_roundtrip(rng):
         assert prof.regime is Regime.HYPERBOLIC
 
 
-def test_ds_context_is_idempotent(ctx1, extreme_contexts, rng):
-    # Contexts of the exactly doubly stochastic form come back bit for bit.
+def test_four_numbers_read_a_ds_context_back_exactly(ctx1, extreme_contexts, rng, ds_form):
+    # Contexts of the exactly doubly stochastic form are their own four-number form, bit for bit.
     for ctx in [*extreme_contexts, *(random_hyperbolic_context(rng) for _ in range(200))]:
-        assert _ds_context(ctx) == ctx
+        assert ds_form(ctx) == ctx
     # A defaulted a|b matrix has the b|a matrix's diagonal: p' == p.
-    ds = _ds_context(ctx1._replace(p_a_given_b=None))
+    ds = ds_form(ctx1._replace(p_a_given_b=None))
     assert ds.p_a_given_b == ds.p_b_given_a == ((0.9, 1.0 - 0.9), (1.0 - 0.9, 0.9))
     assert ds.p_b == (0.9, 1.0 - 0.9)
 
 
-def test_ds_context_of_slack_is_exact_and_within_twice_the_tolerance(rng):
+def test_four_numbers_of_slack_are_within_twice_the_tolerance(rng, ds_form):
     tol = 1e-6
 
     def off(pair):
@@ -262,10 +261,11 @@ def test_ds_context_of_slack_is_exact_and_within_twice_the_tolerance(rng):
         matrices = [[off(row) for row in M] for M in (exact.p_b_given_a, exact.p_a_given_b)]
         slacked = ProbContext(off(exact.p_a), off(exact.p_b), *matrices)
         assert validate_context(slacked, tol) == []
-        ds = _ds_context(slacked)
+        ds = ds_form(slacked, tol)
         (a, _), (b, _), ((p, _), _), ((q, _), _) = ds
-        assert ds == ((a, 1.0 - a), (b, 1.0 - b), ((p, 1.0 - p), (1.0 - p, p)), ((q, 1.0 - q), (1.0 - q, q)))
-        assert _ds_context(ds) == ds
+        assert (a, b) == (slacked.p_a[0], slacked.p_b[0])
+        assert (p, q) == tuple((M[0][0] + M[1][1]) / 2.0 for M in matrices)
+        assert ds_form(ds) == ds
         for x, y in zip(flat(ds), flat(slacked)):
             assert abs(x - y) <= 2.0 * tol
 
