@@ -5,10 +5,10 @@ null-cone coordinates u = x + y, v = x - y (the idempotent basis
 (1 +- j)/2), where the algebra is R (+) R: products are componentwise,
 conjugation swaps u and v, and |z|^2 = u*v is one product, with no
 cancelling x^2 - y^2.  The algebra is commutative but has zero divisors
-on the null cone u*v = 0, so inversion and the argument are partial
-operations.  This is the object layer over the float core: h_arg is the
-core's float argument equivalence._arg, which holds the domain check,
-and the core never imports this module.
+on the null cone u*v = 0, where the argument is undefined.  This is the
+object layer over the float core: h_arg is the core's float argument
+equivalence._arg, which holds the domain check, and the core never
+imports this module.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 from .equivalence import _arg
-from .errors import ZeroDivisorError
 
 __all__ = [
     "HNumber",
@@ -114,15 +113,6 @@ class HNumber:
     def sq_modulus(self) -> float:
         """z * conj(z) = u*v = x^2 - y^2.  May be negative or zero."""
         return self.u * self.v
-
-    def inv(self) -> "HNumber":
-        """Multiplicative inverse (1/u, 1/v).
-
-        Raises ZeroDivisorError on the null cone, where no inverse exists.
-        """
-        if self.u == 0.0 or self.v == 0.0:
-            raise ZeroDivisorError(f"{self} lies on the null cone; not invertible")
-        return _hn(1.0 / self.u, 1.0 / self.v)
 
 
 _new = object.__new__

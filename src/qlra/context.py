@@ -262,11 +262,11 @@ def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-1
     ValueError unless tol is positive and finite and direction a Direction.
     """
     _require_tolerance(tol)
-    (c0, c1), _, M = _oriented(ctx, direction)
+    (c0, c1), (o0, o1), M = _oriented(ctx, direction)
     if not is_doubly_stochastic(M, tol=max(tol, TOLERANCE)):
         raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")
-    profile = interference_coefficients(ctx, direction)
     (m00, m01), (m10, m11) = M
+    profile = _coefficients(c0, c1, o0, o1, m00, m01, m10, m11)
     denominator = min(2.0 * math.sqrt((c0 * m00) * (c1 * m01)), 2.0 * math.sqrt((c0 * m10) * (c1 * m11)))
     return abs(profile.lam[0] + profile.lam[1]) * denominator <= tol
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, InterferenceProfile, Matrix2,
-                      ProbContext, _as_matrix, _coefficients, _oriented, interference_coefficients,
-                      is_doubly_stochastic, validate_context)
+from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
+                      _coefficients, _oriented, interference_coefficients, is_doubly_stochastic, validate_context)
 from .errors import RegimeError, StochasticityError
 
 __all__ = [
@@ -137,7 +136,7 @@ def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, di
         # The stages see the exactly doubly stochastic context [[diag, off], [off, diag]] of the four numbers.
         x, x1, y, off = c[0], 1.0 - c[0], o[0], 1.0 - diag
         profile = _coefficients(x, x1, y, 1.0 - y, diag, off, off, diag)
-        state = _state(x, x1, diag, off, off, diag, profile, d, sign_choice) if profile.regime is _HYPERBOLIC else None
+        state = _state(x, x1, diag, profile, d, sign_choice) if profile.regime is _HYPERBOLIC else None
         steps.append((d, profile, state, c, o))
     return violations, p, q, steps
 
@@ -155,30 +154,24 @@ def _reconstructed(ctx: ProbContext, tol: float, sign_choice: int, directions) -
     return p, q, [step[2] for step in steps]
 
 
-def reconstruct(
-    ctx: ProbContext, direction: Direction, profile: InterferenceProfile, sign_choice: int
-) -> QlraState:
-    """The core's step on a context of the exactly doubly stochastic form its four numbers give, given the
-    direction's hyperbolic interference profile and a sign_choice of +-1.  It checks nothing: the core has.
+def _state(m0, m1, p, profile, direction, sign_choice) -> QlraState:
+    """The core's state on floats: conditioning marginals m and the diagonal p of the doubly stochastic
+    transition matrix [[p, q], [q, p]], q = 1 - p, given the direction's hyperbolic profile.  It checks
+    nothing: the core has.
     """
-    (m0, m1), _, ((m00, m01), (m10, m11)) = _oriented(ctx, direction)
-    return _state(m0, m1, m00, m01, m10, m11, profile, direction, sign_choice)
-
-
-def _state(m0, m1, m00, m01, m10, m11, profile, direction, sign_choice) -> QlraState:
-    """reconstruct on floats: conditioning marginals m and transition matrix entries m00..m11."""
+    q = 1.0 - p
     s = profile.epsilon[0]
     t = sign_choice * profile.theta[0]
     eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
     pu, pv = s * eu, s * ev
-    a00, a01 = math.sqrt(m0 * m00), math.sqrt(m1 * m01)
-    a10, a11 = math.sqrt(m0 * m10), math.sqrt(m1 * m11)
+    a00, a01 = math.sqrt(m0 * p), math.sqrt(m1 * q)
+    a10, a11 = math.sqrt(m0 * q), math.sqrt(m1 * p)
     amplitude = (a00 + pu * a01, a00 + pv * a01, a10 - pu * a11, a10 - pv * a11)
     # Every coordinate is finite: each entry of a valid ctx lies in [1e-12, 1 - 1e-12], so
     # |lam| <= 1/(2*1e-24), e^theta <= 2|lam| <= 1e24, and every coordinate, here and in the verdict's
     # transported amplitude, stays below 1e25.
-    roots = (math.sqrt(m00), math.sqrt(m01), math.sqrt(m10), math.sqrt(m11))
-    return tuple.__new__(QlraState, (amplitude, direction, profile, roots, (m0, m1), sign_choice))
+    rp, rq = math.sqrt(p), math.sqrt(q)
+    return tuple.__new__(QlraState, (amplitude, direction, profile, (rp, rq, rq, rp), (m0, m1), sign_choice))
 
 
 class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_residuals")):

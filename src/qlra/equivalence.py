@@ -127,7 +127,7 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
     if state_ba is None or state_ab is None:  # invalid, one direction asked for, or one not hyperbolic
         return violations, entries, None, None
     verdict = _verdict(state_ba, state_ab, p, q, tol)
-    residual = relation_residual(state_ab, state_ba) if verdict.symmetry_holds else None
+    residual = _relation_residual(state_ab, state_ba) if verdict.symmetry_holds else None
     return violations, entries, verdict, residual
 
 
@@ -143,27 +143,18 @@ def check_consistency(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int
     return _verdict(state_ba, state_ab, p, q, tol)
 
 
-def consistency_verdict(
-    ctx: ProbContext, state_ba: QlraState, state_ab: QlraState, tol: float
-) -> EquivalenceVerdict:
-    """check_consistency's comparison, for the two amplitudes, built on the same sign_choice, of a context
-    ctx of the exactly doubly stochastic form its four numbers give.
-    """
-    return _verdict(state_ba, state_ab, ctx.p_b_given_a[0][0], ctx.p_a_given_b[0][0], tol)
-
-
 def _verdict(state_ba: QlraState, state_ab: QlraState, p: float, q: float, tol: float) -> EquivalenceVerdict:
-    """consistency_verdict, given the diagonals p and p' = q of the two transition matrices."""
+    """check_consistency's comparison of two states of one sign_choice, given the matrices' diagonals p and p' = q."""
     # The transition unitary's columns are the b|a conditioning basis: U = [[r00, r01], [r10, -r11]].
     r00, r01, r10, r11 = state_ba.basis_roots
     bu1, bv1, bu2, bv2 = state_ba.amplitude
     transported = (r00 * bu1 + r01 * bu2, r00 * bv1 + r01 * bv2, r10 * bu1 - r11 * bu2, r10 * bv1 - r11 * bv2)
-    # The theorem fixes the a|b phase sign sc' that reconstruct leaves free.
+    # The theorem fixes the a|b phase sign sc' that engine._state leaves free.
     # A DS P is [[p, q], [q, p]], so U = [[sqrt p, sqrt q], [sqrt q, -sqrt p]] has U^2 = I,
     # and a symmetric context has psi_ab = U (sqrt p_b1, eps_ab exp_j(sc' theta_ab) sqrt p_b2):
     # U psi_ba = c psi_ab then means psi_ba = c (sqrt p_b1, eps_ab exp_j(sc' theta_ab) sqrt p_b2).
     # The j-part of psi_ba,2 conj(psi_ba,1) is -eps_ba sc sinh(theta_ba) sqrt(p_a1 p_a2) by
-    # reconstruct (p + q = 1) and eps_ab sc' sinh(theta_ab) sqrt(p_b1 p_b2) by the right side
+    # engine._state (p + q = 1) and eps_ab sc' sinh(theta_ab) sqrt(p_b1 p_b2) by the right side
     # (|c| = 1), so sc' = -eps_ba eps_ab sc.  With one sc for both, equal signs of lambda_1
     # call for the other branch: the conjugate amplitude, u and v swapped.
     u1, v1, u2, v2 = state_ab.amplitude
@@ -183,10 +174,10 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
     """
     directions = (Direction.A_GIVEN_B, Direction.B_GIVEN_A)
     _, _, (state_ab, state_ba) = _reconstructed(ctx, TOLERANCE, sign_choice, directions)
-    return relation_residual(state_ab, state_ba)
+    return _relation_residual(state_ab, state_ba)
 
 
-def relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:
+def _relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:
     """proof_relation_residual, for the two amplitudes of a validated context."""
     u1, v1, u2, v2 = state_ab.amplitude
     gamma_1 = _arg(u1, v1)  # first, so that ArgDomainError names the first component off the cone

@@ -2,7 +2,6 @@
 
 __all__ = [
     "QlraError",
-    "ZeroDivisorError",
     "ArgDomainError",
     "StochasticityError",
     "RegimeError",
@@ -13,10 +12,6 @@ __all__ = [
 
 class QlraError(Exception):
     """Base class for errors raised by this package."""
-
-
-class ZeroDivisorError(QlraError):
-    """Inversion or division by an element of the null cone (|z|^2 = 0)."""
 
 
 class ArgDomainError(QlraError):

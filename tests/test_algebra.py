@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qlra import ArgDomainError, ZeroDivisorError
+from qlra import ArgDomainError
 from qlra.algebra import HNumber, exp_j, h_arg
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -88,13 +88,6 @@ def test_arg_domain_errors():
     for z in (HNumber(1, 1), HNumber(0, 0), HNumber(1, 2), HNumber(0, 3)):
         with pytest.raises(ArgDomainError):
             h_arg(z)
-
-
-def test_inv():
-    assert HNumber(2).inv() == HNumber(0.5)
-    assert h_close(exp_j(0.9).inv(), exp_j(-0.9))
-    with pytest.raises(ZeroDivisorError):
-        HNumber(1, 1).inv()
 
 
 def test_non_finite_rejected():

@@ -23,7 +23,7 @@ from qlra import (
     Regime,
 )
 from qlra.algebra import HNumber, exp_j
-from qlra.equivalence import relation_residual
+from qlra.equivalence import _relation_residual
 from qlra.linear import HVector2, inner_product, mat_apply
 from test_linear import columns_orthonormal
 
@@ -313,7 +313,7 @@ def test_proof_relation_fails_for_asymmetric(ctx1):
     state_ab, state_ba = run_qlra(ctx1, Direction.A_GIVEN_B), run_qlra(ctx1, Direction.B_GIVEN_A)
     u1, v1, u2, v2 = state_ab.amplitude
     with pytest.raises(ArgDomainError):
-        relation_residual(state_ab._replace(amplitude=(u1, -v1, u2, v2)), state_ba)
+        _relation_residual(state_ab._replace(amplitude=(u1, -v1, u2, v2)), state_ba)
 
 
 def test_measurement_invariance(rng):

@@ -10,6 +10,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -187,13 +188,13 @@ def test_relation_residual_domain_error_loads_no_object_layer():
     # Component 1 of the a|b amplitude, (u, v) = (1.0, -1.0), lies off the cone; component 2 does not.
     printed, modules = _run_child("""
 from qlra import ArgDomainError, Direction, InterferenceProfile, QlraState, Regime
-from qlra.equivalence import relation_residual
+from qlra.equivalence import _relation_residual
 profile = InterferenceProfile((4 / 3, -4 / 3), (1, -1), (0.79, 0.79), Regime.HYPERBOLIC)
 roots = (0.9, 0.1, 0.1, 0.9)
 state_ab = QlraState((1.0, -1.0, 1.0, 1.0), Direction.A_GIVEN_B, profile, roots, (0.9, 0.1))
 state_ba = QlraState((1.0, 1.0, 1.0, 1.0), Direction.B_GIVEN_A, profile, roots, (0.5, 0.5))
 try:
-    relation_residual(state_ab, state_ba)
+    _relation_residual(state_ab, state_ba)
 except ArgDomainError as exc:
     print(exc)""")
     assert printed == ["argument undefined for null-cone coordinates (1.0, -1.0): x^2 - y^2 <= 0"]
@@ -210,3 +211,12 @@ def test_package_root_reexports_each_module_all():
     exec("from qlra import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(qlra.__all__)
+    # The census: every class and function a module defines under a public name is one its __all__ lists.
+    unlisted = {
+        f"{module.__name__}.{name}"
+        for module in (*modules, qlra.algebra, qlra.linear)
+        for name, obj in vars(module).items()
+        if isinstance(obj, (type, types.FunctionType)) and obj.__module__ == module.__name__
+        and not name.startswith("_") and name not in module.__all__
+    }
+    assert unlisted == set()
