@@ -77,8 +77,9 @@ _INPUT = {
     (m, n): _HEAD + m + (',\n    "P_a_given_b": ' + n if n else "") + _VALIDATION % ("false" if n else "true")
     for m in (_MATRIX, _MATRIX_LINES) for n in (_MATRIX, _MATRIX_LINES, None)
 }
-# A direction's entry by (direction, regime, has a Born report): its lambda, epsilon and theta, then the Born
-# report or the error.  Direction and Regime values are plain identifiers, so in quotes each is its JSON string.
+# A direction's entry by (direction, regime): its lambda, epsilon and theta, then the Born report (the core builds a
+# state exactly when hyperbolic) or the error.  Direction and Regime values are plain identifiers, so in quotes each
+# is its JSON string.
 _ENTRY = '": {\n      "lambda": [%.12g, %.12g],\n      "epsilon": [%d, %d],\n      "theta": [%.12g, %.12g],\n      "regime": "'
 _BORN = (
     '",\n      "born_residuals": {\n        "conditioned": [%.12g, %.12g],\n        "conditioning": [%.12g, %.12g],\n'
@@ -86,19 +87,19 @@ _BORN = (
 )
 _NOT_HYPERBOLIC = ': |lambda| <= 1 for at least one outcome; hyperbolic reconstruction not applicable"\n    }'
 _ENTRIES = {
-    (d.value, r.value, born): '    "' + d.value + _ENTRY + r.value
-    + (_BORN if born else '",\n      "error": "regime is ' + r.value + _NOT_HYPERBOLIC)
-    for d in Direction for r in Regime for born in (True, False)
+    (d.value, r.value): '    "' + d.value + _ENTRY + r.value
+    + (_BORN if r is Regime.HYPERBOLIC else '",\n      "error": "regime is ' + r.value + _NOT_HYPERBOLIC)
+    for d in Direction for r in Regime
 }
-# The directions' closing and the equivalence block, by (equivalent, symmetry holds, has a residual).  A verdict
-# has gamma and sign exactly when it is equivalent.
+# The directions' closing and the equivalence block, by (equivalent, symmetry holds).  A verdict has gamma and
+# sign exactly when it is equivalent, and analyze computes the proof relation residual exactly when symmetry holds.
 _EQUIVALENCE = ',\n  "equivalence": {\n    "equivalent": %s,\n    "gamma": %s,\n    "sign": %s,\n    "symmetry_holds": '
 _EQUIVALENT, _NOT_EQUIVALENT = _EQUIVALENCE % ("true", "%.12g", "%d"), _EQUIVALENCE % ("false", "null", "null")
 _EQUIVALENCES = {
-    (eq, sym, res): "\n  }" + (_EQUIVALENT if eq else _NOT_EQUIVALENT) + ("true" if sym else "false")
-    + ',\n    "max_component_deviation": %.12g' + (',\n    "proof_relation_residual": %.12g' if res else "")
+    (eq, sym): "\n  }" + (_EQUIVALENT if eq else _NOT_EQUIVALENT) + ("true" if sym else "false")
+    + ',\n    "max_component_deviation": %.12g' + (',\n    "proof_relation_residual": %.12g' if sym else "")
     + "\n  }\n}"
-    for eq in (True, False) for sym in (True, False) for res in (True, False)
+    for eq in (True, False) for sym in (True, False)
 }
 
 
@@ -114,11 +115,11 @@ def _matrix_template(M) -> str:
     return _MATRIX if short else _MATRIX_LINES
 
 
-def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict=None, residual=None) -> str:
+def _report_json(ctx, tolerance, sign_branch, violations, directions, verdict, residual) -> str:
     """The analyze report from equivalence.analyze's result (directions: its entries), filled with one %.
 
-    Each float slot is written as _fmt_float writes it: a non-finite value raises, and -0 is 0.  A verdict
-    comes with the directions it compares.
+    Each float slot is written as _fmt_float writes it: a non-finite value raises, and -0 is 0.  A valid
+    context comes with at least one direction, and a verdict with the directions it compares.
     """
     (a0, a1), (b0, b1), M, N = ctx
     (m0, m1), (m2, m3) = M
@@ -134,13 +135,11 @@ def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict
         else:
             listed = "[\n      " + ",\n      ".join(listed) + "\n    ]"
         template = [head, 'false,\n    "violations": ', listed.replace("%", "%%"), "\n  }\n}"]
-    elif not directions:
-        template = [head, _VALID, "\n}"]
     else:
         template = [head + _VALID + ',\n  "directions": {\n']
         for direction, ((l0, l1), (e0, e1), (t0, t1), regime), born, deviation in directions:
             # _value_ is .value without the Enum property's Python-level call.
-            template += (_ENTRIES[direction._value_, regime._value_, born is not None], ",\n")
+            template += (_ENTRIES[direction._value_, regime._value_], ",\n")
             if born is None:  # off the hyperbolic regime
                 values += (l0, l1, e0, e1, t0, t1)
             else:
@@ -150,9 +149,9 @@ def _report_json(ctx, tolerance, sign_branch, violations, directions=(), verdict
             template[-1] = "\n  }\n}"  # in place of the last entry's separator
         else:
             equivalent, gamma, sign, deviation, symmetry_holds = verdict
-            template[-1] = _EQUIVALENCES[equivalent, symmetry_holds, residual is not None]
+            template[-1] = _EQUIVALENCES[equivalent, symmetry_holds]
             verdict_values = (gamma, sign, deviation) if equivalent else (deviation,)
-            values += verdict_values if residual is None else verdict_values + (residual,)
+            values += verdict_values + (residual,) if symmetry_holds else verdict_values
     if not math.isfinite(sum(values)):  # an inf or nan term makes the sum inf or nan; so can overflow
         for x in values:
             _fmt_float(x)  # raises for the first non-finite value

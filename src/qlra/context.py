@@ -37,6 +37,9 @@ POSITIVITY_MARGIN = 1e-12
 # The default tolerance of every check, and of `qlra analyze --tolerance`.
 TOLERANCE = 1e-9
 
+# The draws random_hyperbolic_context makes before it gives up.
+_MAX_TRIES = 10_000
+
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
 
@@ -228,7 +231,7 @@ def interference_coefficients(ctx: ProbContext, direction: Direction) -> Interfe
     lam[i] = (p_out[i] - sum_k p_cond[k] * M[i][k])
              / (2 * sqrt(prod_k p_cond[k] * M[i][k])).
     Raises ValueError unless direction is a Direction, and RegimeError
-    when a product under the square root is not strictly positive.
+    when a product under the square root is not positive and finite.
     """
     (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = _oriented(ctx, direction)
     return _coefficients(c0, c1, o0, o1, m00, m01, m10, m11)
@@ -238,15 +241,15 @@ def _coefficients(c0, c1, o0, o1, m00, m01, m10, m11) -> InterferenceProfile:
     """interference_coefficients on one order's floats: conditioning marginals c, conditioned o, matrix m."""
     k00, k01, k10, k11 = c0 * m00, c1 * m01, c0 * m10, c1 * m11  # the joint probabilities
     prod0, prod1 = k00 * k01, k10 * k11
-    if prod0 <= 0.0 or prod1 <= 0.0:
-        raise RegimeError(f"degenerate denominator for outcome {0 if prod0 <= 0.0 else 1}: "
+    if not (0.0 < prod0 < math.inf and 0.0 < prod1 < math.inf):  # then lam is never nan: |lam| <= 1 off acosh
+        raise RegimeError(f"degenerate denominator for outcome {1 if 0.0 < prod0 < math.inf else 0}: "
                           "probabilities must be strictly positive")
     lam0 = (o0 - (k00 + k01)) / (2.0 * math.sqrt(prod0))
     lam1 = (o1 - (k10 + k11)) / (2.0 * math.sqrt(prod1))
     big0, big1 = abs(lam0) > 1.0, abs(lam1) > 1.0
     regime = _HYPERBOLIC if big0 and big1 else _HYPER_TRIGONOMETRIC if big0 or big1 else _TRIGONOMETRIC
-    theta0 = math.acosh(abs(lam0)) if big0 else math.acos(max(-1.0, min(1.0, lam0)))
-    theta1 = math.acosh(abs(lam1)) if big1 else math.acos(max(-1.0, min(1.0, lam1)))
+    theta0 = math.acosh(abs(lam0)) if big0 else math.acos(lam0)
+    theta1 = math.acosh(abs(lam1)) if big1 else math.acos(lam1)
     epsilon = (1 if lam0 >= 0 else -1, 1 if lam1 >= 0 else -1)
     return tuple.__new__(InterferenceProfile, ((lam0, lam1), epsilon, (theta0, theta1), regime))
 
@@ -330,19 +333,17 @@ def generate_hyperbolic_context(p: float, p_a1: float, lambda1: float) -> ProbCo
     return ctx
 
 
-def random_hyperbolic_context(
-    rng: random.Random,
-    require_both_hyperbolic: bool = True,
-    max_tries: int = 10_000,
-) -> ProbContext:
-    """Rejection-sample a valid hyperbolic context.
+def random_hyperbolic_context(rng: random.Random) -> ProbContext:
+    """Rejection-sample a valid hyperbolic context, giving up after _MAX_TRIES draws.
 
     Draws (p, p_a1) uniformly, skips pairs with an empty feasible band,
     and samples lam1 in the interior of a feasible interval.  With
-    ``require_both_hyperbolic`` the mirrored a|b coefficients must also
-    exceed 1 in absolute value.
+    x = 2*p_a1 - 1, y = 2*p_b1 - 1 and z = 2p - 1, lam^2 - 1 is
+    (x^2 + y^2 + z^2 - 2xyz - 1) / ((1 - x^2)(1 - z^2)) for b|a and the
+    same numerator over (1 - y^2)(1 - z^2) for a|b, so the a|b order is
+    hyperbolic too; its check guards only against rounding as |lam| -> 1.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         p = rng.uniform(0.02, 0.98)
         p_a1 = rng.uniform(0.02, 0.98)
         intervals = lambda_feasible_range(p, p_a1)
@@ -357,9 +358,6 @@ def random_hyperbolic_context(
             ctx = generate_hyperbolic_context(p, p_a1, lam1)
         except InfeasibleContextError:
             continue
-        if require_both_hyperbolic:
-            mirrored = interference_coefficients(ctx, Direction.A_GIVEN_B)
-            if mirrored.regime is not Regime.HYPERBOLIC:
-                continue
-        return ctx
-    raise InfeasibleContextError(f"no feasible context found in {max_tries} tries")
+        if interference_coefficients(ctx, Direction.A_GIVEN_B).regime is Regime.HYPERBOLIC:
+            return ctx
+    raise InfeasibleContextError(f"no feasible context found in {_MAX_TRIES} tries")

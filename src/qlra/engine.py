@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 
 from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
-                      _coefficients, _oriented, interference_coefficients, is_doubly_stochastic, validate_context)
+                      _coefficients, _oriented, is_doubly_stochastic, validate_context)
 from .errors import RegimeError, StochasticityError
 
 __all__ = [
@@ -260,9 +260,7 @@ def born_violation_demo(p: float) -> ViolationReport:
         raise ValueError(f"squared basis overlap is not finite at p={p!r}")
     # lam1 = -(q/p)*lam2 holds for every marginal assignment; sweep a few.
     worst = 0.0
-    p_a = (0.5, 0.5)
-    for p_b1 in (0.2, 0.35, 0.5, 0.65, 0.8):
-        ctx = ProbContext(p_a=p_a, p_b=(p_b1, 1.0 - p_b1), p_b_given_a=M)
-        prof = interference_coefficients(ctx, Direction.B_GIVEN_A)
+    for p_b1 in (0.2, 0.35, 0.5, 0.65, 0.8):  # p_a = (1/2, 1/2), conditioned on by the b|a order
+        prof = _coefficients(0.5, 0.5, p_b1, 1.0 - p_b1, p, p, q, q)
         worst = max(worst, abs(prof.lam[0] + (q / p) * prof.lam[1]))
     return ViolationReport(p, q, M, overlap, overlap_sq, worst)

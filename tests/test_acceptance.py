@@ -138,7 +138,7 @@ def test_criterion_5_coefficient_cancellation():
     worst = 0.0
     mixed = 0
     for _ in range(1000):
-        ctx = random_hyperbolic_context(rng, require_both_hyperbolic=False)
+        ctx = random_hyperbolic_context(rng)
         for direction in Direction:
             prof = interference_coefficients(ctx, direction)
             worst = max(worst, abs(prof.lam[0] + prof.lam[1]))

@@ -596,6 +596,8 @@ WRITTEN_GOLDENS = [
     ("demo-violation --p 0.7", "demo_violation_report.json"),
     ("generate --p 0.9 --p-a1 0.5 --lambda 1.3333333333", "generate_ctx1.jsonl"),
     ("sweep --p-grid 0.1:0.9:0.4 --pa-grid 0.5:0.5:0.1", "sweep_small.csv"),
+    # The draw itself is pinned: the contexts random_hyperbolic_context made when this golden was recorded.
+    ("generate --random --seed 3 --count 2", "generate_random_seed3.jsonl"),
 ]
 
 
@@ -612,6 +614,17 @@ def test_demo_violation(capsys):
         capsys.readouterr()
         assert run_cli(["demo-violation", "--p", p]) == (1, "")
         assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("error, code", [(qlra.RegimeError, 2), (qlra.StochasticityError, 1)])
+def test_main_maps_library_errors_to_exit_codes(ctx1_file, monkeypatch, capsys, error, code):
+    # A RegimeError that reaches main exits 2, any other QlraError 1, each with one error line and no traceback.
+    def raising(*args):
+        raise error("raised by the library")
+
+    monkeypatch.setattr(qlra.cli, "analyze", raising)
+    assert run_cli(["analyze", ctx1_file]) == (code, "")
+    assert assert_one_error_line(capsys) == "error: raised by the library\n"
 
 
 def test_argument_errors_exit_1(ctx1_file, capsys):

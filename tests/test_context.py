@@ -1,7 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qlra import (
     Direction,
@@ -127,6 +129,16 @@ def test_interference_degenerate_denominator_names_the_outcome():
             message = f"degenerate denominator for outcome {outcome}: probabilities must be strictly positive"
             with pytest.raises(RegimeError, match=f"^{message}$"):
                 interference_coefficients(ctx, direction)
+    # Or one that overflows: a joint probability of 1e200 * 1e200 is inf, and a product of inf and 0 is nan.
+    # Either used to give a nan lambda; its theta came out 0 or 230.3, and the regime trigonometric or mixed.
+    message = "degenerate denominator for outcome {}: probabilities must be strictly positive"
+    for ctx, outcome in [
+        (ProbContext((1e200, 1.0), (0.5, 0.5), ((1e200, 1.0), (1.0, 1.0))), 0),
+        (ProbContext((1e200, 1e200), (1e200, 1e200), ((1e200, 1e200), (1e200, 1e200))), 0),
+        (ProbContext((1.0, 1e200), (0.5, 0.5), ((0.5, 0.5), (1.0, 1e200))), 1),
+    ]:
+        with pytest.raises(RegimeError, match=f"^{message.format(outcome)}$"):
+            interference_coefficients(ctx, Direction.B_GIVEN_A)
 
 
 def test_interference_hyper_trigonometric_off_double_stochasticity():
@@ -145,8 +157,8 @@ def test_interference_hyper_trigonometric_off_double_stochasticity():
         regime = {2: Regime.HYPERBOLIC, 1: Regime.HYPER_TRIGONOMETRIC, 0: Regime.TRIGONOMETRIC}[sum(big)]
         assert prof.regime is regime
         for x, theta, hyperbolic in zip(prof.lam, prof.theta, big):
-            # acosh for the outcome with |lam| > 1, the clamped acos for the other.
-            assert theta == (math.acosh(abs(x)) if hyperbolic else math.acos(max(-1.0, min(1.0, x))))
+            # acosh for the outcome with |lam| > 1, acos for the other.
+            assert theta == (math.acosh(abs(x)) if hyperbolic else math.acos(x))
     # (0.8, 0.2): lam = (-0.75, 3), the mixed regime.
     ctx = ProbContext(p_a=(0.5, 0.5), p_b=(0.2, 0.8), p_b_given_a=((0.8, 0.8), (0.2, 0.2)))
     prof = interference_coefficients(ctx, Direction.B_GIVEN_A)
@@ -177,11 +189,52 @@ def test_proposition1_extreme_grid(extreme_contexts):
 def test_proposition1_random(rng):
     # Any doubly stochastic context with valid marginals cancels exactly.
     for _ in range(200):
-        ctx = random_hyperbolic_context(rng, require_both_hyperbolic=False)
+        ctx = random_hyperbolic_context(rng)
         for direction in Direction:
             prof = interference_coefficients(ctx, direction)
             assert abs(prof.lam[0] + prof.lam[1]) < 1e-10
             assert prof.regime is not Regime.HYPER_TRIGONOMETRIC
+
+
+# The validated domain's corners: 1 - TOP is the smallest float 1 - x at or above the positivity margin 1e-12.
+TOP = math.nextafter(1.0 - 1e-12, 0.0)
+U = 2.0 ** -53  # the unit roundoff
+
+
+@settings(max_examples=300, deadline=None)
+@given(*[st.floats(1e-12, TOP) | st.sampled_from([1e-12, 0.5, TOP])] * 3)
+@example(1e-12, 1e-12, 1e-12)
+@example(TOP, 1e-12, TOP)
+@example(0.5, TOP, 0.5)
+@example(0.5, 0.8, 0.9)  # lam = +-1 in reals: x = 0 and y^2 + z^2 = 1
+def test_both_orders_share_the_regime(a, b, p):
+    # A transpose-symmetric doubly stochastic context is (a, b, p).  With x = 2a - 1, y = 2b - 1, z = 2p - 1,
+    # lam^2 - 1 is N / ((1 - x^2)(1 - z^2)) for b|a and N / ((1 - y^2)(1 - z^2)) for a|b, one numerator
+    # N = x^2 + y^2 + z^2 - 2xyz - 1 for both, so the sign of N alone decides both orders' regimes.
+    M = ((p, 1.0 - p), (1.0 - p, p))
+    ctx = ProbContext((a, 1.0 - a), (b, 1.0 - b), M, M)
+    assert validate_context(ctx) == []
+    x, y, z = (2 * Fraction(v) - 1 for v in (a, b, p))
+    N = x * x + y * y + z * z - 2 * x * y * z - 1
+    regimes, clear = [], True
+    for direction, w in ((Direction.B_GIVEN_A, x), (Direction.A_GIVEN_B, y)):
+        profile = interference_coefficients(ctx, direction)
+        regimes.append(profile.regime)
+        denominator = (1 - w * w) * (1 - z * z)
+        D = math.sqrt(denominator) / 2.0  # lam's denominator 2*sqrt(c(1-c)p(1-p)), c the conditioning marginal
+        for lam in profile.lam:
+            # Forward error of the float lam: the numerator's inputs and terms are at most 1 and carry at most
+            # 5 roundings, the denominator at most 3.5 relative to D, the quotient one: |d lam| <= 8u(1/D + |lam|).
+            err = 8.0 * U * (1.0 / D + abs(lam))
+            if abs(abs(lam) - 1.0) > err:
+                assert (abs(lam) > 1.0) is (N > 0)
+            else:
+                clear = False
+            # lam^2 - 1 then errs by at most 2|lam|err + err^2, plus u per rounding of the square and the subtraction.
+            bound = 2.0 * abs(lam) * err + err * err + 2.0 * U * (lam * lam + 1.0)
+            assert abs(Fraction(lam * lam - 1.0) - N / denominator) <= bound
+    if clear:
+        assert regimes[0] is regimes[1] is (Regime.HYPERBOLIC if N > 0 else Regime.TRIGONOMETRIC)
 
 
 def test_generate_ctx1():
@@ -220,8 +273,19 @@ def test_generate_infeasible():
         generate_hyperbolic_context(1e-200, 1e-200, 2.0)
     with pytest.raises(ValueError, match="p=1e-200 and p_a1=1e-200 give no band"):
         lambda_feasible_range(1e-200, 1e-200)
-    with pytest.raises(InfeasibleContextError, match="no feasible context found in 0 tries"):
-        random_hyperbolic_context(random.Random(0), max_tries=0)
+
+
+class _Halves(random.Random):
+    """Draws p = p_a1 = 1/2, whose band [-1, 1] holds no |lam1| > 1."""
+
+    def uniform(self, a, b):
+        return 0.5
+
+
+def test_random_context_gives_up():
+    # Every draw has an empty band, so every try is skipped.
+    with pytest.raises(InfeasibleContextError, match="^no feasible context found in 10000 tries$"):
+        random_hyperbolic_context(_Halves(0))
 
 
 def test_generate_roundtrip(rng):

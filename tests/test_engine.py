@@ -168,6 +168,11 @@ def test_expansion_consistency(ctx1, rng):
         ctx = random_hyperbolic_context(rng)
         for direction in Direction:
             assert expansion_consistency(run_qlra(ctx, direction)) < 1e-10
+    # A state whose theta is inf has the phase exp_j(inf) = (inf, 0): the error names that pair.
+    state = run_qlra(ctx1, Direction.B_GIVEN_A)
+    infinite = state._replace(profile=state.profile._replace(theta=(math.inf, math.inf)))
+    with pytest.raises(ValueError, match=r"^non-finite null-cone coordinates: inf, 0\.0$"):
+        expansion_consistency(infinite)
 
 
 def test_sign_branches_share_born_residuals(ctx1, rng):
