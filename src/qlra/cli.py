@@ -24,7 +24,7 @@ from .context import (TOLERANCE, Direction, ProbContext, Regime, _band, _require
                       generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context)
 from .engine import born_violation_demo
 from .equivalence import analyze
-from .errors import InfeasibleContextError, QlraError, RegimeError
+from .errors import QlraError
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -203,28 +203,20 @@ def cmd_analyze(args, out) -> int:
 def cmd_generate(args, out) -> int:
     if args.random:
         if args.p is not None or args.p_a1 is not None or args.lambda1 is not None:
-            print("error: --random excludes --p/--p-a1/--lambda", file=sys.stderr)
-            return EXIT_INVALID_INPUT
+            raise ValueError("--random excludes --p/--p-a1/--lambda")
         count = 1 if args.count is None else args.count
         if count < 1:
-            print(f"error: --count must be at least 1, got {count}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
+            raise ValueError(f"--count must be at least 1, got {count}")
         import random  # here, not at the top: no other command needs it
 
         rng = random.Random(0 if args.seed is None else args.seed)
         contexts = (random_hyperbolic_context(rng) for _ in range(count))
     elif args.count is not None or args.seed is not None:
-        print("error: --count and --seed need --random", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        raise ValueError("--count and --seed need --random")
     elif args.p is None or args.p_a1 is None or args.lambda1 is None:
-        print("error: provide --p, --p-a1 and --lambda (or --random)", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        raise ValueError("provide --p, --p-a1 and --lambda (or --random)")
     else:
-        try:
-            contexts = [generate_hyperbolic_context(args.p, args.p_a1, args.lambda1)]
-        except (ValueError, RegimeError, InfeasibleContextError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID_INPUT
+        contexts = [generate_hyperbolic_context(args.p, args.p_a1, args.lambda1)]
     for ctx in contexts:
         print(json.dumps(ctx.to_dict()), file=out)
     return EXIT_OK
@@ -235,8 +227,8 @@ def _parse_grid(spec: str) -> list[float]:
         a, b, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-    count = (b - a) / step
-    if not (0.0 < step < float("inf") and float("-inf") < a <= b and count < float("inf")):
+    # The step is tested before it divides: a step of 0 or -0 is a bad grid, not a ZeroDivisionError.
+    if not (0.0 < step < float("inf") and float("-inf") < a <= b and (count := (b - a) / step) < float("inf")):
         raise ValueError(f"bad grid {spec!r}")
     # Only the points a + i*step with i from -a/step to (1 - a)/step can lie in
     # (0, 1); the filter drops what rounding puts on or past either end.
@@ -248,51 +240,33 @@ def _parse_grid(spec: str) -> list[float]:
 
 def cmd_sweep(args, out) -> int:
     # A bad grid exits before the header; a point whose band underflows, after the rows before it.
-    try:
-        p_grid = _parse_grid(args.p_grid)
-        pa_grid = _parse_grid(args.pa_grid)
-        print("p,p_a1,band_low,band_high,hyperbolic_feasible", file=out)
-        for p in p_grid:
-            for p_a1 in pa_grid:
-                # Raw band before the |lambda| > 1 cut.
-                _, _, lo, hi = _band(p, p_a1)
-                feasible = bool(lambda_feasible_range(p, p_a1))
-                print(
-                    f"{_fmt_float(p)},{_fmt_float(p_a1)},{_fmt_float(lo)},"
-                    f"{_fmt_float(hi)},{'true' if feasible else 'false'}",
-                    file=out,
-                )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    p_grid = _parse_grid(args.p_grid)
+    pa_grid = _parse_grid(args.pa_grid)
+    print("p,p_a1,band_low,band_high,hyperbolic_feasible", file=out)
+    for p in p_grid:
+        for p_a1 in pa_grid:
+            # Raw band before the |lambda| > 1 cut.
+            _, _, lo, hi = _band(p, p_a1)
+            feasible = bool(lambda_feasible_range(p, p_a1))
+            print(
+                f"{_fmt_float(p)},{_fmt_float(p_a1)},{_fmt_float(lo)},"
+                f"{_fmt_float(hi)},{'true' if feasible else 'false'}",
+                file=out,
+            )
     return EXIT_OK
 
 
 def cmd_demo_violation(args, out) -> int:
     # A tiny p fails in the demo (a degenerate denominator, or an overflowing
-    # basis_overlap_sq); either way that p is unusable input.
-    try:
-        rep = born_violation_demo(args.p)
-        report = {
-            "tool": "qlra",
-            "version": __version__,
-            "p": rep.p,
-            "q": rep.q,
-            "matrix": [list(r) for r in rep.matrix],
-            "basis_overlap": rep.basis_overlap,
-            "basis_overlap_sq": rep.basis_overlap_sq,
-            "lambda_relation_residual": rep.lambda_relation_residual,
-            "note": (
-                "basis_overlap = p - q^2/p; nonzero overlap means the "
-                "conditioning basis is not orthogonal and the reconstruction "
-                "cannot satisfy the squared-modulus rule for both observables"
-            ),
-        }
-        text = dumps(report)
-    except (ValueError, QlraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    print(text, file=out)
+    # basis_overlap_sq); main reports that p as unusable input.  The report's
+    # fields after the version are the ViolationReport's, in its order.
+    rep = born_violation_demo(args.p)
+    note = (
+        "basis_overlap = p - q^2/p; nonzero overlap means the "
+        "conditioning basis is not orthogonal and the reconstruction "
+        "cannot satisfy the squared-modulus rule for both observables"
+    )
+    print(dumps({"tool": "qlra", "version": __version__, **rep._asdict(), "note": note}), file=out)
     return EXIT_OK
 
 
@@ -361,10 +335,7 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         return args.func(args, out)
-    except RegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except QlraError as exc:
+    except (ValueError, QlraError) as exc:  # every command's bad input and library errors: one line, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

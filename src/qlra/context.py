@@ -258,10 +258,14 @@ def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-1
     """True iff the two interference coefficients cancel (lam1 + lam2 = 0).
 
     Requires the direction's matrix to be doubly stochastic, under which
-    the cancellation is an algebraic identity and the mixed
-    hyper-trigonometric regime cannot occur.  The sum is compared in
-    probability units, times the smaller denominator of the two lam[i], so
-    rounding in the probabilities does not grow with |lam|.  Raises
+    the cancellation is an algebraic identity and, in exact arithmetic,
+    the mixed hyper-trigonometric regime cannot occur.  In floats it can
+    where |lam| is 1 exactly: ProbContext((0.5, 0.5), (0.8, 0.2), M, M)
+    with M = ((0.9, 0.1), (0.1, 0.9)) reads lam = (-1.0000000000000002,
+    0.9999999999999998) for a|b, so hyper_trigonometric (the example of
+    tests/test_context.py::test_both_orders_share_the_regime).  The sum is
+    compared in probability units, times the smaller denominator of the two
+    lam[i], so rounding in the probabilities does not grow with |lam|.  Raises
     ValueError unless tol is positive and finite and direction a Direction.
     """
     _require_tolerance(tol)
