@@ -234,46 +234,46 @@ def interference_coefficients(ctx: ProbContext, direction: Direction) -> Interfe
     when a product under the square root is not positive and finite.
     """
     (c0, c1), (o0, o1), ((m00, m01), (m10, m11)) = _oriented(ctx, direction)
-    return _coefficients(c0, c1, o0, o1, m00, m01, m10, m11)
-
-
-def _coefficients(c0, c1, o0, o1, m00, m01, m10, m11) -> InterferenceProfile:
-    """interference_coefficients on one order's floats: conditioning marginals c, conditioned o, matrix m."""
-    k00, k01, k10, k11 = c0 * m00, c1 * m01, c0 * m10, c1 * m11  # the joint probabilities
-    prod0, prod1 = k00 * k01, k10 * k11
+    prod0, prod1 = (c0 * m00) * (c1 * m01), (c0 * m10) * (c1 * m11)
     if not (0.0 < prod0 < math.inf and 0.0 < prod1 < math.inf):  # then lam is never nan: |lam| <= 1 off acosh
         raise RegimeError(f"degenerate denominator for outcome {1 if 0.0 < prod0 < math.inf else 0}: "
                           "probabilities must be strictly positive")
-    lam0 = (o0 - (k00 + k01)) / (2.0 * math.sqrt(prod0))
-    lam1 = (o1 - (k10 + k11)) / (2.0 * math.sqrt(prod1))
-    big0, big1 = abs(lam0) > 1.0, abs(lam1) > 1.0
-    regime = _HYPERBOLIC if big0 and big1 else _HYPER_TRIGONOMETRIC if big0 or big1 else _TRIGONOMETRIC
-    theta0 = math.acosh(abs(lam0)) if big0 else math.acos(lam0)
-    theta1 = math.acosh(abs(lam1)) if big1 else math.acos(lam1)
+    (l0, _), (e0, _), (t0, _), r0 = _coefficients(c0, c1, o0, m00, m01)  # outcome i is outcome 0 of row i
+    (l1, _), (e1, _), (t1, _), r1 = _coefficients(c0, c1, o1, m10, m11)
+    return tuple.__new__(InterferenceProfile, ((l0, l1), (e0, e1), (t0, t1), r0 if r0 is r1 else _HYPER_TRIGONOMETRIC))
+
+
+def _coefficients(c0, c1, o0, p, q) -> InterferenceProfile:
+    """The profile of the doubly stochastic order [[p, q], [q, p]] with conditioning marginals c and outcome 0's
+    conditioned marginal o0, on floats: outcome 0's lam, and lam1 = -lam0 by Proposition 1."""
+    k0, k1 = c0 * p, c1 * q  # outcome 0's joint probabilities
+    # No check: a valid context's entries lie in [1e-12, 1 - 1e-12], so k0 * k1 >= 1e-48.
+    lam0 = (o0 - (k0 + k1)) / (2.0 * math.sqrt(k0 * k1))
+    lam1 = 0.0 - lam0  # +0.0, not -0.0, when lam0 is 0
+    big = abs(lam0) > 1.0  # as is |lam1|: one regime, and theta1 is theta0 if big, else about pi - theta0
+    theta = (math.acosh(abs(lam0)), math.acosh(abs(lam1))) if big else (math.acos(lam0), math.acos(lam1))
     epsilon = (1 if lam0 >= 0 else -1, 1 if lam1 >= 0 else -1)
-    return tuple.__new__(InterferenceProfile, ((lam0, lam1), epsilon, (theta0, theta1), regime))
+    return tuple.__new__(InterferenceProfile, ((lam0, lam1), epsilon, theta, _HYPERBOLIC if big else _TRIGONOMETRIC))
 
 
 def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-10) -> bool:
     """True iff the two interference coefficients cancel (lam1 + lam2 = 0).
 
-    Requires the direction's matrix to be doubly stochastic, under which
-    the cancellation is an algebraic identity and, in exact arithmetic,
-    the mixed hyper-trigonometric regime cannot occur.  In floats it can
-    where |lam| is 1 exactly: ProbContext((0.5, 0.5), (0.8, 0.2), M, M)
-    with M = ((0.9, 0.1), (0.1, 0.9)) reads lam = (-1.0000000000000002,
-    0.9999999999999998) for a|b, so hyper_trigonometric (the example of
-    tests/test_context.py::test_both_orders_share_the_regime).  The sum is
-    compared in probability units, times the smaller denominator of the two
-    lam[i], so rounding in the probabilities does not grow with |lam|.  Raises
-    ValueError unless tol is positive and finite and direction a Direction.
+    Requires the direction's matrix to be doubly stochastic, under which the cancellation is an algebraic
+    identity and, in exact arithmetic, the mixed hyper-trigonometric regime cannot occur.  This raw path
+    computes each outcome from ctx's own matrix, so in floats it can read mixed where |lam| is 1 exactly
+    (analyze takes lam1 = -lam0 and cannot): ProbContext((0.5, 0.5), (0.8, 0.2), M, M) with
+    M = ((0.9, 0.1), (0.1, 0.9)) reads lam = (-1.0000000000000002, 0.9999999999999998) for a|b (the example
+    of tests/test_context.py::test_both_orders_share_the_regime).  The sum is compared in probability
+    units, times the smaller denominator of the two lam[i], so rounding in the probabilities does not grow
+    with |lam|.  Raises ValueError unless tol is positive and finite and direction a Direction.
     """
     _require_tolerance(tol)
-    (c0, c1), (o0, o1), M = _oriented(ctx, direction)
+    (c0, c1), _, M = _oriented(ctx, direction)
     if not is_doubly_stochastic(M, tol=max(tol, TOLERANCE)):
         raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")
     (m00, m01), (m10, m11) = M
-    profile = _coefficients(c0, c1, o0, o1, m00, m01, m10, m11)
+    profile = interference_coefficients(ctx, direction)
     denominator = min(2.0 * math.sqrt((c0 * m00) * (c1 * m01)), 2.0 * math.sqrt((c0 * m10) * (c1 * m11)))
     return abs(profile.lam[0] + profile.lam[1]) * denominator <= tol
 

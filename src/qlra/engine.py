@@ -5,9 +5,9 @@ split-complex amplitude whose squared moduli reproduce the marginals of
 both observables (Born's rule), for either conditioning order.  Also
 reproduces the classic counterexample showing why double stochasticity
 is essential.  The pipeline's core reads a valid context once as its four
-numbers (p_a1, p_b1, p, p'); per direction, context._coefficients and _state
-compute on floats, and _born and expansion_consistency check a state, as the
-public functions do on their records.  HVector2s are built only by
+numbers (p_a1, p_b1, p, p'); per direction, context._coefficients computes
+lam0 and sets lam1 = -lam0 (Proposition 1), _state the state on floats, and
+_born and expansion_consistency check it.  HVector2s are built only by
 ``conditioning_basis`` and QlraState's properties, which import qlra.algebra
 and qlra.linear in their bodies: the pipeline never loads the object layer.
 """
@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 
 from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
-                      _coefficients, _oriented, is_doubly_stochastic, validate_context)
+                      _coefficients, _oriented, interference_coefficients, is_doubly_stochastic, validate_context)
 from .errors import RegimeError, StochasticityError
 
 __all__ = [
@@ -135,7 +135,7 @@ def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, di
             _oriented(ctx, d)  # raises its ValueError: d is not a Direction
         # The stages see the exactly doubly stochastic context [[diag, off], [off, diag]] of the four numbers.
         x, x1, y, off = c[0], 1.0 - c[0], o[0], 1.0 - diag
-        profile = _coefficients(x, x1, y, 1.0 - y, diag, off, off, diag)
+        profile = _coefficients(x, x1, y, diag, off)
         state = _state(x, x1, diag, profile, d, sign_choice) if profile.regime is _HYPERBOLIC else None
         steps.append((d, profile, state, c, o))
     return violations, p, q, steps
@@ -261,6 +261,6 @@ def born_violation_demo(p: float) -> ViolationReport:
     # lam1 = -(q/p)*lam2 holds for every marginal assignment; sweep a few.
     worst = 0.0
     for p_b1 in (0.2, 0.35, 0.5, 0.65, 0.8):  # p_a = (1/2, 1/2), conditioned on by the b|a order
-        prof = _coefficients(0.5, 0.5, p_b1, 1.0 - p_b1, p, p, q, q)
+        prof = interference_coefficients(ProbContext((0.5, 0.5), (p_b1, 1.0 - p_b1), M), _B_GIVEN_A)
         worst = max(worst, abs(prof.lam[0] + (q / p) * prof.lam[1]))
     return ViolationReport(p, q, M, overlap, overlap_sq, worst)

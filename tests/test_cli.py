@@ -184,13 +184,16 @@ def test_analyze_asymmetric_exit_3(tmp_path):
     assert report["equivalence"]["symmetry_holds"] is False
 
 
+# Transpose-symmetric (P_a_given_b defaults) and doubly stochastic, and as floats barely hyperbolic.
+BARELY_HYPERBOLIC = {"p_a": [0.5, 0.5], "p_b": [0.8, 0.2], "P_b_given_a": [[0.9, 0.1], [0.1, 0.9]]}
+
+
 @pytest.mark.xfail(strict=True, reason="the verdict near |lambda| = 1 has no error budget yet")
 def test_analyze_barely_hyperbolic_ds_context_is_equivalent():
     # Transpose-symmetric and doubly stochastic, so the theorem makes the orders equivalent.  As floats it is
     # barely hyperbolic: x^2 + y^2 + z^2 - 2xyz - 1 is about 1.8e-16 and both theta are about 2e-8.  Without an
     # error budget the two amplitudes differ by 5.7e-9 against the bound 1e-9, and analyze exits 3 with symmetry_holds true.
-    ctx = {"p_a": [0.5, 0.5], "p_b": [0.8, 0.2], "P_b_given_a": [[0.9, 0.1], [0.1, 0.9]]}
-    code, text = run_cli(["analyze", "-"], stdin_text=json.dumps(ctx))
+    code, text = run_cli(["analyze", "-"], stdin_text=json.dumps(BARELY_HYPERBOLIC))
     assert json.loads(text)["equivalence"]["symmetry_holds"] is True
     assert code == 0 and json.loads(text)["equivalence"]["equivalent"] is True
 
@@ -347,6 +350,8 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
         (with_diagonal_slack(5e-10, [0]), [], 0, "ctx_slack_report.json"),
         # One matrix row at 40 characters, on its own line, and one at 39, inline.
         (BOUNDARY, [], 1, "ctx_boundary_matrix_report.json"),
+        # Trigonometric with lambda off 0: theta_1 is acos(lambda_1), not theta_0.
+        (dict(DEFAULTED, p_b=[0.6, 0.4]), [], 2, "ctx_trig_tilted_report.json"),
     ],
 )
 def test_analyze_verdict_path_report_bytes(ctx, options, code, golden):
@@ -446,10 +451,18 @@ def test_analyze_prints_the_api_numbers(rng, ds_form):
             assert list(report["input"]) == list(echo)
             api, printed = flat(list(echo.values())), flat(list(report["input"].values()))
             for direction in qlra.Direction:
+                # Outcome 0 is the public function's; outcome 1 is -lam0 (Proposition 1), with its epsilon and
+                # theta computed from that value, so the regime is outcome 0's.
                 profile = qlra.interference_coefficients(ds, direction)
                 entry = report["directions"][direction.value]
-                assert entry["regime"] == profile.regime.value
-                api += [*profile.lam, *profile.epsilon, *profile.theta]
+                lam0 = profile.lam[0]
+                lam1 = 0.0 - lam0
+                big = abs(lam1) > 1.0
+                regime = qlra.Regime.HYPERBOLIC if big else qlra.Regime.TRIGONOMETRIC
+                assert entry["regime"] == regime.value
+                assert profile.regime in (regime, qlra.Regime.HYPER_TRIGONOMETRIC)
+                theta1 = math.acosh(abs(lam1)) if big else math.acos(lam1)
+                api += [lam0, lam1, profile.epsilon[0], 1 if lam1 >= 0 else -1, profile.theta[0], theta1]
                 printed += [*entry["lambda"], *entry["epsilon"], *entry["theta"]]
                 state = qlra.run_qlra(ds, direction, sc)
                 born = qlra.verify_born_rule(state, ctx)
@@ -472,6 +485,67 @@ def test_analyze_prints_the_api_numbers(rng, ds_form):
             else:
                 assert "proof_relation_residual" not in eq
             assert list(map(qlra.cli._fmt_float, api)) == list(map(qlra.cli._fmt_float, printed))
+
+
+@st.composite
+def validated_contexts(draw):
+    """(context, tolerance) in the domain validate_context accepts, with its corners: entries at the positivity
+    margin, a b-marginal that puts lambda(b|a) within a relative 1e-6 of +-1 (or at 1 +- 1 ulp), and slack within
+    the tolerance.  P_a_given_b is the transpose, absent or another doubly stochastic matrix."""
+    tol = 10.0 ** draw(st.floats(-12, -4))
+    margin = qlra.POSITIVITY_MARGIN
+    top = math.nextafter(1.0 - margin, 0.0)  # the largest x with 1 - x at least the margin
+    prob = st.sampled_from((margin, top)) | st.floats(margin, top)
+    # Up to 0.45 * tol an entry, so that a matrix row of two stays within tol of 1; clipped into the margin.
+    slack = st.just(0.0) | st.floats(-0.45 * tol, 0.45 * tol)
+
+    def off(x):
+        return min(max(x + draw(slack), margin), 1.0 - margin)
+
+    a, p = draw(prob), draw(prob)
+    if draw(st.booleans()):  # lambda(b|a) = +-(1 + delta), from p_b1 = S + 2*lambda*R
+        S, R = a * p + (1.0 - a) * (1.0 - p), math.sqrt(a * p * (1.0 - a) * (1.0 - p))
+        lam = draw(st.sampled_from((-1.0, 1.0))) * (1.0 + draw(st.sampled_from((0.0, 2**-52, -2**-53))
+                                                               | st.floats(-1e-6, 1e-6)))
+        b = min(max(S + 2.0 * lam * R, margin), 1.0 - margin)
+    else:
+        b = draw(prob)
+
+    def matrix(d):
+        return [[d, 1.0 - d], [off(1.0 - d), off(d)]]
+
+    ctx = {"p_a": [a, off(1.0 - a)], "p_b": [b, off(1.0 - b)], "P_b_given_a": matrix(p)}
+    a_given_b = draw(st.sampled_from(("transpose", "absent", "other")))
+    if a_given_b == "transpose":
+        ctx["P_a_given_b"] = [list(r) for r in zip(*ctx["P_b_given_a"])]
+    elif a_given_b == "other":
+        ctx["P_a_given_b"] = matrix(draw(prob))
+    return ctx, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(validated_contexts())
+@example((BARELY_HYPERBOLIC, qlra.TOLERANCE))
+def test_analyze_takes_outcome_1_from_proposition_1(case):
+    # The core's matrices are exactly doubly stochastic, so lambda_1 = -lambda_0 (Proposition 1): one regime for
+    # both outcomes, theta_1 = theta_0 when hyperbolic and acos(-lambda_0) when trigonometric.
+    ctx, tol = case
+    code, text = run_cli(["analyze", "-", "--tolerance", repr(tol)], stdin_text=json.dumps(ctx))
+    report = json.loads(text)
+    _, entries, _, _ = qlra.analyze(ProbContext.from_dict(ctx), tol)
+    assert len(entries) == len(report.get("directions", ())) == (0 if code == 1 else 2)
+    for direction, ((lam0, lam1), (eps0, eps1), (theta0, theta1), regime), _, _ in entries:
+        entry = report["directions"][direction.value]
+        printed = [*entry["lambda"], *entry["epsilon"], *entry["theta"]]
+        assert list(map(qlra.cli._fmt_float, printed)) == list(map(qlra.cli._fmt_float, (lam0, lam1, eps0, eps1,
+                                                                                           theta0, theta1)))
+        assert entry["lambda"][1] == -entry["lambda"][0] and lam1 == -lam0
+        assert entry["epsilon"] == ([1, 1] if lam0 == 0.0 else [eps0, -eps0])
+        assert entry["regime"] == regime.value != "hyper_trigonometric"
+        if regime is qlra.Regime.HYPERBOLIC:
+            assert theta1 == theta0 and entry["theta"][1] == entry["theta"][0]
+        else:
+            assert theta1 == math.acos(-lam0)
 
 
 def test_analyze_direction_filter(ctx1_file):
