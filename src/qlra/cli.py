@@ -21,7 +21,7 @@ from functools import partial
 
 from . import __version__
 from .context import (TOLERANCE, Direction, ProbContext, Regime, _band, _require_tolerance,
-                      generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context)
+                      generate_hyperbolic_context, random_hyperbolic_context)
 from .engine import born_violation_demo
 from .equivalence import analyze
 from .errors import QlraError
@@ -245,9 +245,9 @@ def cmd_sweep(args, out) -> int:
     print("p,p_a1,band_low,band_high,hyperbolic_feasible", file=out)
     for p in p_grid:
         for p_a1 in pa_grid:
-            # Raw band before the |lambda| > 1 cut.
+            # Raw band before the |lambda| > 1 cut; lambda_feasible_range is nonempty exactly when it crosses it.
             _, _, lo, hi = _band(p, p_a1)
-            feasible = bool(lambda_feasible_range(p, p_a1))
+            feasible = lo < -1.0 or hi > 1.0
             print(
                 f"{_fmt_float(p)},{_fmt_float(p_a1)},{_fmt_float(lo)},"
                 f"{_fmt_float(hi)},{'true' if feasible else 'false'}",

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import InfeasibleContextError, RegimeError, StochasticityError
+from .errors import InfeasibleContextError, RegimeError
 
 __all__ = [
     "Direction",
@@ -21,10 +21,8 @@ __all__ = [
     "ProbContext",
     "POSITIVITY_MARGIN",
     "TOLERANCE",
-    "is_doubly_stochastic",
     "validate_context",
     "interference_coefficients",
-    "check_proposition1",
     "generate_hyperbolic_context",
     "lambda_feasible_range",
     "random_hyperbolic_context",
@@ -154,15 +152,6 @@ def _require_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def is_doubly_stochastic(M: Matrix2, tol: float = TOLERANCE) -> bool:
-    """All row sums and column sums equal 1 within tol, entries nonnegative; ValueError for a bad tol."""
-    _require_tolerance(tol)
-    (a, b), (c, d) = M = _as_matrix(M)
-    if any(x < -tol for row in M for x in row):
-        return False
-    return all(abs(s - 1.0) <= tol for s in (a + b, c + d, a + c, b + d))
-
-
 def validate_context(ctx: ProbContext, tol: float = TOLERANCE) -> list[str]:
     """Return a list of violated invariants; empty means valid.
 
@@ -254,28 +243,6 @@ def _coefficients(c0, c1, o0, p, q) -> InterferenceProfile:
     theta = (math.acosh(abs(lam0)), math.acosh(abs(lam1))) if big else (math.acos(lam0), math.acos(lam1))
     epsilon = (1 if lam0 >= 0 else -1, 1 if lam1 >= 0 else -1)
     return tuple.__new__(InterferenceProfile, ((lam0, lam1), epsilon, theta, _HYPERBOLIC if big else _TRIGONOMETRIC))
-
-
-def check_proposition1(ctx: ProbContext, direction: Direction, tol: float = 1e-10) -> bool:
-    """True iff the two interference coefficients cancel (lam1 + lam2 = 0).
-
-    Requires the direction's matrix to be doubly stochastic, under which the cancellation is an algebraic
-    identity and, in exact arithmetic, the mixed hyper-trigonometric regime cannot occur.  This raw path
-    computes each outcome from ctx's own matrix, so in floats it can read mixed where |lam| is 1 exactly
-    (analyze takes lam1 = -lam0 and cannot): ProbContext((0.5, 0.5), (0.8, 0.2), M, M) with
-    M = ((0.9, 0.1), (0.1, 0.9)) reads lam = (-1.0000000000000002, 0.9999999999999998) for a|b (the example
-    of tests/test_context.py::test_both_orders_share_the_regime).  The sum is compared in probability
-    units, times the smaller denominator of the two lam[i], so rounding in the probabilities does not grow
-    with |lam|.  Raises ValueError unless tol is positive and finite and direction a Direction.
-    """
-    _require_tolerance(tol)
-    (c0, c1), _, M = _oriented(ctx, direction)
-    if not is_doubly_stochastic(M, tol=max(tol, TOLERANCE)):
-        raise StochasticityError(f"{direction.value} matrix is not doubly stochastic")
-    (m00, m01), (m10, m11) = M
-    profile = interference_coefficients(ctx, direction)
-    denominator = min(2.0 * math.sqrt((c0 * m00) * (c1 * m01)), 2.0 * math.sqrt((c0 * m10) * (c1 * m11)))
-    return abs(profile.lam[0] + profile.lam[1]) * denominator <= tol
 
 
 def _band(p: float, p_a1: float) -> tuple[float, float, float, float]:

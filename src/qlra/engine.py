@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 
 from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
-                      _coefficients, _oriented, interference_coefficients, is_doubly_stochastic, validate_context)
+                      _coefficients, _oriented, interference_coefficients, validate_context)
 from .errors import RegimeError, StochasticityError
 
 __all__ = [
@@ -66,14 +66,13 @@ def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
 
     e1 = (sqrt(M[0][0]), sqrt(M[1][0])), e2 = (sqrt(M[0][1]), -sqrt(M[1][1])).
     Orthonormal under the hyperbolic inner product exactly when M is
-    doubly stochastic; StochasticityError unless it is, with no negative entry.
+    doubly stochastic: StochasticityError unless every entry is nonnegative (a zero,
+    as in the identity, is allowed) and every line sums to 1 within TOLERANCE.
     """
-    M = _as_matrix(M)
-    if not is_doubly_stochastic(M) or min(M[0] + M[1]) < 0.0:
-        raise StochasticityError(
-            "conditioning basis requires a doubly stochastic matrix"
-        )
-    return _basis_vectors(tuple(map(math.sqrt, M[0] + M[1])))
+    (a, b), (c, d) = _as_matrix(M)
+    if min(a, b, c, d) < 0.0 or not all(abs(s - 1.0) <= TOLERANCE for s in (a + b, c + d, a + c, b + d)):
+        raise StochasticityError("conditioning basis requires a doubly stochastic matrix")
+    return _basis_vectors(tuple(map(math.sqrt, (a, b, c, d))))
 
 
 def _basis_vectors(roots: tuple[float, float, float, float]) -> tuple[HVector2, HVector2]:

@@ -650,6 +650,12 @@ def test_sweep_grid_shape():
     rows = text.strip().splitlines()[1:]
     assert len(rows) == 81
     assert "nan" not in text.lower()
+    # A point is hyperbolic_feasible exactly when lambda_feasible_range gives it an interval, on either side.
+    grid = qlra.cli._parse_grid("0.1:0.9:0.1")
+    points = [(p, p_a1) for p in grid for p_a1 in grid]
+    flags = [row.rsplit(",", 1)[1] for row in rows]
+    assert flags == ["true" if qlra.lambda_feasible_range(p, p_a1) else "false" for p, p_a1 in points]
+    assert any(len(qlra.lambda_feasible_range(p, p_a1)) == 1 for p, p_a1 in points)
 
 
 @pytest.mark.parametrize("flag", ["--p-grid", "--pa-grid"])
@@ -717,17 +723,12 @@ def test_main_maps_library_errors_to_exit_codes(ctx1_file, monkeypatch, capsys, 
 
 def test_argument_errors_exit_1(ctx1_file, capsys):
     # The library's gates apply the same rule: a nan or inf tolerance used to call this context valid.
-    # states_equivalent called a vector not equivalent to itself at -1 and nan, and anything at inf;
-    # check_proposition1 denied the cancellation of a DS context's coefficients at 0 and -1.
-    M = ((0.9, 0.1), (0.1, 0.9))
-    invalid = qlra.ProbContext((0.7, 0.7), (0.9, 0.1), M)
+    # states_equivalent called a vector not equivalent to itself at -1 and nan, and anything at inf.
+    invalid = qlra.ProbContext((0.7, 0.7), (0.9, 0.1), ((0.9, 0.1), (0.1, 0.9)))
     psi = qlra.run_qlra(qlra.ProbContext.from_dict(CTX1), qlra.Direction.B_GIVEN_A).psi
-    cancelling = qlra.ProbContext((0.3, 0.7), (0.9, 0.1), ((0.8, 0.2), (0.2, 0.8)))
     gates = [
         lambda tol: qlra.validate_context(invalid, tol),
-        lambda tol: qlra.is_doubly_stochastic(M, tol),
         lambda tol: qlra.states_equivalent(psi, psi, tol),
-        lambda tol: qlra.check_proposition1(cancelling, qlra.Direction.B_GIVEN_A, tol),
     ]
     for tol in ("-1", "0", "nan", "inf", "abc"):
         assert run_cli(["analyze", ctx1_file, "--tolerance", tol])[0] == 1
@@ -737,7 +738,6 @@ def test_argument_errors_exit_1(ctx1_file, capsys):
                 with pytest.raises(ValueError, match="tolerance must be positive and finite"):
                     check(float(tol))
     assert qlra.states_equivalent(psi, psi).equivalent
-    assert qlra.check_proposition1(cancelling, qlra.Direction.B_GIVEN_A)
     for count in ("0", "-1"):
         assert run_cli(["generate", "--random", "--count", count])[0] == 1
         assert_one_error_line(capsys)

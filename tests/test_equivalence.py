@@ -12,7 +12,6 @@ from qlra import (
     StochasticityError,
     analyze,
     check_consistency,
-    check_proposition1,
     interference_coefficients,
     proof_relation_residual,
     random_hyperbolic_context,
@@ -239,7 +238,6 @@ def test_string_direction_raises(ctx1):
     # Only the two Direction members name a direction: a string is not read as either of them.
     for call in (
         lambda: interference_coefficients(ctx1, "b_given_a"),
-        lambda: check_proposition1(ctx1, "b_given_a"),
         lambda: run_qlra(ctx1, "b_given_a"),
         lambda: analyze(ctx1, directions=("b_given_a",)),
     ):
