@@ -2,18 +2,19 @@
 
 Elements have the form z = x + j*y with j**2 = 1.  They are stored in
 null-cone coordinates u = x + y, v = x - y (the idempotent basis
-(1 +- j)/2), where the algebra is R (+) R: products are componentwise,
-conjugation swaps u and v, and |z|^2 = u*v is one product, with no
-cancelling x^2 - y^2.  The algebra is commutative but has zero divisors
-on the null cone u*v = 0, where the argument is undefined.  This is the
-object layer over the float core: h_arg is the core's float argument
-equivalence._arg, which holds the domain check, and the core never
-imports this module.
+(1 +- j)/2), where the algebra is R (+) R: +, - and * are one
+componentwise rule, conjugation swaps u and v, and |z|^2 = u*v is one
+product, with no cancelling x^2 - y^2.  The algebra is commutative but
+has zero divisors on the null cone u*v = 0, where the argument is
+undefined.  This is the object layer over the float core, which never
+imports it, so it is not tuned for speed: h_arg is the core's float
+argument equivalence._arg, which holds the domain check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .equivalence import _arg
 
@@ -23,12 +24,23 @@ __all__ = [
     "h_arg",
 ]
 
-_isfinite = math.isfinite
-
 
 def _read_only(self, name, *value):
     """__setattr__ and __delattr__ of an immutable slots class."""
     raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+def _componentwise(op):
+    """The HNumber operator doing the float operation op on each null-cone coordinate; it coerces a real operand."""
+
+    def method(self, other):
+        if other.__class__ is not HNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _hn(op(self.u, other.u), op(self.v, other.v))
+
+    return method
 
 
 class HNumber:
@@ -45,7 +57,7 @@ class HNumber:
     def __init__(self, re: float, hy: float = 0.0):
         re, hy = float(re), float(hy)
         u, v = re + hy, re - hy
-        if not (_isfinite(u) and _isfinite(v)):
+        if not (math.isfinite(u) and math.isfinite(v)):
             raise ValueError(f"non-finite components: {re!r}, {hy!r}")
         _set_u(self, u)
         _set_v(self, v)
@@ -72,36 +84,10 @@ class HNumber:
     def __reduce__(self):
         return _hn, (self.u, self.v)
 
-    def __add__(self, other):
-        if other.__class__ is not HNumber:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return _hn(self.u + other.u, self.v + other.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other.__class__ is not HNumber:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return _hn(self.u - other.u, self.v - other.v)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        if other.__class__ is not HNumber:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        return _hn(self.u * other.u, self.v * other.v)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _componentwise(operator.add)
+    __sub__ = _componentwise(operator.sub)
+    __rsub__ = _componentwise(lambda a, b: b - a)
+    __mul__ = __rmul__ = _componentwise(operator.mul)
 
     def __neg__(self):
         return _hn(-self.u, -self.v)
@@ -122,7 +108,7 @@ _set_v = HNumber.v.__set__
 
 def _hn(u: float, v: float) -> HNumber:
     """The HNumber with null-cone coordinates (u, v); ValueError unless both are finite."""
-    if not (_isfinite(u) and _isfinite(v)):
+    if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"non-finite null-cone coordinates: {u!r}, {v!r}")
     z = _new(HNumber)
     _set_u(z, u)
@@ -150,8 +136,8 @@ def exp_j(theta: float) -> HNumber:
 def h_arg(z: HNumber) -> float:
     """Argument of z on the positive cone: arctanh(y/x) = 0.5*ln(u/v).
 
-    Defined for u*v > 0, on both branches x > 0 and x < 0, and
-    ArgDomainError elsewhere; satisfies
+    Defined for u and v nonzero and of one sign, on both branches x > 0
+    and x < 0, and ArgDomainError elsewhere; satisfies
     z = sign(x) * sqrt(|z|^2) * exp_j(h_arg(z)).
     """
     return _arg(z.u, z.v)

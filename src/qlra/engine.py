@@ -52,9 +52,9 @@ class QlraState(namedtuple(
     @property
     def psi(self) -> HVector2:
         from .algebra import _hn
-        from .linear import _vec
+        from .linear import HVector2
         u1, v1, u2, v2 = self.amplitude
-        return _vec(_hn(u1, v1), _hn(u2, v2))
+        return HVector2(_hn(u1, v1), _hn(u2, v2))
 
     @property
     def conditioning_basis(self) -> tuple[HVector2, HVector2]:
@@ -77,11 +77,11 @@ def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
 
 def _basis_vectors(roots: tuple[float, float, float, float]) -> tuple[HVector2, HVector2]:
     from .algebra import _hn
-    from .linear import _vec
+    from .linear import HVector2
     r00, r01, r10, r11 = roots
-    # A real number r has null-cone coordinates (r, r).
-    e1 = _vec(_hn(r00, r00), _hn(r10, r10))
-    e2 = _vec(_hn(r01, r01), _hn(-r11, -r11))
+    # A real number r has null-cone coordinates (r, r); HNumber(-0.0) would make u +0.0.
+    e1 = HVector2(_hn(r00, r00), _hn(r10, r10))
+    e2 = HVector2(_hn(r01, r01), _hn(-r11, -r11))
     return (e1, e2)
 
 

@@ -46,11 +46,12 @@ class EquivalenceVerdict(namedtuple(
 def _arg(u: float, v: float) -> float:
     """The argument arctanh(y/x) = 0.5*ln(u/v) of null-cone coordinates (u, v); algebra.h_arg on floats.
 
-    Defined for u*v > 0, on both branches of the cone, and ArgDomainError
-    elsewhere.  u/v is then positive; its logarithm is taken as a
+    Defined for u and v nonzero and of one sign, on both branches of the cone, and
+    ArgDomainError elsewhere; the signs are tested, not u*v, which underflows to 0
+    for tiny u and v.  u/v is then positive; its logarithm is taken as a
     difference so that the ratio cannot overflow.
     """
-    if u * v <= 0.0:
+    if not (u > 0.0 < v or u < 0.0 > v):
         raise ArgDomainError(f"argument undefined for null-cone coordinates ({u!r}, {v!r}): x^2 - y^2 <= 0")
     return 0.5 * (math.log(abs(u)) - math.log(abs(v)))
 

@@ -5,12 +5,13 @@ inner product (linear in the first argument), and the action of a 2x2
 matrix, given as a row-major tuple of entries, on a vector.  Dimension
 is fixed at 2: the dichotomous setting needs nothing larger.  The squared
 norm of v is inner_product(v, v).re.  Like qlra.algebra, this module is
-object layer, which the float core never imports.
+object layer, which the float core never imports: inner_product and
+mat_apply are written with HNumber's operators, not tuned for speed.
 """
 
 from __future__ import annotations
 
-from .algebra import HNumber, _hn, _read_only
+from .algebra import HNumber, _read_only
 
 __all__ = [
     "HVector2",
@@ -24,7 +25,7 @@ def _as_h(x) -> HNumber:
 
 
 class HVector2:
-    """A vector (c1, c2) over the algebra; the constructor turns real entries into HNumbers."""
+    """A vector (c1, c2) over the algebra; the constructor turns real entries into HNumbers and keeps HNumbers."""
 
     __slots__ = ("c1", "c2")
     __setattr__ = __delattr__ = _read_only
@@ -45,14 +46,14 @@ class HVector2:
         return hash((self.c1, self.c2))
 
     def __reduce__(self):
-        return _vec, (self.c1, self.c2)
+        return HVector2, (self.c1, self.c2)
 
     def __add__(self, other: "HVector2") -> "HVector2":
-        return _vec(self.c1 + other.c1, self.c2 + other.c2)
+        return HVector2(self.c1 + other.c1, self.c2 + other.c2)
 
     def scale(self, c) -> "HVector2":
         c = _as_h(c)
-        return _vec(c * self.c1, c * self.c2)
+        return HVector2(c * self.c1, c * self.c2)
 
     def components(self) -> tuple[HNumber, HNumber]:
         return (self.c1, self.c2)
@@ -62,30 +63,16 @@ _set_c1 = HVector2.c1.__set__
 _set_c2 = HVector2.c2.__set__
 
 
-def _vec(c1: HNumber, c2: HNumber) -> HVector2:
-    """The HVector2 (c1, c2) of two HNumbers, taken as they are."""
-    v = object.__new__(HVector2)
-    _set_c1(v, c1)
-    _set_c2(v, c2)
-    return v
-
-
 def inner_product(u: HVector2, v: HVector2) -> HNumber:
     """<u, v> = u1*conj(v1) + u2*conj(v2).
 
     Conjugate-symmetric and linear in the first argument; indefinite, so
     null vectors exist.
     """
-    # conj swaps the null-cone coordinates; products are componentwise.
-    a1, a2, b1, b2 = u.c1, u.c2, v.c1, v.c2
-    return _hn(a1.u * b1.v + a2.u * b2.v, a1.v * b1.u + a2.v * b2.u)
+    return u.c1 * v.c1.conj() + u.c2 * v.c2.conj()
 
 
 def mat_apply(M: tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]], v: HVector2) -> HVector2:
     """M v for the row-major matrix M = ((m00, m01), (m10, m11))."""
     (m00, m01), (m10, m11) = M
-    x1, x2 = v.c1, v.c2
-    return _vec(
-        _hn(m00.u * x1.u + m01.u * x2.u, m00.v * x1.v + m01.v * x2.v),
-        _hn(m10.u * x1.u + m11.u * x2.u, m10.v * x1.v + m11.v * x2.v),
-    )
+    return HVector2(m00 * v.c1 + m01 * v.c2, m10 * v.c1 + m11 * v.c2)

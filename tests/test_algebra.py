@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +43,21 @@ def test_scalar_coercion():
     assert 2 * HNumber(1, 3) == HNumber(2, 6)
     assert HNumber(1, 3) - 1 == HNumber(0, 3)
     assert 1 - HNumber(1, 3) == HNumber(0, -3)
+    # A real operand x is (x, x) in null-cone coordinates, on either side of the operator.
+    z = HNumber(1.25, -3.5)
+    for got, u, v in [
+        (z + 2, z.u + 2.0, z.v + 2.0),
+        (2.5 - z, 2.5 - z.u, 2.5 - z.v),
+        (True * z, z.u, z.v),
+        (z - 0.5, z.u - 0.5, z.v - 0.5),
+    ]:
+        assert type(got) is HNumber and (got.u, got.v) == (u, v)
+    for other in ("x", None, 1j):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(z, other)
+            with pytest.raises(TypeError):
+                op(other, z)
 
 
 def test_conj():
@@ -82,10 +98,13 @@ def test_arg_examples():
     g = math.acosh(4 / 3)
     z = HNumber(-4 / 3, -math.sqrt(7) / 3)
     assert h_arg(z) == pytest.approx(g, abs=1e-12)
+    # u*v underflows to 0 here; the domain is u and v of one sign.
+    assert h_arg(HNumber(1e-200)) == h_arg(HNumber(-1e-200)) == 0.0
+    assert h_arg(HNumber(3e-170, 1e-170)) == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
 
 def test_arg_domain_errors():
-    for z in (HNumber(1, 1), HNumber(0, 0), HNumber(1, 2), HNumber(0, 3)):
+    for z in (HNumber(1, 1), HNumber(0, 0), HNumber(1, 2), HNumber(0, 3), HNumber(1e-200, 2e-200)):
         with pytest.raises(ArgDomainError):
             h_arg(z)
 

@@ -71,10 +71,8 @@ def test_analyze_ctx1(ctx1_file):
 
 
 def test_analyze_ctx1_report_bytes(ctx1_file):
-    # Reports are byte-deterministic; this is the worked example's report.
-    code, text = run_cli(["analyze", ctx1_file])
-    assert code == 0
-    assert text == (Path(__file__).parent / "ctx1_report.json").read_text()
+    # A file and stdin give the same bytes; CONSOLE_ROWS holds them to the worked example's golden.
+    assert run_cli(["analyze", ctx1_file]) == run_cli(["analyze", "-"], stdin_text=json.dumps(CTX1))
 
 
 def test_analyze_stdin():
@@ -92,7 +90,6 @@ def test_analyze_trigonometric_exit_2(tmp_path):
     report = json.loads(text)
     assert report["directions"]["b_given_a"]["regime"] == "trigonometric"
     assert "error" in report["directions"]["b_given_a"]
-    assert text == (Path(__file__).parent / "ctx_trig_report.json").read_text()
 
 
 def test_analyze_missing_field_exit_1(tmp_path):
@@ -167,7 +164,6 @@ def test_analyze_invalid_context_exit_1(tmp_path):
     report = json.loads(text)
     assert report["validation"]["valid"] is False
     assert report["validation"]["violations"]
-    assert text == (Path(__file__).parent / "ctx_invalid_report.json").read_text()
 
 
 # Valid and hyperbolic both ways, but P_a_given_b is not the transpose of P_b_given_a.
@@ -332,31 +328,64 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
         assert calls.count("_equivalent") == (comparisons if entry_point == "check_consistency" else 0)
 
 
-@pytest.mark.parametrize(
-    "ctx, options, code, golden",
-    [
-        # lambda_1 has one sign in both directions: the verdict compares the conjugate a|b amplitude.
-        (SAME_SIGN, [], 0, "ctx_same_sign_report.json"),
-        (ASYMMETRIC, [], 3, "ctx_asymmetric_report.json"),
-        (CTX1, ["--sign-branch", "-1"], 0, "ctx1_sign_minus_report.json"),
-        # One direction: no equivalence block.
-        (CTX1, ["--direction", "b_given_a"], 0, "ctx1_b_given_a_report.json"),
-        (CTX1, ["--direction", "a_given_b"], 0, "ctx1_a_given_b_report.json"),
-        (DEFAULTED, [], 0, "ctx1_defaulted_report.json"),
-        # A multi-line matrix and a multi-line violations list; one inline violation.
-        (dict(CTX1, P_b_given_a=[[LONG, LONG], [0.1, 0.9]]), [], 1, "ctx_long_matrix_report.json"),
-        (dict(CTX1, p_a=[0.7, 0.7]), [], 1, "ctx_one_violation_report.json"),
-        # Doubly stochastic only within the tolerance: the report of its four numbers.
-        (with_diagonal_slack(5e-10, [0]), [], 0, "ctx_slack_report.json"),
-        # One matrix row at 40 characters, on its own line, and one at 39, inline.
-        (BOUNDARY, [], 1, "ctx_boundary_matrix_report.json"),
-        # Trigonometric with lambda off 0: theta_1 is acos(lambda_1), not theta_0.
-        (dict(DEFAULTED, p_b=[0.6, 0.4]), [], 2, "ctx_trig_tilted_report.json"),
-    ],
-)
+# CTX1 with p_a[0] = -0.0: the report echoes -0 as 0, and its violation quotes the input as parsed.
+NEGATIVE_ZERO = dict(DEFAULTED, p_a=[-0.0, 1.0])
+# Dyadic, so |lambda| = 1 with no rounding: trigonometric.
+EXACT_BOUNDARY = {"p_a": [0.25, 0.75], "p_b": [0.75, 0.25], "P_b_given_a": [[0.75, 0.25], [0.25, 0.75]]}
+
+# Every console invocation whose exit code is pinned, each listed once: the context `analyze -` reads from
+# stdin (None for the other commands), the other arguments, the exit code, and the golden under tests/ that
+# stdout must match byte for byte, or None.  The analyze verdict paths come first.
+CONSOLE_ROWS = [
+    # lambda_1 has one sign in both directions: the verdict compares the conjugate a|b amplitude.
+    (SAME_SIGN, [], 0, "ctx_same_sign_report.json"),
+    (ASYMMETRIC, [], 3, "ctx_asymmetric_report.json"),
+    (CTX1, ["--sign-branch", "-1"], 0, "ctx1_sign_minus_report.json"),
+    # One direction: no equivalence block.
+    (CTX1, ["--direction", "b_given_a"], 0, "ctx1_b_given_a_report.json"),
+    (CTX1, ["--direction", "a_given_b"], 0, "ctx1_a_given_b_report.json"),
+    (DEFAULTED, [], 0, "ctx1_defaulted_report.json"),
+    # A multi-line matrix and a multi-line violations list; one inline violation.
+    (dict(CTX1, P_b_given_a=[[LONG, LONG], [0.1, 0.9]]), [], 1, "ctx_long_matrix_report.json"),
+    (dict(CTX1, p_a=[0.7, 0.7]), [], 1, "ctx_one_violation_report.json"),
+    # Doubly stochastic only within the tolerance: the report of its four numbers.
+    (with_diagonal_slack(5e-10, [0]), [], 0, "ctx_slack_report.json"),
+    # One matrix row at 40 characters, on its own line, and one at 39, inline.
+    (BOUNDARY, [], 1, "ctx_boundary_matrix_report.json"),
+    # Trigonometric with lambda off 0: theta_1 is acos(lambda_1), not theta_0.
+    (dict(DEFAULTED, p_b=[0.6, 0.4]), [], 2, "ctx_trig_tilted_report.json"),
+    # The worked example, an invalid context, and a trigonometric one (classical total probability: lambda = 0).
+    (CTX1, [], 0, "ctx1_report.json"),
+    (dict(CTX1, p_a=[0.7, 0.2]), [], 1, "ctx_invalid_report.json"),
+    (dict(CTX1, p_b=[0.5, 0.5]), [], 2, "ctx_trig_report.json"),
+    (NEGATIVE_ZERO, [], 1, None),
+    (EXACT_BOUNDARY, [], 2, None),
+    (None, ["demo-violation", "--p", "0.7"], 0, "demo_violation_report.json"),
+    (None, ["generate", "--p", "0.9", "--p-a1", "0.5", "--lambda", "1.3333333333"], 0, "generate_ctx1.jsonl"),
+    # The draw itself is pinned: the contexts random_hyperbolic_context made when this golden was recorded.
+    (None, ["generate", "--random", "--seed", "3", "--count", "2"], 0, "generate_random_seed3.jsonl"),
+    (None, ["sweep", "--p-grid", "0.1:0.9:0.4", "--pa-grid", "0.5:0.5:0.1"], 0, "sweep_small.csv"),
+    # Errors: a band that underflows, a lambda off the hyperbolic band, a doubly stochastic demo, a zero step.
+    (None, ["sweep", "--p-grid", "1e-200:1e-200:1", "--pa-grid", "1e-200:1e-200:1"], 1, None),
+    (None, ["generate", "--p", "1e-200", "--p-a1", "1e-200", "--lambda", "2"], 1, None),
+    (None, ["generate", "--p", "0.9", "--p-a1", "0.5", "--lambda", "0.5"], 1, None),
+    (None, ["demo-violation", "--p", "0.5"], 1, None),
+    (None, ["sweep", "--p-grid", "0.1:0.9:0", "--pa-grid", "0.5:0.5:0.1"], 1, None),
+]
+
+
+# Named for its first rows, the analyze verdict paths; the name keeps their test ids stable.
+@pytest.mark.parametrize("ctx, options, code, golden", CONSOLE_ROWS)
 def test_analyze_verdict_path_report_bytes(ctx, options, code, golden):
-    want = (Path(__file__).parent / golden).read_text()
-    assert run_cli(["analyze", "-", *options], stdin_text=json.dumps(ctx)) == (code, want)
+    if ctx is None:
+        got, text = run_cli(options)
+    else:
+        got, text = run_cli(["analyze", "-", *options], stdin_text=json.dumps(ctx))
+    assert got == code
+    if golden is not None:
+        assert text == (Path(__file__).parent / golden).read_text()
+    if ctx is NEGATIVE_ZERO:
+        assert '"p_a": [0, 1],' in text and '"p_a[0]=-0.0 outside (0,1)"' in text
 
 
 @pytest.mark.parametrize("ctx, code", [(CTX1, 0), (SAME_SIGN, 0), (ASYMMETRIC, 3)])
@@ -684,20 +713,7 @@ def test_sweep_skips_points_outside_unit_interval():
     assert [row.split(",")[0] for row in text.splitlines()[1:]] == ["0.25", "0.5"]
 
 
-# The console-script goldens of the commands that do not analyze: arguments and golden file.
-WRITTEN_GOLDENS = [
-    ("demo-violation --p 0.7", "demo_violation_report.json"),
-    ("generate --p 0.9 --p-a1 0.5 --lambda 1.3333333333", "generate_ctx1.jsonl"),
-    ("sweep --p-grid 0.1:0.9:0.4 --pa-grid 0.5:0.5:0.1", "sweep_small.csv"),
-    # The draw itself is pinned: the contexts random_hyperbolic_context made when this golden was recorded.
-    ("generate --random --seed 3 --count 2", "generate_random_seed3.jsonl"),
-]
-
-
 def test_demo_violation(capsys):
-    for args, golden in WRITTEN_GOLDENS:
-        want = (Path(__file__).parent / golden).read_text()
-        assert run_cli(args.split()) == (0, want), args
     code, text = run_cli(["demo-violation", "--p", "0.7"])
     report = json.loads(text)
     assert report["basis_overlap"] == pytest.approx(0.571429, abs=1e-6)

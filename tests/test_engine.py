@@ -376,6 +376,12 @@ def test_violation_demo_values():
     rep9 = born_violation_demo(0.9)
     assert rep9.basis_overlap == pytest.approx(0.9 - 0.01 / 0.9, abs=1e-12)
     assert rep9.basis_overlap == pytest.approx(0.888889, abs=1e-6)
+    # The overlap is inner_product's float operations on the two real basis vectors, bit for bit.
+    for p in (i / 2000 for i in range(1, 2000) if i != 1000):
+        q = 1.0 - p
+        e1 = HVector2(math.sqrt(p), math.sqrt(q))
+        e2 = HVector2(math.sqrt(p), -(q / p) * math.sqrt(q))
+        assert born_violation_demo(p).basis_overlap == inner_product(e1, e2).re, p
 
 
 def test_violation_vanishes_toward_half():

@@ -36,6 +36,10 @@ def test_inner_product_examples():
     assert inner_product(null, null) == HNumber(0, 0)
     u = HVector2(exp_j(0.3), HNumber(0))
     assert h_close(inner_product(u, E1), exp_j(0.3))
+    # A product that overflows, or a sum of finite products, is rejected as non-finite.
+    for u, v in ((HVector2(1e200, 0), HVector2(1e200, 0)), (HVector2(1e308, 1e308), HVector2(1, 1))):
+        with pytest.raises(ValueError):
+            inner_product(u, v)
 
 
 def test_sq_norm_examples():
@@ -70,6 +74,9 @@ def test_mat_apply():
     assert out == HVector2(HNumber(0, 1) * v.c1, HNumber(2) * v.c2)
     shear = ((HNumber(1), HNumber(1)), (HNumber(0), HNumber(1)))
     assert not columns_orthonormal(shear, tol=1e-12)
+    for m00, x in ((HNumber(1e200), 1e200), (HNumber(1), 1e308)):
+        with pytest.raises(ValueError):
+            mat_apply(((m00, HNumber(1)), (HNumber(0), HNumber(1))), HVector2(x, x))
 
 
 @given(vectors, vectors)
