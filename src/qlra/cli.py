@@ -3,6 +3,8 @@
 Subcommands: ``analyze`` (full pipeline on a JSON context), ``generate``
 (emit contexts, fixed-parameter or random), ``sweep`` (CSV feasibility
 map), ``demo-violation`` (the non-doubly-stochastic counterexample).
+The last three import qlra.synthetic in their bodies, so an ``analyze``
+process never loads it.
 
 Reports are serialized deterministically: fixed field order and floats
 rendered with 12 significant digits, so identical inputs produce
@@ -20,9 +22,7 @@ import sys
 from functools import partial
 
 from . import __version__
-from .context import (TOLERANCE, Direction, ProbContext, Regime, _band, _require_tolerance,
-                      generate_hyperbolic_context, random_hyperbolic_context)
-from .engine import born_violation_demo
+from .context import TOLERANCE, Direction, ProbContext, Regime, _require_tolerance
 from .equivalence import analyze
 from .errors import QlraError
 
@@ -201,6 +201,8 @@ def cmd_analyze(args, out) -> int:
 
 
 def cmd_generate(args, out) -> int:
+    from .synthetic import generate_hyperbolic_context, random_hyperbolic_context
+
     if args.random:
         if args.p is not None or args.p_a1 is not None or args.lambda1 is not None:
             raise ValueError("--random excludes --p/--p-a1/--lambda")
@@ -239,6 +241,8 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args, out) -> int:
+    from .synthetic import _band
+
     # A bad grid exits before the header; a point whose band underflows, after the rows before it.
     p_grid = _parse_grid(args.p_grid)
     pa_grid = _parse_grid(args.pa_grid)
@@ -260,6 +264,8 @@ def cmd_demo_violation(args, out) -> int:
     # A tiny p fails in the demo (a degenerate denominator, or an overflowing
     # basis_overlap_sq); main reports that p as unusable input.  The report's
     # fields after the version are the ViolationReport's, in its order.
+    from .synthetic import born_violation_demo
+
     rep = born_violation_demo(args.p)
     note = (
         "basis_overlap = p - q^2/p; nonzero overlap means the "

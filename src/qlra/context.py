@@ -2,8 +2,8 @@
 
 A context bundles the marginals of observables a and b with the
 transition-probability matrices between them.  This module validates
-contexts, computes interference coefficients, classifies the
-interference regime, and generates feasible hyperbolic contexts.
+contexts, computes interference coefficients and classifies the
+interference regime.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .errors import InfeasibleContextError, RegimeError
+from .errors import RegimeError
 
 __all__ = [
     "Direction",
@@ -23,9 +23,6 @@ __all__ = [
     "TOLERANCE",
     "validate_context",
     "interference_coefficients",
-    "generate_hyperbolic_context",
-    "lambda_feasible_range",
-    "random_hyperbolic_context",
 ]
 
 # Strict positivity margin for probabilities: entries must lie in
@@ -34,9 +31,6 @@ POSITIVITY_MARGIN = 1e-12
 
 # The default tolerance of every check, and of `qlra analyze --tolerance`.
 TOLERANCE = 1e-9
-
-# The draws random_hyperbolic_context makes before it gives up.
-_MAX_TRIES = 10_000
 
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -243,92 +237,3 @@ def _coefficients(c0, c1, o0, p, q) -> InterferenceProfile:
     theta = (math.acosh(abs(lam0)), math.acosh(abs(lam1))) if big else (math.acos(lam0), math.acos(lam1))
     epsilon = (1 if lam0 >= 0 else -1, 1 if lam1 >= 0 else -1)
     return tuple.__new__(InterferenceProfile, ((lam0, lam1), epsilon, theta, _HYPERBOLIC if big else _TRIGONOMETRIC))
-
-
-def _band(p: float, p_a1: float) -> tuple[float, float, float, float]:
-    """(S, R, band_low, band_high): feasible raw range of lam1; ValueError unless p, p_a1 in (0,1) and R > 0."""
-    if not (0.0 < p < 1.0 and 0.0 < p_a1 < 1.0):
-        raise ValueError("p and p_a1 must lie in (0,1)")
-    S = p_a1 * p + (1.0 - p_a1) * (1.0 - p)
-    R = math.sqrt(p_a1 * p * (1.0 - p_a1) * (1.0 - p))
-    if R == 0.0:
-        raise ValueError(f"p={p!r} and p_a1={p_a1!r} give no band: p*p_a1*(1-p)*(1-p_a1) underflows to 0")
-    return S, R, (0.0 - S) / (2.0 * R), (1.0 - S) / (2.0 * R)
-
-
-def lambda_feasible_range(p: float, p_a1: float) -> tuple[tuple[float, float], ...]:
-    """Open intervals of lam1 giving a valid hyperbolic context.
-
-    Intersects {lam : S + 2*lam*R in (0,1)} with {|lam| > 1} for the
-    symmetric matrix [[p, 1-p], [1-p, p]]; returns zero, one, or two
-    open (low, high) intervals, negative side first.
-    """
-    _, _, lo, hi = _band(p, p_a1)
-    out = []
-    if lo < -1.0:
-        out.append((lo, -1.0))
-    if hi > 1.0:
-        out.append((1.0, hi))
-    return tuple(out)
-
-
-def generate_hyperbolic_context(p: float, p_a1: float, lambda1: float) -> ProbContext:
-    """Build a doubly stochastic context realizing a given lam1 with |lam1| > 1.
-
-    The b|a matrix is [[p, 1-p], [1-p, p]] and the a|b matrix its
-    transpose (identical, by symmetry); the b-marginal is chosen so the
-    interference formula reproduces lambda1 exactly.  A context that
-    validate_context rejects (say, p within POSITIVITY_MARGIN of 0)
-    raises InfeasibleContextError naming the violations.
-    """
-    S, R, _, _ = _band(p, p_a1)
-    if abs(lambda1) <= 1.0:
-        raise RegimeError(f"|lambda1|={abs(lambda1)!r} <= 1: not hyperbolic")
-    p_b1 = S + 2.0 * lambda1 * R
-    if not (POSITIVITY_MARGIN < p_b1 < 1.0 - POSITIVITY_MARGIN):
-        intervals = lambda_feasible_range(p, p_a1)
-        raise InfeasibleContextError(
-            f"lambda1={lambda1!r} gives p_b1={p_b1!r} outside (0,1); "
-            f"feasible range: {intervals or 'empty'}"
-        )
-    M = ((p, 1.0 - p), (1.0 - p, p))
-    ctx = ProbContext(
-        p_a=(p_a1, 1.0 - p_a1),
-        p_b=(p_b1, 1.0 - p_b1),
-        p_b_given_a=M,
-        p_a_given_b=_transpose(M),
-    )
-    violations = validate_context(ctx)
-    if violations:
-        raise InfeasibleContextError("generated context is invalid: " + "; ".join(violations))
-    return ctx
-
-
-def random_hyperbolic_context(rng: random.Random) -> ProbContext:
-    """Rejection-sample a valid hyperbolic context, giving up after _MAX_TRIES draws.
-
-    Draws (p, p_a1) uniformly, skips pairs with an empty feasible band,
-    and samples lam1 in the interior of a feasible interval.  With
-    x = 2*p_a1 - 1, y = 2*p_b1 - 1 and z = 2p - 1, lam^2 - 1 is
-    (x^2 + y^2 + z^2 - 2xyz - 1) / ((1 - x^2)(1 - z^2)) for b|a and the
-    same numerator over (1 - y^2)(1 - z^2) for a|b, so the a|b order is
-    hyperbolic too; its check guards only against rounding as |lam| -> 1.
-    """
-    for _ in range(_MAX_TRIES):
-        p = rng.uniform(0.02, 0.98)
-        p_a1 = rng.uniform(0.02, 0.98)
-        intervals = lambda_feasible_range(p, p_a1)
-        if not intervals:
-            continue
-        lo, hi = intervals[rng.randrange(len(intervals))]
-        # Stay away from interval edges: |lam| -> 1 degenerates to the
-        # trigonometric boundary and the other edge pushes p_b to 0/1.
-        pad = 0.05 * (hi - lo)
-        lam1 = rng.uniform(lo + pad, hi - pad)
-        try:
-            ctx = generate_hyperbolic_context(p, p_a1, lam1)
-        except InfeasibleContextError:
-            continue
-        if interference_coefficients(ctx, Direction.A_GIVEN_B).regime is Regime.HYPERBOLIC:
-            return ctx
-    raise InfeasibleContextError(f"no feasible context found in {_MAX_TRIES} tries")

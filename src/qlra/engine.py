@@ -2,11 +2,10 @@
 
 Given a valid context in the hyperbolic regime, builds a normalized
 split-complex amplitude whose squared moduli reproduce the marginals of
-both observables (Born's rule), for either conditioning order.  Also
-reproduces the classic counterexample showing why double stochasticity
-is essential.  The pipeline's core reads a valid context once as its four
-numbers (p_a1, p_b1, p, p'); per direction, context._coefficients computes
-lam0 and sets lam1 = -lam0 (Proposition 1), _state the state on floats, and
+both observables (Born's rule), for either conditioning order.  The
+pipeline's core reads a valid context once as its four numbers
+(p_a1, p_b1, p, p'); per direction, context._coefficients computes lam0
+and sets lam1 = -lam0 (Proposition 1), _state the state on floats, and
 _born and expansion_consistency check it.  HVector2s are built only by
 ``conditioning_basis`` and QlraState's properties, which import qlra.algebra
 and qlra.linear in their bodies: the pipeline never loads the object layer.
@@ -18,18 +17,16 @@ import math
 from collections import namedtuple
 
 from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
-                      _coefficients, _oriented, interference_coefficients, validate_context)
+                      _coefficients, _oriented, validate_context)
 from .errors import RegimeError, StochasticityError
 
 __all__ = [
     "QlraState",
     "BornReport",
-    "ViolationReport",
     "conditioning_basis",
     "run_qlra",
     "verify_born_rule",
     "expansion_consistency",
-    "born_violation_demo",
 ]
 
 
@@ -223,43 +220,3 @@ def expansion_consistency(state: QlraState) -> float:
     du2, dv2 = u2 - (r1 * r10 - ku * r11), v2 - (r1 * r10 - kv * r11)
     # A component's gap max(|re|, |hy|) is (|du| + |dv|)/2, as max(|a + b|, |a - b|) = |a| + |b|.
     return 0.5 * max(abs(du1) + abs(dv1), abs(du2) + abs(dv2))
-
-
-class ViolationReport(namedtuple(
-    "ViolationReport", "p q matrix basis_overlap basis_overlap_sq lambda_relation_residual"
-)):
-    """Diagnostics for the non-doubly-stochastic counterexample.
-
-    With transition matrix [[p, p], [q, q]] (q = 1 - p) the two
-    candidate conditioning-basis vectors stop being orthogonal: their
-    inner product equals p - q^2/p, which vanishes only at p = 1/2.
-    The interference coefficients are locked to lam1 = -(q/p)*lam2.
-    """
-
-    __slots__ = ()
-
-
-def born_violation_demo(p: float) -> ViolationReport:
-    """Evaluate the counterexample matrix [[p, p], [1-p, 1-p]].
-
-    Uses the modified second basis vector (sqrt(p), -(q/p)*sqrt(q)) and
-    reports its overlap with (sqrt(p), sqrt(q)), plus the worst
-    deviation of lam1 + (q/p)*lam2 over a sweep of b-marginals.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0,1)")
-    q = 1.0 - p
-    if p == 0.5:
-        raise ValueError("p=0.5 makes the matrix doubly stochastic; no violation")
-    M: Matrix2 = ((p, p), (q, q))
-    # The float operations of inner_product(e1, e2); the closed form p - q^2/p rounds differently.
-    overlap = math.sqrt(p) * math.sqrt(p) + math.sqrt(q) * (-(q / p) * math.sqrt(q))
-    overlap_sq = overlap * overlap  # not finite whenever the overlap is not
-    if not math.isfinite(overlap_sq):
-        raise ValueError(f"squared basis overlap is not finite at p={p!r}")
-    # lam1 = -(q/p)*lam2 holds for every marginal assignment; sweep a few.
-    worst = 0.0
-    for p_b1 in (0.2, 0.35, 0.5, 0.65, 0.8):  # p_a = (1/2, 1/2), conditioned on by the b|a order
-        prof = interference_coefficients(ProbContext((0.5, 0.5), (p_b1, 1.0 - p_b1), M), _B_GIVEN_A)
-        worst = max(worst, abs(prof.lam[0] + (q / p) * prof.lam[1]))
-    return ViolationReport(p, q, M, overlap, overlap_sq, worst)

@@ -21,6 +21,9 @@ __all__ = [
 
 
 def _as_h(x) -> HNumber:
+    """x as an HNumber, a real (int, float or bool) by HNumber(float(x)); else TypeError, as HNumber's operators."""
+    if not isinstance(x, (HNumber, int, float)):
+        raise TypeError(f"an HVector2 entry or scale factor must be an HNumber or a real number, got {x!r}")
     return x if isinstance(x, HNumber) else HNumber(float(x))
 
 

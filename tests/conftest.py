@@ -7,11 +7,10 @@ from qlra import (
     InfeasibleContextError,
     ProbContext,
     RegimeError,
-    generate_hyperbolic_context,
-    lambda_feasible_range,
     validate_context,
 )
 from qlra.engine import _validate_and_reconstruct
+from qlra.synthetic import generate_hyperbolic_context, lambda_feasible_range
 
 
 @pytest.fixture

@@ -16,11 +16,9 @@ from qlra import (
     Direction,
     ProbContext,
     Regime,
-    born_violation_demo,
     check_consistency,
     interference_coefficients,
     proof_relation_residual,
-    random_hyperbolic_context,
     run_qlra,
     transition_unitary,
     validate_context,
@@ -29,6 +27,7 @@ from qlra import (
 from qlra.algebra import HNumber, exp_j
 from qlra.cli import main as cli_main
 from qlra.linear import inner_product
+from qlra.synthetic import born_violation_demo, random_hyperbolic_context
 from test_equivalence import perturbed_a_given_b
 from test_linear import columns_orthonormal
 

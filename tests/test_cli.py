@@ -20,7 +20,8 @@ import qlra.engine
 import qlra.equivalence
 import qlra.linear
 from qlra.cli import main
-from qlra.context import ProbContext, generate_hyperbolic_context, random_hyperbolic_context
+from qlra.context import ProbContext
+from qlra.synthetic import generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context
 
 
 def run_cli(argv, stdin_text=None):
@@ -205,7 +206,7 @@ NEAR_BOUNDARY = {
 
 def with_diagonal_slack(slack, diagonal):
     """generate_hyperbolic_context(0.9, 0.5, 1.3), slack on the listed diagonal entries of both matrices."""
-    ctx = qlra.generate_hyperbolic_context(0.9, 0.5, 1.3).to_dict()
+    ctx = generate_hyperbolic_context(0.9, 0.5, 1.3).to_dict()
     for M in (ctx["P_b_given_a"], ctx["P_a_given_b"]):
         for i in diagonal:
             M[i][i] += slack
@@ -683,8 +684,8 @@ def test_sweep_grid_shape():
     grid = qlra.cli._parse_grid("0.1:0.9:0.1")
     points = [(p, p_a1) for p in grid for p_a1 in grid]
     flags = [row.rsplit(",", 1)[1] for row in rows]
-    assert flags == ["true" if qlra.lambda_feasible_range(p, p_a1) else "false" for p, p_a1 in points]
-    assert any(len(qlra.lambda_feasible_range(p, p_a1)) == 1 for p, p_a1 in points)
+    assert flags == ["true" if lambda_feasible_range(p, p_a1) else "false" for p, p_a1 in points]
+    assert any(len(lambda_feasible_range(p, p_a1)) == 1 for p, p_a1 in points)
 
 
 @pytest.mark.parametrize("flag", ["--p-grid", "--pa-grid"])

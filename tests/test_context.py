@@ -11,12 +11,10 @@ from qlra import (
     ProbContext,
     Regime,
     RegimeError,
-    generate_hyperbolic_context,
     interference_coefficients,
-    lambda_feasible_range,
-    random_hyperbolic_context,
     validate_context,
 )
+from qlra.synthetic import generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context
 
 
 def test_ctx1_valid(ctx1):

@@ -12,11 +12,9 @@ from qlra import (
     RegimeError,
     StochasticityError,
     analyze,
-    born_violation_demo,
     conditioning_basis,
     expansion_consistency,
     interference_coefficients,
-    random_hyperbolic_context,
     run_qlra,
     validate_context,
     verify_born_rule,
@@ -25,6 +23,7 @@ from qlra.algebra import HNumber, exp_j, h_arg
 from qlra.context import POSITIVITY_MARGIN
 from qlra.engine import _validate_and_reconstruct
 from qlra.linear import HVector2, inner_product
+from qlra.synthetic import born_violation_demo, random_hyperbolic_context
 
 
 def test_run_qlra_ctx1_b_given_a(ctx1):

@@ -14,7 +14,6 @@ from qlra import (
     check_consistency,
     interference_coefficients,
     proof_relation_residual,
-    random_hyperbolic_context,
     run_qlra,
     states_equivalent,
     transition_unitary,
@@ -24,6 +23,7 @@ from qlra import (
 from qlra.algebra import HNumber, exp_j
 from qlra.equivalence import _relation_residual
 from qlra.linear import HVector2, inner_product, mat_apply
+from qlra.synthetic import random_hyperbolic_context
 from test_linear import columns_orthonormal
 
 

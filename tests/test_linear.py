@@ -42,6 +42,18 @@ def test_inner_product_examples():
             inner_product(u, v)
 
 
+def test_entries_and_scale_factors_follow_hnumber_coercion():
+    # One rule with HNumber's operators: an HNumber, int, float or bool; a str is not a number, not even "2.5".
+    v = HVector2(1, 2)
+    for call in (lambda: HVector2("2.5", 0), lambda: HVector2(None, 0), lambda: v.scale("2.5"),
+                 lambda: v.scale("x"), lambda: v.scale(1j)):
+        with pytest.raises(TypeError):
+            call()
+    assert repr(HVector2(2, True)) == "HVector2(c1=HNumber(re=2.0, hy=0.0), c2=HNumber(re=1.0, hy=0.0))"
+    # HNumber(-0.0) has u = +0.0, so re = (u + v)/2 of the products is +0.0, not -0.0.
+    assert repr(v.scale(-0.0)) == "HVector2(c1=HNumber(re=0.0, hy=0.0), c2=HNumber(re=0.0, hy=0.0))"
+
+
 def test_sq_norm_examples():
     assert inner_product(E1, E1).re == 1.0
     r = math.sqrt(0.5)

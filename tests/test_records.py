@@ -2,10 +2,12 @@
 
 HNumber and HVector2 are slots classes; the other records are named
 tuples.  None of them may need ``dataclasses`` at import, and importing
-``qlra.cli`` loads no ``random`` either, nor the object layer that defines them.
+``qlra.cli`` loads no ``random`` either, nor the object layer that defines them,
+nor ``qlra.synthetic``, which only ``generate``, ``sweep`` and ``demo-violation`` import.
 """
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -24,11 +26,12 @@ from qlra import (
     ProbContext,
     QlraState,
     Regime,
-    ViolationReport,
 )
 from qlra.algebra import HNumber
 from qlra.linear import HVector2
+from qlra.synthetic import ViolationReport
 
+TESTS = Path(__file__).parent
 M = ((0.9, 0.1), (0.1, 0.9))
 PSI = HVector2(HNumber(1.2, 0.3), HNumber(-0.4, 0.5))
 PROFILE = InterferenceProfile((4 / 3, -4 / 3), (1, -1), (0.79, 0.79), Regime.HYPERBOLIC)
@@ -181,7 +184,28 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     # -S: no site, which on some installs loads random itself and hides qlra's import.
     added = _imported_modules(", qlra.cli") - _imported_modules("")
     assert "qlra.cli" in added
-    assert not {"dataclasses", "inspect", "random", "qlra.algebra", "qlra.linear"} & added
+    assert not {"dataclasses", "inspect", "random", "qlra.algebra", "qlra.linear", "qlra.synthetic"} & added
+
+
+def test_analyze_process_loads_no_synthetic_data(ctx1, tmp_path):
+    assert "qlra.synthetic" not in _imported_modules(", qlra\nfrom qlra import *")
+    path = tmp_path / "ctx1.json"
+    path.write_text(json.dumps(ctx1.to_dict()))
+    printed, modules = _run_child(f", qlra.cli\nprint(qlra.cli.main(['analyze', {str(path)!r}]))")
+    assert "".join(line + "\n" for line in printed) == (TESTS / "ctx1_report.json").read_text() + "0\n"
+    assert not {"qlra.synthetic", "random", "qlra.algebra", "qlra.linear"} & modules
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["demo-violation", "--p", "0.7"], "demo_violation_report.json"),
+    (["generate", "--p", "0.9", "--p-a1", "0.5", "--lambda", "1.3333333333"], "generate_ctx1.jsonl"),
+], ids=["demo-violation", "generate"])
+def test_synthetic_commands_import_it_in_a_fresh_process(argv, golden):
+    # In-process runs find qlra.synthetic already imported by other tests; a fresh process must import it itself.
+    code = f", qlra.cli\nassert 'qlra.synthetic' not in sys.modules\nprint(qlra.cli.main({argv!r}))"
+    printed, modules = _run_child(code)
+    assert "".join(line + "\n" for line in printed) == (TESTS / golden).read_text() + "0\n"
+    assert "qlra.synthetic" in modules
 
 
 def test_relation_residual_domain_error_loads_no_object_layer():
@@ -207,6 +231,7 @@ def test_package_root_reexports_each_module_all():
     assert qlra.__all__ == ["__version__"] + [name for module in modules for name in module.__all__]
     assert len(set(qlra.__all__)) == len(qlra.__all__)
     assert all(hasattr(qlra, name) for name in qlra.__all__)
+    assert not any(hasattr(qlra, name) for name in qlra.synthetic.__all__)  # imported on its own
     namespace = {}
     exec("from qlra import *", namespace)
     del namespace["__builtins__"]
@@ -214,7 +239,7 @@ def test_package_root_reexports_each_module_all():
     # The census: every class and function a module defines under a public name is one its __all__ lists.
     unlisted = {
         f"{module.__name__}.{name}"
-        for module in (*modules, qlra.algebra, qlra.linear)
+        for module in (*modules, qlra.algebra, qlra.linear, qlra.synthetic)
         for name, obj in vars(module).items()
         if isinstance(obj, (type, types.FunctionType)) and obj.__module__ == module.__name__
         and not name.startswith("_") and name not in module.__all__
