@@ -78,8 +78,8 @@ _INPUT = {
     for m in (_MATRIX, _MATRIX_LINES) for n in (_MATRIX, _MATRIX_LINES, None)
 }
 # A direction's entry by (direction, regime): its lambda, epsilon and theta, then the Born report (the core builds a
-# state exactly when hyperbolic) or the error.  Direction and Regime values are plain identifiers, so in quotes each
-# is its JSON string.
+# state exactly when hyperbolic) or the error.  The regimes are the two context._coefficients returns.  Direction and
+# Regime values are plain identifiers, so in quotes each is its JSON string.
 _ENTRY = '": {\n      "lambda": [%.12g, %.12g],\n      "epsilon": [%d, %d],\n      "theta": [%.12g, %.12g],\n      "regime": "'
 _BORN = (
     '",\n      "born_residuals": {\n        "conditioned": [%.12g, %.12g],\n        "conditioning": [%.12g, %.12g],\n'
@@ -89,7 +89,7 @@ _NOT_HYPERBOLIC = ': |lambda| <= 1 for at least one outcome; hyperbolic reconstr
 _ENTRIES = {
     (d.value, r.value): '    "' + d.value + _ENTRY + r.value
     + (_BORN if r is Regime.HYPERBOLIC else '",\n      "error": "regime is ' + r.value + _NOT_HYPERBOLIC)
-    for d in Direction for r in Regime
+    for d in Direction for r in (Regime.HYPERBOLIC, Regime.TRIGONOMETRIC)
 }
 # The directions' closing and the equivalence block, by (equivalent, symmetry holds).  A verdict has gamma and
 # sign exactly when it is equivalent, and analyze computes the proof relation residual exactly when symmetry holds.
@@ -124,7 +124,8 @@ def _report_json(ctx, tolerance, sign_branch, violations, directions, verdict, r
     (a0, a1), (b0, b1), M, N = ctx
     (m0, m1), (m2, m3) = M
     values = (tolerance, sign_branch, a0, a1, b0, b1, m0, m1, m2, m3)
-    head = _INPUT[_matrix_template(M), N and _matrix_template(N)]  # N is None when defaulted
+    # N is None when defaulted; a valid context's entries lie in [1e-12, 1 - 1e-12], so its rows go on one line.
+    head = _INPUT[_matrix_template(M), N and _matrix_template(N)] if violations else _INPUT[_MATRIX, N and _MATRIX]
     if N is not None:
         (n0, n1), (n2, n3) = N
         values += (n0, n1, n2, n3)

@@ -72,10 +72,6 @@ def _transpose(M: Matrix2) -> Matrix2:
 
 def _as_pair(v, what: str, shape: str = "a 2-array") -> tuple[float, float]:
     """Two finite floats, from anything float() takes; else ValueError naming `what`."""
-    if type(v) is list and len(v) == 2:  # JSON's floats are taken as they are
-        x, y = v
-        if type(x) is float and type(y) is float and math.isfinite(x + y):  # x + y is finite only if both are
-            return x, y
     try:
         pair = tuple(map(float, v)) if isinstance(v, (list, tuple)) else ()
     except (TypeError, ValueError, OverflowError):
@@ -103,7 +99,22 @@ class ProbContext(namedtuple("ProbContext", "p_a p_b p_b_given_a p_a_given_b")):
     __slots__ = ()
 
     def __new__(cls, p_a, p_b, p_b_given_a, p_a_given_b=None):
-        # The one parse gate: shapes checked, entries made finite floats.
+        # The one parse gate: shapes checked, entries made finite floats.  JSON's lists of two floats, and matrices
+        # of two such rows, are taken in one step, with one isfinite on their sum (finite only if every entry is;
+        # an overflow falls through).  Anything else goes through _as_pair and _as_matrix, which word the errors.
+        M, N = p_b_given_a, p_b_given_a if p_a_given_b is None else p_a_given_b
+        try:  # only lists are unpacked, which runs no Python code; one not of length 2 raises ValueError
+            if type(p_a) is type(p_b) is type(M) is type(N) is list:
+                (a0, a1), (b0, b1), (m0, m1), (n0, n1) = p_a, p_b, M, N
+                if type(m0) is type(m1) is type(n0) is type(n1) is list:
+                    (m00, m01), (m10, m11), (n00, n01), (n10, n11) = m0, m1, n0, n1
+                    if (type(a0) is type(a1) is type(b0) is type(b1) is type(m00) is type(m01) is type(m10)
+                            is type(m11) is type(n00) is type(n01) is type(n10) is type(n11) is float
+                            and math.isfinite(a0 + a1 + b0 + b1 + m00 + m01 + m10 + m11 + n00 + n01 + n10 + n11)):
+                        N = None if p_a_given_b is None else ((n00, n01), (n10, n11))
+                        return tuple.__new__(cls, ((a0, a1), (b0, b1), ((m00, m01), (m10, m11)), N))
+        except ValueError:
+            pass
         p_a = _as_pair(p_a, "field 'p_a'")
         p_b = _as_pair(p_b, "field 'p_b'")
         p_b_given_a = _as_matrix(p_b_given_a, "field 'P_b_given_a'")
@@ -154,6 +165,26 @@ def validate_context(ctx: ProbContext, tol: float = TOLERANCE) -> list[str]:
     Raises ValueError unless tol is positive and finite.
     """
     _require_tolerance(tol)
+    lo, hi = POSITIVITY_MARGIN, 1.0 - POSITIVITY_MARGIN
+    (a0, a1), (b0, b1), M, N = ctx
+    (m00, m01), (m10, m11) = M
+    (n00, n01), (n10, n11) = N or M  # a defaulted a|b matrix, M's transpose, has M's entries and line sums
+    # Valid in one expression: every entry in [lo, hi] and all 10 line sums within tol.  The per-field checks
+    # run only to word the violations.
+    if (lo <= a0 <= hi and lo <= a1 <= hi and lo <= b0 <= hi and lo <= b1 <= hi
+            and lo <= m00 <= hi and lo <= m01 <= hi and lo <= m10 <= hi and lo <= m11 <= hi
+            and lo <= n00 <= hi and lo <= n01 <= hi and lo <= n10 <= hi and lo <= n11 <= hi
+            and abs(a0 + a1 - 1.0) <= tol and abs(b0 + b1 - 1.0) <= tol
+            and abs(m00 + m01 - 1.0) <= tol and abs(m10 + m11 - 1.0) <= tol
+            and abs(m00 + m10 - 1.0) <= tol and abs(m01 + m11 - 1.0) <= tol
+            and abs(n00 + n01 - 1.0) <= tol and abs(n10 + n11 - 1.0) <= tol
+            and abs(n00 + n10 - 1.0) <= tol and abs(n01 + n11 - 1.0) <= tol):
+        return []
+    return _violations(ctx, tol)
+
+
+def _violations(ctx: ProbContext, tol: float) -> list[str]:
+    """validate_context's per-field checks, in its order: each violation worded."""
     lo, hi = POSITIVITY_MARGIN, 1.0 - POSITIVITY_MARGIN
     (a0, a1), (b0, b1), M, N = ctx
     violations = []
@@ -233,7 +264,7 @@ def _coefficients(c0, c1, o0, p, q) -> InterferenceProfile:
     # No check: a valid context's entries lie in [1e-12, 1 - 1e-12], so k0 * k1 >= 1e-48.
     lam0 = (o0 - (k0 + k1)) / (2.0 * math.sqrt(k0 * k1))
     lam1 = 0.0 - lam0  # +0.0, not -0.0, when lam0 is 0
-    big = abs(lam0) > 1.0  # as is |lam1|: one regime, and theta1 is theta0 if big, else about pi - theta0
-    theta = (math.acosh(abs(lam0)), math.acosh(abs(lam1))) if big else (math.acos(lam0), math.acos(lam1))
+    big = abs(lam0) > 1.0  # as is |lam1| = |lam0|: one regime; theta1 is theta0 exactly if big, else about pi - theta0
+    theta = (math.acosh(abs(lam0)),) * 2 if big else (math.acos(lam0), math.acos(lam1))
     epsilon = (1 if lam0 >= 0 else -1, 1 if lam1 >= 0 else -1)
     return tuple.__new__(InterferenceProfile, ((lam0, lam1), epsilon, theta, _HYPERBOLIC if big else _TRIGONOMETRIC))

@@ -5,10 +5,11 @@ split-complex amplitude whose squared moduli reproduce the marginals of
 both observables (Born's rule), for either conditioning order.  The
 pipeline's core reads a valid context once as its four numbers
 (p_a1, p_b1, p, p'); per direction, context._coefficients computes lam0
-and sets lam1 = -lam0 (Proposition 1), _state the state on floats, and
-_born and expansion_consistency check it.  HVector2s are built only by
-``conditioning_basis`` and QlraState's properties, which import qlra.algebra
-and qlra.linear in their bodies: the pipeline never loads the object layer.
+and sets lam1 = -lam0 (Proposition 1), the core exp_j(sc*theta) once,
+_state the state on floats, and _born and _expansion_gap check it.
+HVector2s are built only by ``conditioning_basis`` and QlraState's
+properties, which import qlra.algebra and qlra.linear in their bodies:
+the pipeline never loads the object layer.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, di
     """The pipeline's core, and the one place that checks its arguments: validate ctx once at tol; if
     valid, check sign_choice (ValueError unless +-1), read ctx once as its four numbers (p_a1, p_b1, p, p'),
     p and p' the mean diagonals of its matrices, and per direction compute the interference profile
-    (ValueError for a direction that is not a Direction) and, if hyperbolic, the state.
+    (ValueError for a direction that is not a Direction) and, if hyperbolic, exp_j(sc*theta) and the state.
     Returns (violations, p, p', [(direction, profile, state or None, conditioning marginals, conditioned
-    marginals)]), the marginals as ctx has them, or (violations, None, None, []).
+    marginals, exp_j(sc*theta) as (eu, ev) or None)]), the marginals as ctx has them, or (violations, None, None, []).
     """
     violations = validate_context(ctx, tol)
     if violations:
@@ -132,8 +133,12 @@ def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, di
         # The stages see the exactly doubly stochastic context [[diag, off], [off, diag]] of the four numbers.
         x, x1, y, off = c[0], 1.0 - c[0], o[0], 1.0 - diag
         profile = _coefficients(x, x1, y, diag, off)
-        state = _state(x, x1, diag, profile, d, sign_choice) if profile.regime is _HYPERBOLIC else None
-        steps.append((d, profile, state, c, o))
+        if profile.regime is _HYPERBOLIC:
+            t = sign_choice * profile.theta[0]
+            eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta), for the state and its expansion check
+            steps.append((d, profile, _state(x, x1, diag, profile, d, sign_choice, eu, ev), c, o, (eu, ev)))
+        else:
+            steps.append((d, profile, None, c, o, None))
     return violations, p, q, steps
 
 
@@ -144,21 +149,19 @@ def _reconstructed(ctx: ProbContext, tol: float, sign_choice: int, directions) -
     violations, p, q, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
     if violations:
         raise StochasticityError("invalid context: " + "; ".join(violations))
-    for d, profile, state, _, _ in steps:
+    for d, profile, state, *_ in steps:
         if state is None:
             raise RegimeError(f"{d.value} data is {profile.regime.value}, not hyperbolic (lam={profile.lam})")
     return p, q, [step[2] for step in steps]
 
 
-def _state(m0, m1, p, profile, direction, sign_choice) -> QlraState:
+def _state(m0, m1, p, profile, direction, sign_choice, eu, ev) -> QlraState:
     """The core's state on floats: conditioning marginals m and the diagonal p of the doubly stochastic
-    transition matrix [[p, q], [q, p]], q = 1 - p, given the direction's hyperbolic profile.  It checks
-    nothing: the core has.
+    transition matrix [[p, q], [q, p]], q = 1 - p, given the direction's hyperbolic profile and
+    exp_j(sign_choice * theta) = (eu, ev).  It checks nothing: the core has.
     """
     q = 1.0 - p
     s = profile.epsilon[0]
-    t = sign_choice * profile.theta[0]
-    eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
     pu, pv = s * eu, s * ev
     a00, a01 = math.sqrt(m0 * p), math.sqrt(m1 * q)
     a10, a11 = math.sqrt(m0 * q), math.sqrt(m1 * p)
@@ -206,13 +209,18 @@ def expansion_consistency(state: QlraState) -> float:
     The expansion sqrt(m1)*e1 + s*exp_j(sc*theta)*sqrt(m2)*e2 must
     coincide with the coordinate form produced by run_qlra.
     """
-    (m0, m1), profile = state.conditioning_marginals, state.profile
-    t = state.sign_choice * profile.theta[0]
+    t = state.sign_choice * state.profile.theta[0]
     eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
     if not math.isfinite(eu + ev):
         _require_finite(eu, ev)
+    return _expansion_gap(state, (eu, ev))
+
+
+def _expansion_gap(state: QlraState, phase: tuple[float, float]) -> float:
+    """expansion_consistency given the state's exp_j(sc*theta) as phase = (eu, ev), which the core has computed."""
+    (m0, m1), (eu, ev) = state.conditioning_marginals, phase
     r1 = math.sqrt(m0)
-    r2 = profile.epsilon[0] * math.sqrt(m1)
+    r2 = state.profile.epsilon[0] * math.sqrt(m1)
     ku, kv = r2 * eu, r2 * ev
     u1, v1, u2, v2 = state.amplitude
     r00, r01, r10, r11 = state.basis_roots

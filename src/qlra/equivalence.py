@@ -12,8 +12,7 @@ import math
 from collections import namedtuple
 
 from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _require_tolerance
-from .engine import (QlraState, _born, _reconstructed, _validate_and_reconstruct, conditioning_basis,
-                     expansion_consistency)
+from .engine import QlraState, _born, _expansion_gap, _reconstructed, _validate_and_reconstruct, conditioning_basis
 from .errors import ArgDomainError, DegenerateStateError
 
 __all__ = [
@@ -118,9 +117,9 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
     violations, p, q, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
     entries, state_ba, state_ab = [], None, None
     # A direction without a state (not hyperbolic) gets no Born report and no expansion deviation.
-    for d, profile, state, c, o in steps:
+    for d, profile, state, c, o, phase in steps:
         born = state and _born(state.amplitude, state.basis_roots, c, o)
-        entries.append((d, profile, born, state and expansion_consistency(state)))
+        entries.append((d, profile, born, state and _expansion_gap(state, phase)))
         if d is _B_GIVEN_A:
             state_ba = state
         else:

@@ -261,21 +261,24 @@ SAME_SIGN = {
 
 # Calls of each stage per analyze run: validation once; the per-direction pass (the coefficients and, where
 # hyperbolic, the state, its Born check and its expansion deviation) once per direction; the verdict and the
-# relation residual once.  The public per-direction functions, which read a raw context, are not on the path.
+# relation residual once.  The public per-direction functions, which read a raw context, are not on the path:
+# the expansion deviation is the kernel _expansion_gap on the core's exp_j(sc*theta), not expansion_consistency,
+# which would compute it again.
 STAGE_CALLS = {
     "validate_context": 1,
     "_coefficients": 2,
     "_state": 2,
     "_born": 2,
-    "expansion_consistency": 2,
+    "_expansion_gap": 2,
     "_verdict": 1,
     "_relation_residual": 1,
     "interference_coefficients": 0,
     "verify_born_rule": 0,
+    "expansion_consistency": 0,
 }
 # The same counts for the library's other entry points (run_qlra per direction): each validates
 # once, and none runs a check whose result it drops.
-NO_CHECKS = dict.fromkeys(("_born", "expansion_consistency", "_verdict", "_relation_residual"), 0)
+NO_CHECKS = dict.fromkeys(("_born", "expansion_consistency", "_expansion_gap", "_verdict", "_relation_residual"), 0)
 ENTRY_POINT_CALLS = {
     "run_qlra": {**STAGE_CALLS, **NO_CHECKS, "_coefficients": 1, "_state": 1},
     "check_consistency": {**STAGE_CALLS, **NO_CHECKS, "_verdict": 1},
@@ -411,13 +414,8 @@ def test_analyze_builds_no_algebra_objects(ctx, code, tmp_path):
     assert calls == []
 
 
-def test_analyze_python_calls(ctx1_file):
-    # Python-level calls into qlra during one `qlra analyze` of CTX1, parsing and writing included.
-    # The count is exact, so it guards the straight-line stages and the one-% writer where timings
-    # cannot: a per-float formatting call, a per-section writer, a per-outcome generator or an Enum-keyed
-    # accessor shows here.
-    # The path runs no list, set or dict comprehension, which Python 3.12 inlines, so the count is
-    # the same on every supported version.
+def qlra_calls(argv, stdin_text=None):
+    """The exit code of main(argv) and the names of its Python-level calls into qlra, in order."""
     package = os.path.join(os.path.dirname(qlra.__file__), "")
     calls = []
 
@@ -427,20 +425,43 @@ def test_analyze_python_calls(ctx1_file):
 
     sys.setprofile(profile)
     try:
-        code, _ = run_cli(["analyze", ctx1_file])
+        code, _ = run_cli(argv, stdin_text)
     finally:
         sys.setprofile(None)
+    return code, calls
+
+
+# Helpers that convert fields, word violations or measure matrix rows: a valid context of JSON floats needs none.
+WORDING_HELPERS = ("_as_pair", "_as_matrix", "_violations", "_check_matrix", "_matrix_template")
+
+
+def test_analyze_python_calls(ctx1_file):
+    # Python-level calls into qlra during one `qlra analyze` of CTX1, parsing and writing included.
+    # The count is exact, so it guards the straight-line stages and the one-% writer where timings
+    # cannot: a per-float formatting call, a per-section writer, a per-outcome generator or an Enum-keyed
+    # accessor shows here.
+    # The path runs no list, set or dict comprehension, which Python 3.12 inlines, and no generator, so
+    # the count is the same on every supported version.
+    code, calls = qlra_calls(["analyze", ctx1_file])
     assert code == 0
-    # Three of them write the report: _report_json, and _matrix_template once per matrix.
-    assert len(calls) == 40, sorted(calls)
+    # One of them writes the report, _report_json: a valid context's matrices are laid out without a call.
+    assert len(calls) == 28, sorted(calls)
     # The core reads the context once as its four numbers, so no direction asks context._oriented; each
     # direction runs the pass once.  The finiteness the core's bound makes certain is tested inline, without
     # a call.
-    stages = ("_oriented", "_coefficients", "_state", "_born", "expansion_consistency", "_require_finite")
+    stages = ("_oriented", "_coefficients", "_state", "_born", "_expansion_gap", "expansion_consistency",
+              "_require_finite")
     assert {name: calls.count(name) for name in stages} == {
-        "_oriented": 0, "_coefficients": 2, "_state": 2, "_born": 2, "expansion_consistency": 2, "_require_finite": 0
+        "_oriented": 0, "_coefficients": 2, "_state": 2, "_born": 2, "_expansion_gap": 2, "expansion_consistency": 0,
+        "_require_finite": 0
     }
     assert not {"_fmt_float", "marginals", "matrix", "a_given_b"} & set(calls)
+    # The parse gate takes lists of floats in one step, validation decides "valid" in one expression, and the
+    # writer knows a valid context's layout: no helper that converts, words or measures runs.
+    assert not set(WORDING_HELPERS) & set(calls)
+    # An invalid context still runs the per-field checks, which word its violations.
+    code, calls = qlra_calls(["analyze", "-"], json.dumps(dict(CTX1, p_a=[0.7, 0.2])))
+    assert code == 1 and "_check_matrix" in calls and "_matrix_template" in calls
 
 
 def flat(x):
@@ -901,6 +922,17 @@ def test_report_writer_lays_out_any_finite_matrix(entries):
     assert code == 1 and err.getvalue() == ""
     report = text[:-1]  # print's newline
     assert qlra.cli.dumps(json.loads(report)) == report
+
+
+def test_entry_templates_cover_exactly_the_regimes_the_core_returns():
+    # The writer has a direction's entry for each regime context._coefficients can return, and for no other:
+    # on the pipeline a direction is hyperbolic or trigonometric, never hyper-trigonometric.
+    grid = (1e-12, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-6, 1.0 - 1e-12)
+    regimes = {
+        qlra.context._coefficients(x, 1.0 - x, y, p, 1.0 - p).regime.value for x in grid for y in grid for p in grid
+    }
+    assert regimes == {"hyperbolic", "trigonometric"}
+    assert set(qlra.cli._ENTRIES) == {(d.value, r) for d in qlra.Direction for r in regimes}
 
 
 def test_report_writer_rejects_non_finite(monkeypatch):

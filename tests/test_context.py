@@ -1,11 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qlra.context
 from qlra import (
+    POSITIVITY_MARGIN,
+    TOLERANCE,
     Direction,
     InfeasibleContextError,
     ProbContext,
@@ -14,6 +18,7 @@ from qlra import (
     interference_coefficients,
     validate_context,
 )
+from qlra.context import _as_matrix, _as_pair, _violations
 from qlra.synthetic import generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context
 
 
@@ -448,3 +453,191 @@ def test_dict_roundtrip(ctx1):
         {"p_a": ["0.5", "0.5"], "p_b": [0.9, 0.1], "P_b_given_a": [[0.9, "0.1"], [0.1, 0.9]]}
     )
     assert quoted.p_a == (0.5, 0.5) and quoted.p_b_given_a[0][1] == 0.1
+
+
+# What JSON and Python can hand the parse gate in place of a field or one of its parts: entries of every type
+# float() may or may not take, non-finite ones, and containers of the wrong type, length or depth.
+_FLOATS = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 1e308, 5e-324])  # 1e308 twice: a finite pair, an inf sum
+_SCALARS = (
+    st.floats() | st.integers() | st.booleans() | st.none()
+    | st.floats().map(repr)  # numeric strings, "nan" and "inf" among them
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e308])
+)
+_PAIRS = st.one_of(
+    st.lists(_FLOATS, min_size=2, max_size=2),
+    st.lists(_SCALARS, min_size=2, max_size=2),
+    st.lists(_SCALARS, max_size=3),
+    st.tuples(_SCALARS, _SCALARS),
+    st.dictionaries(_SCALARS.filter(lambda x: x == x), _SCALARS, max_size=2),  # nan keys would not compare
+    _SCALARS,
+)
+_MATRICES = st.one_of(
+    st.lists(_PAIRS, min_size=2, max_size=2),
+    st.lists(_PAIRS, max_size=3),
+    st.tuples(_PAIRS, _PAIRS),
+    st.lists(st.lists(_PAIRS, min_size=2, max_size=2), min_size=2, max_size=2),  # one level too deep
+    _PAIRS,  # one level too shallow
+)
+
+
+@st.composite
+def _gate_fields(draw):
+    """(p_a, p_b, P_b_given_a, P_a_given_b or None): JSON's float lists with up to three parts replaced.
+
+    A part is a field, a matrix's row, or one entry of a pair or a row.
+    """
+    pair = st.lists(_FLOATS, min_size=2, max_size=2)
+    matrix = st.lists(pair, min_size=2, max_size=2)
+    fields = [draw(pair), draw(pair), draw(matrix), draw(st.none() | matrix)]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, 3))
+        parent, key, depth = fields, i, 2 if i >= 2 else 1  # depth: the nesting the replaced part should have
+        while depth and type(parent[key]) is list and len(parent[key]) == 2 and draw(st.integers(0, 2)):
+            parent, key, depth = parent[key], draw(st.integers(0, 1)), depth - 1  # two times in three, one level down
+        parent[key] = draw((_SCALARS, _PAIRS, _MATRICES)[depth])
+    return fields
+
+
+def _json_floats(x, depth: int):
+    """The floats of x if it is a list of two floats (depth 1) or of two such lists (depth 2), else None."""
+    if type(x) is not list or len(x) != 2:
+        return None
+    if depth == 1:
+        return x if type(x[0]) is float and type(x[1]) is float else None
+    rows = [_json_floats(row, 1) for row in x]
+    return None if None in rows else rows[0] + rows[1]
+
+
+def _assert_gate_builds_what_the_converters_build(fields):
+    """ProbContext(*fields) and from_dict return what _as_pair and _as_matrix build field by field, or raise their
+    ValueError word for word; lists of finite floats whose sum cannot overflow are not converted at all."""
+    p_a, p_b, M, N = fields
+    try:
+        want = repr((
+            _as_pair(p_a, "field 'p_a'"),
+            _as_pair(p_b, "field 'p_b'"),
+            _as_matrix(M, "field 'P_b_given_a'"),
+            None if N is None else _as_matrix(N, "field 'P_a_given_b'"),
+        ))  # repr tells -0.0 from 0.0, and 1 from 1.0
+    except ValueError as exc:
+        want = str(exc)
+    d = {"p_a": p_a, "p_b": p_b, "P_b_given_a": M}
+    if N is not None:
+        d["P_a_given_b"] = N
+    with mock.patch.object(qlra.context, "_as_pair", wraps=_as_pair) as as_pair:
+        for build in (lambda: ProbContext(*fields), lambda: ProbContext.from_dict(d)):
+            try:
+                got = build()
+            except ValueError as exc:
+                got = str(exc)
+            else:
+                assert type(got) is ProbContext
+                got = repr(tuple(got))
+            assert got == want, fields
+    leaves = [_json_floats(p_a, 1), _json_floats(p_b, 1), _json_floats(M, 2), _json_floats(M if N is None else N, 2)]
+    if None not in leaves and all(abs(x) <= 1.0 for leaf in leaves for x in leaf):
+        assert not as_pair.called, fields
+
+
+@settings(max_examples=600, deadline=None)
+@given(_gate_fields())
+@example([[0.5, 0.5], [0.9, 0.1], [[0.9, 0.1], [0.1, 0.9]], None])
+@example([[1e308, 1e308], [0.9, 0.1], [[0.9, 0.1], [0.1, 0.9]], None])  # finite entries, an overflowing sum
+@example([[-0.0, 1.0], ["0.9", "0.1"], [[0.9, 0.1], (0.1, 0.9)], [[1, 0], [0, True]]])
+def test_parse_gate_builds_what_the_converters_build(fields):
+    # The gate takes JSON's float lists in one step and hands anything else to _as_pair and _as_matrix.
+    _assert_gate_builds_what_the_converters_build(fields)
+
+
+@pytest.mark.parametrize("defaulted", [False, True])
+def test_parse_gate_checks_every_entry(defaulted):
+    # One entry of the worked example at a time, at each position, replaced by a value the one step must not take.
+    for bad in (1, True, "0.5", None, math.nan, math.inf, -math.inf, 1e308, [0.5], (0.5,)):
+        for path in [(0, 0), (0, 1), (1, 0), (1, 1)] + [(i, j, k) for i in (2, 3) for j in (0, 1) for k in (0, 1)]:
+            fields = [[0.5, 0.5], [0.9, 0.1], [[0.9, 0.1], [0.1, 0.9]], None if defaulted else [[0.9, 0.1], [0.1, 0.9]]]
+            if fields[path[0]] is None:
+                continue
+            parent = fields
+            for i in path[:-1]:
+                parent = parent[i]
+            parent[path[-1]] = bad
+            _assert_gate_builds_what_the_converters_build(fields)
+
+
+_LO, _HI = POSITIVITY_MARGIN, 1.0 - POSITIVITY_MARGIN
+# The positivity margins and their neighbours one ulp either side, and a middle value.
+_EDGE_ENTRIES = [y for x in (_LO, _HI) for y in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0))] + [0.5]
+
+
+def _edge_context(x, y, p, q, moves, explicit):
+    """The valid context of marginals (x, 1 - x), (y, 1 - y) and matrices [[p, 1 - p], [1 - p, p]] (the a|b one
+    with q, explicit or defaulted) after each move (i, kind, value) of its entry i.
+
+    The 12 entries are p_a, p_b, P_b_given_a and P_a_given_b, row-major: entry i's row partner is i ^ 1, a matrix
+    entry's column partner i ^ 2.  A "margin" move sets the entry to value.  A "row" or "column" move with
+    value (target, steps) puts the entry where its sum with that partner is target, then steps ulps off; a column
+    move keeps the row's sum at 1.
+    """
+    v = [x, 1.0 - x, y, 1.0 - y, p, 1.0 - p, 1.0 - p, p, q, 1.0 - q, 1.0 - q, q]
+    for i, kind, value in moves:
+        if kind == "margin":
+            v[i] = value
+            continue
+        target, steps = value
+        partner = i ^ 2 if kind == "column" and i >= 4 else i ^ 1
+        e = target - v[partner]
+        for _ in range(abs(steps)):
+            e = math.nextafter(e, math.copysign(math.inf, steps))
+        v[i] = e
+        if partner != i ^ 1:
+            v[i ^ 1] = 1.0 - e
+    N = ((v[8], v[9]), (v[10], v[11])) if explicit else None
+    return ProbContext((v[0], v[1]), (v[2], v[3]), ((v[4], v[5]), (v[6], v[7])), N)
+
+
+def _edge_moves(tol):
+    """Every move of one entry: to each of _EDGE_ENTRIES, and to a row or column sum of 1 +- tol, +-2 ulps."""
+    sums = [(1.0 + sign * tol, steps) for sign in (-1, 1) for steps in range(-2, 3)]
+    return [("margin", x) for x in _EDGE_ENTRIES] + [(kind, s) for kind in ("row", "column") for s in sums]
+
+
+@st.composite
+def _edge_contexts(draw):
+    """A valid context with up to two entries moved to validation's edges (see _edge_context), and its tolerance."""
+    # A dyadic tol puts a line sum exactly at 1 - tol: 1 - tol is a float, and so is the sum's distance from 1.
+    tol = draw(st.sampled_from([TOLERANCE, 1e-6, 1e-12, 2.0**-30, 2.0**-10]) | st.floats(1e-15, 0.1))
+    inside = st.sampled_from([_LO, math.nextafter(_LO, 1.0), math.nextafter(_HI, 0.0), _HI, 0.5]) | st.floats(_LO, _HI)
+    moves = st.tuples(st.integers(0, 11), st.sampled_from(_edge_moves(tol))).map(lambda m: (m[0], *m[1]))
+    numbers = [draw(inside) for _ in range(4)]
+    return _edge_context(*numbers, draw(st.lists(moves, max_size=2)), draw(st.booleans())), tol
+
+
+def _assert_valid_exactly_when_the_per_field_checks_find_nothing(ctx, tol):
+    """validate_context returns the per-field checks' list, text and order, and calls them exactly when they find
+    something."""
+    worded = _violations(ctx, tol)
+    with mock.patch.object(qlra.context, "_violations", wraps=_violations) as per_field:
+        assert validate_context(ctx, tol) == worded, (ctx, tol)
+    assert per_field.called == bool(worded), (ctx, tol)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_edge_contexts())
+@example((ProbContext((0.5, 0.5), (0.9, 0.1), ((0.9, 0.1), (0.1, 0.9))), TOLERANCE))
+@example((ProbContext((_LO, _HI), (_HI, _LO), ((_LO, _HI), (_HI, _LO)), ((_HI, _LO), (_LO, _HI))), 1e-12))
+@example((ProbContext((math.nextafter(_LO, 0.0), _HI), (0.5, 0.5), ((0.5, 0.5), (0.5, 0.5))), 1e-12))
+def test_validation_is_valid_exactly_when_the_per_field_checks_find_nothing(case):
+    # validate_context decides "valid" in one expression; the per-field checks, _violations, run only to word
+    # the violations.
+    _assert_valid_exactly_when_the_per_field_checks_find_nothing(*case)
+
+
+@pytest.mark.parametrize("tol", [TOLERANCE, 2.0**-30])
+@pytest.mark.parametrize("explicit", [True, False])
+def test_validation_edges_one_entry_at_a_time(tol, explicit):
+    # Each entry of a context at a margin, 0.5 or the other margin in turn, moved to each edge.
+    for number in (_LO, 0.5, _HI):
+        for i in range(12 if explicit else 8):
+            for move in _edge_moves(tol):
+                ctx = _edge_context(number, number, number, number, [(i, *move)], explicit)
+                _assert_valid_exactly_when_the_per_field_checks_find_nothing(ctx, tol)

@@ -282,10 +282,11 @@ def test_valid_contexts_keep_every_coordinate_finite_and_below_1e25(case, sign_c
     ctx, tol = case
     _, _, _, steps = _validate_and_reconstruct(ctx, tol, sign_choice, tuple(Direction))
     coords = []
-    for direction, _, state, _, _ in steps:
+    for direction, _, state, _, _, phase in steps:
         if state is None:
+            assert phase is None
             continue
-        coords += [*state.amplitude, *state.basis_roots]
+        coords += [*state.amplitude, *state.basis_roots, *phase]  # phase: e^theta and e^-theta
         if direction is Direction.B_GIVEN_A:  # the verdict's transported amplitude U psi_ba
             r00, r01, r10, r11 = state.basis_roots
             u1, v1, u2, v2 = state.amplitude
