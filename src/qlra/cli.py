@@ -165,12 +165,12 @@ def _report_json(ctx, tolerance, sign_branch, violations, directions, verdict, r
 
 
 def cmd_analyze(args, out) -> int:
+    # Bad input raises QlraError, as the library does, for main to write as its one error line.
     try:  # --tolerance, else the default: it governs every check
         tolerance = float(args.tolerance)
         _require_tolerance(tolerance)
     except ValueError:
-        print(f"error: tolerance {args.tolerance!r} is not positive and finite", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        raise QlraError(f"tolerance {args.tolerance!r} is not positive and finite") from None
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -178,18 +178,15 @@ def cmd_analyze(args, out) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        raise QlraError(f"cannot read input: {exc}") from None
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:  # malformed, too deep, or an integer past the digit limit
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        raise QlraError(f"invalid JSON: {exc}") from None
     try:
         ctx = ProbContext.from_dict(raw)
     except ValueError as exc:
-        print(f"error: bad context: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        raise QlraError(f"bad context: {exc}") from None
 
     directions = _BOTH if args.direction == "both" else (Direction(args.direction),)
     violations, entries, verdict, residual = analyze(ctx, tolerance, args.sign_branch, directions)

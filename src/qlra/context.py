@@ -228,8 +228,8 @@ def _check_matrix(name: str, M: Matrix2, tol: float, violations: list[str]) -> N
 def _oriented(ctx: ProbContext, direction: Direction) -> tuple:
     """(conditioning marginals, conditioned marginals, transition matrix) of ctx in one conditioning order.
 
-    The one place that maps a direction to its inputs: b|a conditions on a through P_b_given_a, a|b on b
-    through P_a_given_b, whose default is the transpose of P_b_given_a.  ValueError unless direction is a Direction.
+    The one place that maps a direction to its inputs of a raw context: b|a conditions on a through P_b_given_a,
+    a|b on b through P_a_given_b, by default the transpose of P_b_given_a.  ValueError unless direction is a Direction.
     """
     if direction is _B_GIVEN_A:
         return ctx.p_a, ctx.p_b, ctx.p_b_given_a

@@ -7,9 +7,10 @@ pipeline's core reads a valid context once as its four numbers
 (p_a1, p_b1, p, p'); per direction, context._coefficients computes lam0
 and sets lam1 = -lam0 (Proposition 1), the core exp_j(sc*theta) once,
 _state the state on floats, and _born and _expansion_gap check it.
-HVector2s are built only by ``conditioning_basis`` and QlraState's
-properties, which import qlra.algebra and qlra.linear in their bodies:
-the pipeline never loads the object layer.
+HVector2s are built only by QlraState's ``psi`` and ``conditioning_basis``
+properties and by equivalence.transition_unitary, whose columns are a
+matrix's conditioning basis; they import qlra.algebra and qlra.linear in
+their bodies: the pipeline never loads the object layer.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
-                      _coefficients, _oriented, validate_context)
+from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, ProbContext, _coefficients, _oriented,
+                      validate_context)
 from .errors import RegimeError, StochasticityError
 
 __all__ = [
     "QlraState",
     "BornReport",
-    "conditioning_basis",
     "run_qlra",
     "verify_born_rule",
     "expansion_consistency",
@@ -57,20 +57,6 @@ class QlraState(namedtuple(
     @property
     def conditioning_basis(self) -> tuple[HVector2, HVector2]:
         return _basis_vectors(self.basis_roots)
-
-
-def conditioning_basis(M: Matrix2) -> tuple[HVector2, HVector2]:
-    """Eigenbasis of the conditioning observable, from its transition matrix.
-
-    e1 = (sqrt(M[0][0]), sqrt(M[1][0])), e2 = (sqrt(M[0][1]), -sqrt(M[1][1])).
-    Orthonormal under the hyperbolic inner product exactly when M is
-    doubly stochastic: StochasticityError unless every entry is nonnegative (a zero,
-    as in the identity, is allowed) and every line sums to 1 within TOLERANCE.
-    """
-    (a, b), (c, d) = _as_matrix(M)
-    if min(a, b, c, d) < 0.0 or not all(abs(s - 1.0) <= TOLERANCE for s in (a + b, c + d, a + c, b + d)):
-        raise StochasticityError("conditioning basis requires a doubly stochastic matrix")
-    return _basis_vectors(tuple(map(math.sqrt, (a, b, c, d))))
 
 
 def _basis_vectors(roots: tuple[float, float, float, float]) -> tuple[HVector2, HVector2]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _require_tolerance
-from .engine import QlraState, _born, _expansion_gap, _reconstructed, _validate_and_reconstruct, conditioning_basis
-from .errors import ArgDomainError, DegenerateStateError
+from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix, _require_tolerance
+from .engine import QlraState, _basis_vectors, _born, _expansion_gap, _reconstructed, _validate_and_reconstruct
+from .errors import ArgDomainError, DegenerateStateError, StochasticityError
 
 __all__ = [
     "analyze",
@@ -58,11 +58,16 @@ def _arg(u: float, v: float) -> float:
 def transition_unitary(p_b_given_a: Matrix2) -> tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]]:
     """Basis-change matrix [[sqrt(P00), sqrt(P01)], [sqrt(P10), -sqrt(P11)]], row-major.
 
-    Its columns are the b|a conditioning basis, orthonormal under
-    inner_product because P is doubly stochastic (StochasticityError
-    otherwise), so the matrix is hyperbolic-unitary.
+    Its columns are the b|a conditioning basis, a matrix's one public basis: e1 = (sqrt(P00), sqrt(P10)),
+    e2 = (sqrt(P01), -sqrt(P11)), orthonormal under inner_product exactly when P is doubly stochastic,
+    so the matrix is hyperbolic-unitary.  Entries are read as ProbContext's parse gate reads them;
+    StochasticityError unless every entry is nonnegative (a zero, as in the identity, is allowed) and
+    every line sums to 1 within TOLERANCE.
     """
-    e1, e2 = conditioning_basis(p_b_given_a)
+    (a, b), (c, d) = _as_matrix(p_b_given_a)
+    if min(a, b, c, d) < 0.0 or not all(abs(s - 1.0) <= TOLERANCE for s in (a + b, c + d, a + c, b + d)):
+        raise StochasticityError("conditioning basis requires a doubly stochastic matrix")
+    e1, e2 = _basis_vectors((math.sqrt(a), math.sqrt(b), math.sqrt(c), math.sqrt(d)))
     return ((e1.c1, e2.c1), (e1.c2, e2.c2))
 
 

@@ -143,6 +143,38 @@ def test_analyze_unreadable_input_exit_1(tmp_path, capsys):
         assert_one_error_line(capsys)
 
 
+def test_analyze_command_raises_the_error_main_writes(tmp_path, capsys):
+    # The command called alone, as bench/pipeline.py's in-process op calls it: the parser's arguments for
+    # `analyze -`, the input on stdin, no main.  Bad input raises QlraError, the op's one error branch, with the
+    # text of main's error line, and the command itself writes nothing.
+    missing = str(tmp_path / "missing.json")
+    cases = [
+        (["-", "--tolerance", "nan"], json.dumps(CTX1), "tolerance 'nan' is not positive and finite"),
+        (["-", "--tolerance", "abc"], json.dumps(CTX1), "tolerance 'abc' is not positive and finite"),
+        ([missing], "", f"cannot read input: [Errno 2] No such file or directory: {missing!r}"),
+        (["-"], "{", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["-"], json.dumps(dict(CTX1, p_a=[None, 0.5])),
+         "bad context: field 'p_a' must be a 2-array of finite numbers, got [None, 0.5]"),
+        (["-"], json.dumps(dict(CTX1, P_a_given_b=None)),
+         "bad context: field 'P_a_given_b' must be a 2x2 array of finite numbers, got None"),
+        (["-"], "[1, 2]", "bad context: context must be a JSON object"),
+    ]
+    for argv, text, message in cases:
+        args = qlra.cli.build_parser().parse_args(["analyze", *argv])
+        out, stdin = io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(text)
+        try:
+            with pytest.raises(qlra.QlraError) as exc:
+                args.func(args, out)
+        finally:
+            sys.stdin = stdin
+        assert type(exc.value) is qlra.QlraError and str(exc.value) == message
+        assert out.getvalue() == "" and capsys.readouterr() == ("", "")
+        # Through main: one error line, exit 1.
+        assert run_cli(["analyze", *argv], stdin_text=text) == (1, "")
+        assert assert_one_error_line(capsys) == f"error: {message}\n"
+
+
 def test_usage_errors_exit_1(ctx1_file, capsys):
     # Exit 2 means "not hyperbolic"; a usage error is invalid input.
     for argv in (["analyze", ctx1_file, "--sign-branch", "2"], ["analyze"], ["bogus"]):

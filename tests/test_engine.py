@@ -12,7 +12,6 @@ from qlra import (
     RegimeError,
     StochasticityError,
     analyze,
-    conditioning_basis,
     expansion_consistency,
     interference_coefficients,
     run_qlra,
@@ -91,39 +90,6 @@ def test_amplitude_matches_algebra_product(rng):
                 assert state.amplitude == (state.psi.c1.u, state.psi.c1.v, state.psi.c2.u, state.psi.c2.v)
                 checked += 1
     assert checked == 800
-
-
-def test_conditioning_basis_orthonormal():
-    # p = 1 is the identity: a zero entry is allowed, and the basis is the standard one.
-    for p in (0.9, 0.05, 0.3, 0.5, 0.99, 1.0):
-        e1, e2 = conditioning_basis(((p, 1 - p), (1 - p, p)))
-        assert e1.c1.re == pytest.approx(math.sqrt(p))
-        assert e1.c2.re == pytest.approx(math.sqrt(1 - p))
-        assert e2.c1.re == pytest.approx(math.sqrt(1 - p))
-        assert e2.c2.re == pytest.approx(-math.sqrt(p))
-        assert inner_product(e1, e2).re == pytest.approx(0.0, abs=1e-15)
-        assert inner_product(e1, e1).re == pytest.approx(1.0, abs=1e-15)
-        assert inner_product(e2, e2).re == pytest.approx(1.0, abs=1e-15)
-
-
-def test_conditioning_basis_balanced():
-    e1, e2 = conditioning_basis(((0.5, 0.5), (0.5, 0.5)))
-    r = math.sqrt(0.5)
-    assert e1.c1.re == pytest.approx(r) and e1.c2.re == pytest.approx(r)
-    assert e2.c1.re == pytest.approx(r) and e2.c2.re == pytest.approx(-r)
-    # Entries are read as ProbContext's parse gate reads them.
-    assert conditioning_basis([[0.5, "0.5"], ["0.5", 0.5]]) == (e1, e2)
-
-
-def test_conditioning_basis_requires_double_stochasticity():
-    with pytest.raises(StochasticityError):
-        conditioning_basis(((0.7, 0.7), (0.3, 0.3)))
-    # Every line sums to 1, but an entry is negative.
-    with pytest.raises(StochasticityError):
-        conditioning_basis(((1.5, -0.5), (-0.5, 1.5)))
-    # Doubly stochastic within the tolerance, but an entry has no real square root.
-    with pytest.raises(StochasticityError):
-        conditioning_basis(((1 + 5e-10, -5e-10), (-5e-10, 1 + 5e-10)))
 
 
 def test_verify_born_rule_ctx1(ctx1):

@@ -49,21 +49,28 @@ def perturbed_a_given_b(ctx: ProbContext, rng: random.Random, min_delta=0.01):
 
 
 def test_transition_unitary_values():
-    U = transition_unitary(((0.9, 0.1), (0.1, 0.9)))
-    assert U[0][0].re == pytest.approx(0.948683, abs=1e-6)
-    assert U[0][1].re == pytest.approx(0.316228, abs=1e-6)
-    assert U[1][1].re == pytest.approx(-0.948683, abs=1e-6)
-    assert columns_orthonormal(U, tol=1e-12)
+    # The columns are the conditioning basis (sqrt p, sqrt q) and (sqrt q, -sqrt p), q = 1 - p, orthonormal.
+    # p = 1 is the identity: a zero entry is allowed, and the basis is the standard one.
+    for p in (0.9, 0.05, 0.3, 0.5, 0.99, 1.0):
+        U = transition_unitary(((p, 1 - p), (1 - p, p)))
+        r, s = math.sqrt(p), math.sqrt(1 - p)
+        assert [U[0][0].re, U[0][1].re, U[1][0].re, U[1][1].re] == pytest.approx([r, s, s, -r])
+        assert columns_orthonormal(U, tol=1e-15)
 
 
 def test_transition_unitary_balanced():
     U = transition_unitary(((0.5, 0.5), (0.5, 0.5)))
     assert columns_orthonormal(U, tol=1e-12)
+    # Entries are read as ProbContext's parse gate reads them.
+    assert transition_unitary([[0.5, "0.5"], ["0.5", 0.5]]) == U
 
 
 def test_transition_unitary_rejects_non_doubly_stochastic():
-    with pytest.raises(StochasticityError):
+    with pytest.raises(StochasticityError, match="^conditioning basis requires a doubly stochastic matrix$"):
         transition_unitary(((0.7, 0.7), (0.3, 0.3)))
+    # Every line sums to 1, but an entry is negative.
+    with pytest.raises(StochasticityError):
+        transition_unitary(((1.5, -0.5), (-0.5, 1.5)))
     # Doubly stochastic within the tolerance, but an entry has no real square root.
     with pytest.raises(StochasticityError):
         transition_unitary(((1 + 5e-10, -5e-10), (-5e-10, 1 + 5e-10)))

@@ -4,6 +4,8 @@ HNumber and HVector2 are slots classes; the other records are named
 tuples.  None of them may need ``dataclasses`` at import, and importing
 ``qlra.cli`` loads no ``random`` either, nor the object layer that defines them,
 nor ``qlra.synthetic``, which only ``generate``, ``sweep`` and ``demo-violation`` import.
+The library's entry points and ``qlra.synthetic`` load neither the CLI, ``argparse``
+nor the object layer.
 """
 
 import copy
@@ -185,6 +187,37 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     added = _imported_modules(", qlra.cli") - _imported_modules("")
     assert "qlra.cli" in added
     assert not {"dataclasses", "inspect", "random", "qlra.algebra", "qlra.linear", "qlra.synthetic"} & added
+
+
+def test_library_entry_points_load_no_cli_or_object_layer():
+    # -S: no site-packages either, so a third-party import fails here.
+    printed, modules = _run_child("""
+import qlra
+from qlra import *
+M = ((0.9, 0.1), (0.1, 0.9))
+ctx = ProbContext((0.5, 0.5), (0.9, 0.1), M, M)
+print(repr(max(verify_born_rule(run_qlra(ctx, d), ctx).max_residual for d in Direction)))
+print(check_consistency(ctx).equivalent, repr(proof_relation_residual(ctx)))
+violations, _, verdict, residual = analyze(ctx)
+print(violations, verdict.equivalent, repr(residual))""")
+    born, consistency, analyzed = printed
+    assert float(born) < 1e-9
+    equivalent, residual = consistency.split()
+    assert equivalent == "True" and float(residual) < 1e-9
+    violations, equivalent, residual = analyzed.split()
+    assert violations == "[]" and equivalent == "True" and float(residual) < 1e-9
+    assert not {"qlra.cli", "argparse", "qlra.algebra", "qlra.linear", "qlra.synthetic"} & modules
+
+
+def test_synthetic_data_loads_no_cli_or_object_layer():
+    printed, modules = _run_child("""
+import qlra.synthetic
+ctx = qlra.synthetic.generate_hyperbolic_context(0.9, 0.5, 4 / 3)
+print(qlra.interference_coefficients(ctx, qlra.Direction.B_GIVEN_A).regime.value)
+print(qlra.synthetic.born_violation_demo(0.7).basis_overlap != 0.0)""")
+    assert printed == ["hyperbolic", "True"]
+    assert "qlra.synthetic" in modules
+    assert not {"qlra.cli", "argparse", "qlra.algebra", "qlra.linear"} & modules
 
 
 def test_analyze_process_loads_no_synthetic_data(ctx1, tmp_path):
