@@ -77,7 +77,7 @@ _INPUT = {
     (m, n): _HEAD + m + (',\n    "P_a_given_b": ' + n if n else "") + _VALIDATION % ("false" if n else "true")
     for m in (_MATRIX, _MATRIX_LINES) for n in (_MATRIX, _MATRIX_LINES, None)
 }
-# A direction's entry by (direction, regime): its lambda, epsilon and theta, then the Born report (the core builds a
+# A direction's entry by (direction, regime): its lambda, epsilon and theta, then the Born report (analyze builds a
 # state exactly when hyperbolic) or the error.  The regimes are the two context._coefficients returns.  Direction and
 # Regime values are plain identifiers, so in quotes each is its JSON string.
 _ENTRY = '": {\n      "lambda": [%.12g, %.12g],\n      "epsilon": [%d, %d],\n      "theta": [%.12g, %.12g],\n      "regime": "'
@@ -118,8 +118,9 @@ def _matrix_template(M) -> str:
 def _report_json(ctx, tolerance, sign_branch, violations, directions, verdict, residual) -> str:
     """The analyze report from equivalence.analyze's result (directions: its entries), filled with one %.
 
-    Each float slot is written as _fmt_float writes it: a non-finite value raises, and -0 is 0.  A valid
-    context comes with at least one direction, and a verdict with the directions it compares.
+    An entry's state is not printed, its Born report and expansion deviation are.  Each float slot is
+    written as _fmt_float writes it: a non-finite value raises, and -0 is 0.  A valid context comes with
+    at least one direction, and a verdict with the directions it compares.
     """
     (a0, a1), (b0, b1), M, N = ctx
     (m0, m1), (m2, m3) = M
@@ -138,7 +139,7 @@ def _report_json(ctx, tolerance, sign_branch, violations, directions, verdict, r
         template = [head, 'false,\n    "violations": ', listed.replace("%", "%%"), "\n  }\n}"]
     else:
         template = [head + _VALID + ',\n  "directions": {\n']
-        for direction, ((l0, l1), (e0, e1), (t0, t1), regime), born, deviation in directions:
+        for direction, ((l0, l1), (e0, e1), (t0, t1), regime), born, deviation, _ in directions:
             # _value_ is .value without the Enum property's Python-level call.
             template += (_ENTRIES[direction._value_, regime._value_], ",\n")
             if born is None:  # off the hyperbolic regime

@@ -3,11 +3,12 @@
 Given a valid context in the hyperbolic regime, builds a normalized
 split-complex amplitude whose squared moduli reproduce the marginals of
 both observables (Born's rule), for either conditioning order.  The
-pipeline's core reads a valid context once as its four numbers
-(p_a1, p_b1, p, p'); per direction, context._coefficients computes lam0
-and sets lam1 = -lam0 (Proposition 1), the core exp_j(sc*theta) once,
-_state the state on floats, and _born and _expansion_gap check it.
-HVector2s are built only by QlraState's ``psi`` and ``conditioning_basis``
+pipeline, equivalence.analyze, reads a valid context once as its four
+numbers (p_a1, p_b1, p, p'); per direction, context._coefficients computes
+lam0 and sets lam1 = -lam0 (Proposition 1), analyze computes
+exp_j(sc*theta) once, _state builds the state on floats, and _born and
+_expansion_gap check it.  run_qlra hands out analyze's state.  HVector2s
+are built only by QlraState's ``psi`` and ``conditioning_basis``
 properties and by equivalence.transition_unitary, whose columns are a
 matrix's conditioning basis; they import qlra.algebra and qlra.linear in
 their bodies: the pipeline never loads the object layer.
@@ -18,9 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, ProbContext, _coefficients, _oriented,
-                      validate_context)
-from .errors import RegimeError, StochasticityError
+from .context import TOLERANCE, Direction, ProbContext, _oriented
 
 __all__ = [
     "QlraState",
@@ -77,7 +76,7 @@ def _require_finite(*coords: float) -> None:
 
 
 def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> QlraState:
-    """Reconstruct the hyperbolic amplitude for one conditioning order.
+    """Reconstruct the hyperbolic amplitude for one conditioning order: analyze's state for it.
 
     With theta = arccosh|lam[0]| and s = sign(lam[0]):
 
@@ -88,65 +87,17 @@ def run_qlra(ctx: ProbContext, direction: Direction, sign_choice: int = 1) -> Ql
     phase branches satisfy Born's rule for all four probabilities.  ctx is
     validated at TOLERANCE and read as its four numbers (p_a1, p_b1, p, p').
     """
-    _, _, (state,) = _reconstructed(ctx, TOLERANCE, sign_choice, (direction,))
-    return state
+    from .equivalence import _analyzed
+    entries, _, _ = _analyzed(ctx, TOLERANCE, sign_choice, (direction,))
+    return entries[0][4]
 
 
-def _validate_and_reconstruct(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
-    """The pipeline's core, and the one place that checks its arguments: validate ctx once at tol; if
-    valid, check sign_choice (ValueError unless +-1), read ctx once as its four numbers (p_a1, p_b1, p, p'),
-    p and p' the mean diagonals of its matrices, and per direction compute the interference profile
-    (ValueError for a direction that is not a Direction) and, if hyperbolic, exp_j(sc*theta) and the state.
-    Returns (violations, p, p', [(direction, profile, state or None, conditioning marginals, conditioned
-    marginals, exp_j(sc*theta) as (eu, ev) or None)]), the marginals as ctx has them, or (violations, None, None, []).
-    """
-    violations = validate_context(ctx, tol)
-    if violations:
-        return violations, None, None, []
-    if sign_choice not in (1, -1):
-        raise ValueError("sign_choice must be +1 or -1")
-    p_a, p_b, M, N = ctx
-    N = N or M  # a defaulted a|b matrix is the transpose of M, which has M's diagonal
-    p, q = (M[0][0] + M[1][1]) / 2.0, (N[0][0] + N[1][1]) / 2.0
-    steps = []
-    for d in directions:  # a direction is (conditioning marginal, conditioned marginal, diagonal)
-        if d is _B_GIVEN_A:
-            c, o, diag = p_a, p_b, p
-        elif d is _A_GIVEN_B:
-            c, o, diag = p_b, p_a, q
-        else:
-            _oriented(ctx, d)  # raises its ValueError: d is not a Direction
-        # The stages see the exactly doubly stochastic context [[diag, off], [off, diag]] of the four numbers.
-        x, x1, y, off = c[0], 1.0 - c[0], o[0], 1.0 - diag
-        profile = _coefficients(x, x1, y, diag, off)
-        if profile.regime is _HYPERBOLIC:
-            t = sign_choice * profile.theta[0]
-            eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta), for the state and its expansion check
-            steps.append((d, profile, _state(x, x1, diag, profile, d, sign_choice, eu, ev), c, o, (eu, ev)))
-        else:
-            steps.append((d, profile, None, c, o, None))
-    return violations, p, q, steps
-
-
-def _reconstructed(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
-    """(p, p', one state per direction) from the core.  Raises StochasticityError for an invalid ctx,
-    then the core's ValueError, then RegimeError for the first direction that is not hyperbolic.
-    """
-    violations, p, q, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
-    if violations:
-        raise StochasticityError("invalid context: " + "; ".join(violations))
-    for d, profile, state, *_ in steps:
-        if state is None:
-            raise RegimeError(f"{d.value} data is {profile.regime.value}, not hyperbolic (lam={profile.lam})")
-    return p, q, [step[2] for step in steps]
-
-
-def _state(m0, m1, p, profile, direction, sign_choice, eu, ev) -> QlraState:
-    """The core's state on floats: conditioning marginals m and the diagonal p of the doubly stochastic
+def _state(m0, m1, p, profile, direction, sign_choice, phase) -> QlraState:
+    """analyze's state on floats: conditioning marginals m and the diagonal p of the doubly stochastic
     transition matrix [[p, q], [q, p]], q = 1 - p, given the direction's hyperbolic profile and
-    exp_j(sign_choice * theta) = (eu, ev).  It checks nothing: the core has.
+    exp_j(sign_choice * theta) as phase = (eu, ev).  It checks nothing: analyze has.
     """
-    q = 1.0 - p
+    q, (eu, ev) = 1.0 - p, phase
     s = profile.epsilon[0]
     pu, pv = s * eu, s * ev
     a00, a01 = math.sqrt(m0 * p), math.sqrt(m1 * q)
@@ -203,7 +154,7 @@ def expansion_consistency(state: QlraState) -> float:
 
 
 def _expansion_gap(state: QlraState, phase: tuple[float, float]) -> float:
-    """expansion_consistency given the state's exp_j(sc*theta) as phase = (eu, ev), which the core has computed."""
+    """expansion_consistency given the state's exp_j(sc*theta) as phase = (eu, ev), which analyze has computed."""
     (m0, m1), (eu, ev) = state.conditioning_marginals, phase
     r1 = math.sqrt(m0)
     r2 = state.profile.epsilon[0] * math.sqrt(m1)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .context import _B_GIVEN_A, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix, _require_tolerance
-from .engine import QlraState, _basis_vectors, _born, _expansion_gap, _reconstructed, _validate_and_reconstruct
-from .errors import ArgDomainError, DegenerateStateError, StochasticityError
+from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
+                      _coefficients, _oriented, _require_tolerance, validate_context)
+from .engine import QlraState, _basis_vectors, _born, _expansion_gap, _state
+from .errors import ArgDomainError, DegenerateStateError, RegimeError, StochasticityError
 
 __all__ = [
     "analyze",
@@ -111,29 +112,66 @@ def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = No
 
 
 def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, directions=tuple(Direction)):
-    """The QLRA pipeline: engine's validate-and-reconstruct core, then each check once per direction.
+    """The QLRA pipeline, and the one place that checks its arguments: each stage runs once per direction.
 
-    The core reads ctx once as its four numbers (p_a1, p_b1, p, p'); Born residuals take its own marginals.
+    Validates ctx once at tol; if valid, checks sign_choice (ValueError unless +-1) and reads ctx once as its
+    four numbers (p_a1, p_b1, p, p'), p and p' the mean diagonals of its matrices.  Per direction (ValueError
+    for one that is not a Direction) it computes the interference profile and, if hyperbolic, exp_j(sc*theta)
+    once, the state and its checks; Born residuals take ctx's own marginals.
     Returns (violations, entries, verdict, residual), the rest empty when there are violations.
-    ``entries`` holds one (Direction, InterferenceProfile, BornReport, expansion deviation) per
-    direction, the last two None off the hyperbolic regime.  The verdict needs both orders asked for
+    ``entries`` holds one (Direction, InterferenceProfile, BornReport, expansion deviation, QlraState) per
+    direction, the last three None off the hyperbolic regime.  The verdict needs both orders asked for
     and hyperbolic, the proof relation residual the verdict's transpose symmetry; else each is None.
     """
-    violations, p, q, steps = _validate_and_reconstruct(ctx, tol, sign_choice, directions)
+    violations = validate_context(ctx, tol)
+    if violations:
+        return violations, [], None, None
+    if sign_choice not in (1, -1):
+        raise ValueError("sign_choice must be +1 or -1")
+    p_a, p_b, M, N = ctx
+    N = N or M  # a defaulted a|b matrix is the transpose of M, which has M's diagonal
+    p, q = (M[0][0] + M[1][1]) / 2.0, (N[0][0] + N[1][1]) / 2.0
     entries, state_ba, state_ab = [], None, None
-    # A direction without a state (not hyperbolic) gets no Born report and no expansion deviation.
-    for d, profile, state, c, o, phase in steps:
-        born = state and _born(state.amplitude, state.basis_roots, c, o)
-        entries.append((d, profile, born, state and _expansion_gap(state, phase)))
+    for d in directions:  # a direction is (conditioning marginal, conditioned marginal, diagonal)
+        if d is _B_GIVEN_A:
+            c, o, diag = p_a, p_b, p
+        elif d is _A_GIVEN_B:
+            c, o, diag = p_b, p_a, q
+        else:
+            _oriented(ctx, d)  # raises its ValueError: d is not a Direction
+        # The stages see the exactly doubly stochastic context [[diag, off], [off, diag]] of the four numbers.
+        x, x1 = c[0], 1.0 - c[0]
+        profile = _coefficients(x, x1, o[0], diag, 1.0 - diag)
+        if profile.regime is not _HYPERBOLIC:  # no state, so no Born report and no expansion deviation
+            entries.append((d, profile, None, None, None))
+            continue
+        t = sign_choice * profile.theta[0]
+        phase = math.exp(t), math.exp(-t)  # exp_j(sc*theta), for the state and its expansion check
+        state = _state(x, x1, diag, profile, d, sign_choice, phase)
+        born = _born(state.amplitude, state.basis_roots, c, o)
+        entries.append((d, profile, born, _expansion_gap(state, phase), state))
         if d is _B_GIVEN_A:
             state_ba = state
         else:
             state_ab = state
-    if state_ba is None or state_ab is None:  # invalid, one direction asked for, or one not hyperbolic
+    if state_ba is None or state_ab is None:  # one direction asked for, or one not hyperbolic
         return violations, entries, None, None
     verdict = _verdict(state_ba, state_ab, p, q, tol)
     residual = _relation_residual(state_ab, state_ba) if verdict.symmetry_holds else None
     return violations, entries, verdict, residual
+
+
+def _analyzed(ctx: ProbContext, tol: float, sign_choice: int, directions) -> tuple:
+    """analyze's (entries, verdict, residual) for the entry points that raise: StochasticityError for an invalid
+    ctx, then analyze's ValueError, then RegimeError for the first direction that has no state.
+    """
+    violations, entries, verdict, residual = analyze(ctx, tol, sign_choice, directions)
+    if violations:
+        raise StochasticityError("invalid context: " + "; ".join(violations))
+    for d, profile, *_, state in entries:
+        if state is None:
+            raise RegimeError(f"{d.value} data is {profile.regime.value}, not hyperbolic (lam={profile.lam})")
+    return entries, verdict, residual
 
 
 def check_consistency(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1) -> EquivalenceVerdict:
@@ -144,8 +182,7 @@ def check_consistency(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int
     the consistency theorem says the two answers agree.  Raises StochasticityError when ctx
     is invalid at tol, and RegimeError for the first direction that is not hyperbolic.
     """
-    p, q, (state_ba, state_ab) = _reconstructed(ctx, tol, sign_choice, tuple(Direction))
-    return _verdict(state_ba, state_ab, p, q, tol)
+    return _analyzed(ctx, tol, sign_choice, tuple(Direction))[1]
 
 
 def _verdict(state_ba: QlraState, state_ab: QlraState, p: float, q: float, tol: float) -> EquivalenceVerdict:
@@ -176,10 +213,10 @@ def proof_relation_residual(ctx: ProbContext, sign_choice: int = 1) -> float:
     and theta is the hyperbolic phase of the b|a direction.  The residual
     vanishes exactly when the transpose symmetry holds.  Like run_qlra, raises StochasticityError
     or RegimeError, the a|b direction first; ArgDomainError when an a|b component has no hyperbolic argument.
+    It is analyze's residual when symmetry holds, and computed here from analyze's states when not.
     """
-    directions = (Direction.A_GIVEN_B, Direction.B_GIVEN_A)
-    _, _, (state_ab, state_ba) = _reconstructed(ctx, TOLERANCE, sign_choice, directions)
-    return _relation_residual(state_ab, state_ba)
+    (ab, ba), _, residual = _analyzed(ctx, TOLERANCE, sign_choice, (Direction.A_GIVEN_B, Direction.B_GIVEN_A))
+    return _relation_residual(ab[4], ba[4]) if residual is None else residual
 
 
 def _relation_residual(state_ab: QlraState, state_ba: QlraState) -> float:

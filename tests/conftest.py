@@ -9,7 +9,6 @@ from qlra import (
     RegimeError,
     validate_context,
 )
-from qlra.engine import _validate_and_reconstruct
 from qlra.synthetic import generate_hyperbolic_context, lambda_feasible_range
 
 
@@ -52,12 +51,14 @@ def extreme_contexts() -> list[ProbContext]:
 
 @pytest.fixture(scope="session")
 def ds_form():
-    """form(ctx, tol): the exactly doubly stochastic context of the four numbers (p_a1, p_b1, p, p') that the
-    pipeline's core reads from a ctx valid at tol."""
+    """form(ctx, tol): the exactly doubly stochastic context of the four numbers (p_a1, p_b1, p, p') that
+    analyze reads from a ctx valid at tol: p and p' are the mean diagonals, a defaulted p' is p."""
 
     def form(ctx: ProbContext, tol: float = TOLERANCE) -> ProbContext:
-        violations, p, q, _ = _validate_and_reconstruct(ctx, tol, 1, ())
+        violations = validate_context(ctx, tol)
         assert not violations, violations
+        M, N = ctx.p_b_given_a, ctx.p_a_given_b or ctx.p_b_given_a
+        p, q = (M[0][0] + M[1][1]) / 2.0, (N[0][0] + N[1][1]) / 2.0
         a, b = ctx.p_a[0], ctx.p_b[0]
         return ProbContext((a, 1.0 - a), (b, 1.0 - b), ((p, 1.0 - p), (1.0 - p, p)), ((q, 1.0 - q), (1.0 - q, q)))
 

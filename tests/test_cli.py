@@ -294,7 +294,7 @@ SAME_SIGN = {
 # Calls of each stage per analyze run: validation once; the per-direction pass (the coefficients and, where
 # hyperbolic, the state, its Born check and its expansion deviation) once per direction; the verdict and the
 # relation residual once.  The public per-direction functions, which read a raw context, are not on the path:
-# the expansion deviation is the kernel _expansion_gap on the core's exp_j(sc*theta), not expansion_consistency,
+# the expansion deviation is the kernel _expansion_gap on analyze's exp_j(sc*theta), not expansion_consistency,
 # which would compute it again.
 STAGE_CALLS = {
     "validate_context": 1,
@@ -308,13 +308,13 @@ STAGE_CALLS = {
     "verify_born_rule": 0,
     "expansion_consistency": 0,
 }
-# The same counts for the library's other entry points (run_qlra per direction): each validates
-# once, and none runs a check whose result it drops.
-NO_CHECKS = dict.fromkeys(("_born", "expansion_consistency", "_expansion_gap", "_verdict", "_relation_residual"), 0)
+# The same counts for the library's other entry points, which read their results from one analyze run: run_qlra
+# asks for its one direction, check_consistency and proof_relation_residual for both, so no stage runs twice.
 ENTRY_POINT_CALLS = {
-    "run_qlra": {**STAGE_CALLS, **NO_CHECKS, "_coefficients": 1, "_state": 1},
-    "check_consistency": {**STAGE_CALLS, **NO_CHECKS, "_verdict": 1},
-    "proof_relation_residual": {**STAGE_CALLS, **NO_CHECKS, "_relation_residual": 1},
+    "run_qlra": {**STAGE_CALLS, **dict.fromkeys(("_coefficients", "_state", "_born", "_expansion_gap"), 1),
+                 "_verdict": 0, "_relation_residual": 0},
+    "check_consistency": STAGE_CALLS,
+    "proof_relation_residual": STAGE_CALLS,
 }
 
 
@@ -361,7 +361,7 @@ def test_analyze_computes_each_profile_once(ctx, comparisons, tmp_path, monkeypa
         call()
         counts = {name: calls.count(name) for name in STAGE_CALLS}
         assert counts == ENTRY_POINT_CALLS[entry_point], entry_point
-        assert calls.count("_equivalent") == (comparisons if entry_point == "check_consistency" else 0)
+        assert calls.count("_equivalent") == (0 if entry_point == "run_qlra" else comparisons)
 
 
 # CTX1 with p_a[0] = -0.0: the report echoes -0 as 0, and its violation quotes the input as parsed.
@@ -477,9 +477,9 @@ def test_analyze_python_calls(ctx1_file):
     code, calls = qlra_calls(["analyze", ctx1_file])
     assert code == 0
     # One of them writes the report, _report_json: a valid context's matrices are laid out without a call.
-    assert len(calls) == 28, sorted(calls)
-    # The core reads the context once as its four numbers, so no direction asks context._oriented; each
-    # direction runs the pass once.  The finiteness the core's bound makes certain is tested inline, without
+    assert len(calls) == 27, sorted(calls)
+    # analyze reads the context once as its four numbers, so no direction asks context._oriented; each
+    # direction runs the pass once.  The finiteness the pipeline's bound makes certain is tested inline, without
     # a call.
     stages = ("_oriented", "_coefficients", "_state", "_born", "_expansion_gap", "expansion_consistency",
               "_require_finite")
@@ -610,14 +610,14 @@ def validated_contexts(draw):
 @given(validated_contexts())
 @example((BARELY_HYPERBOLIC, qlra.TOLERANCE))
 def test_analyze_takes_outcome_1_from_proposition_1(case):
-    # The core's matrices are exactly doubly stochastic, so lambda_1 = -lambda_0 (Proposition 1): one regime for
+    # analyze's matrices are exactly doubly stochastic, so lambda_1 = -lambda_0 (Proposition 1): one regime for
     # both outcomes, theta_1 = theta_0 when hyperbolic and acos(-lambda_0) when trigonometric.
     ctx, tol = case
     code, text = run_cli(["analyze", "-", "--tolerance", repr(tol)], stdin_text=json.dumps(ctx))
     report = json.loads(text)
     _, entries, _, _ = qlra.analyze(ProbContext.from_dict(ctx), tol)
     assert len(entries) == len(report.get("directions", ())) == (0 if code == 1 else 2)
-    for direction, ((lam0, lam1), (eps0, eps1), (theta0, theta1), regime), _, _ in entries:
+    for direction, ((lam0, lam1), (eps0, eps1), (theta0, theta1), regime), *_ in entries:
         entry = report["directions"][direction.value]
         printed = [*entry["lambda"], *entry["epsilon"], *entry["theta"]]
         assert list(map(qlra.cli._fmt_float, printed)) == list(map(qlra.cli._fmt_float, (lam0, lam1, eps0, eps1,
@@ -975,7 +975,7 @@ def test_report_writer_rejects_non_finite(monkeypatch):
     assert writer(*calls[0]) + "\n" == (Path(__file__).parent / "ctx1_report.json").read_text()
     # ProbContext's parse gate rejects an inf entry; the writer must too, should one get past it.
     inf_ctx = tuple.__new__(qlra.ProbContext, ((0.5, math.inf), *ctx[1:]))
-    inf_deviation = [directions[0][:3] + (-math.inf,), *directions[1:]]
+    inf_deviation = [directions[0][:3] + (-math.inf,) + directions[0][4:], *directions[1:]]
     verdict, residual = equivalence
     report = (ctx, tolerance, sign_branch, violations, directions)
     for bad, value in (

@@ -12,15 +12,16 @@ from qlra import (
     RegimeError,
     StochasticityError,
     analyze,
+    check_consistency,
     expansion_consistency,
     interference_coefficients,
+    proof_relation_residual,
     run_qlra,
     validate_context,
     verify_born_rule,
 )
 from qlra.algebra import HNumber, exp_j, h_arg
 from qlra.context import POSITIVITY_MARGIN
-from qlra.engine import _validate_and_reconstruct
 from qlra.linear import HVector2, inner_product
 from qlra.synthetic import born_violation_demo, random_hyperbolic_context
 
@@ -246,13 +247,13 @@ def test_valid_contexts_keep_every_coordinate_finite_and_below_1e25(case, sign_c
     # reconstruct and the verdict check no finiteness, because this bound makes it certain: the four
     # numbers of a valid context lie in [1e-12, 1 - 1e-12], so |lam| <= 1/(2*1e-24) and e^theta <= 1e24.
     ctx, tol = case
-    _, _, _, steps = _validate_and_reconstruct(ctx, tol, sign_choice, tuple(Direction))
+    _, entries, _, _ = analyze(ctx, tol, sign_choice)
     coords = []
-    for direction, _, state, _, _, phase in steps:
+    for direction, profile, *_, state in entries:
         if state is None:
-            assert phase is None
             continue
-        coords += [*state.amplitude, *state.basis_roots, *phase]  # phase: e^theta and e^-theta
+        t = sign_choice * profile.theta[0]
+        coords += [*state.amplitude, *state.basis_roots, math.exp(t), math.exp(-t)]  # e^{+-sc*theta}
         if direction is Direction.B_GIVEN_A:  # the verdict's transported amplitude U psi_ba
             r00, r01, r10, r11 = state.basis_roots
             u1, v1, u2, v2 = state.amplitude
@@ -304,21 +305,52 @@ _HYPERBOLIC_DRAWS = st.integers(0, 2**32 - 1).map(
 def test_other_phase_branch_is_one_conjugation(case):
     # exp_j(-theta) swaps the null-cone coordinates of exp_j(theta), so sign_choice -1 gives the conjugate amplitude,
     # which leaves every product, modulus and gap as it is and negates each argument: analyze at -1 is analyze at
-    # +1 with gamma negated, bit for bit.
+    # +1 with each state's u and v swapped and its sign_choice -1, and gamma negated, bit for bit.
     ctx, tol = case
     plus, minus = analyze(ctx, tol, 1), analyze(ctx, tol, -1)
     violations, entries, verdict, residual = plus
+    for i, (*head, state) in enumerate(entries):
+        if state is not None:
+            u1, v1, u2, v2 = state.amplitude
+            entries[i] = (*head, state._replace(amplitude=(v1, u1, v2, u2), sign_choice=-1))
     if verdict is not None and verdict.gamma is not None:
         verdict = verdict._replace(gamma=-verdict.gamma)
     assert _bits(minus) == _bits((violations, entries, verdict, residual))
-    if validate_context(ctx):  # run_qlra validates at TOLERANCE
-        return
-    for direction in Direction:
-        try:
-            u1, v1, u2, v2 = run_qlra(ctx, direction, 1).amplitude
-        except RegimeError:
-            continue
-        assert _bits(run_qlra(ctx, direction, -1).amplitude) == _bits((v1, u1, v2, u2))
+
+
+def _assert_entry_points_read_analyze(ctx, tol, sign_choice):
+    # run_qlra, check_consistency and proof_relation_residual hand out what analyze computes, bit for bit:
+    # a direction's state, the verdict and, when symmetry holds, the relation residual.  run_qlra and
+    # proof_relation_residual validate at TOLERANCE, check_consistency at tol.
+    violations, entries, verdict, residual = analyze(ctx, TOLERANCE, sign_choice)
+    if violations:
+        with pytest.raises(StochasticityError):
+            run_qlra(ctx, Direction.B_GIVEN_A, sign_choice)
+    for direction, *_, state in entries:
+        if state is None:
+            with pytest.raises(RegimeError):
+                run_qlra(ctx, direction, sign_choice)
+        else:
+            assert _bits(run_qlra(ctx, direction, sign_choice)) == _bits(state)
+    if verdict is not None and verdict.symmetry_holds:
+        assert _bits(proof_relation_residual(ctx, sign_choice)) == _bits(residual)
+    verdict = analyze(ctx, tol, sign_choice)[2]
+    if verdict is not None:
+        assert _bits(check_consistency(ctx, tol, sign_choice)) == _bits(verdict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_contexts(), st.sampled_from((1, -1)))
+@example(_corner(_LO, _LO, _LO), 1)
+@example(_corner(0.5, 0.9, 0.9), -1)  # CTX1: symmetric and equivalent
+def test_entry_points_read_analyze(case, sign_choice):
+    _assert_entry_points_read_analyze(*case, sign_choice)
+
+
+def test_entry_points_read_analyze_on_extreme_contexts(extreme_contexts):
+    for ctx in extreme_contexts:
+        for sign_choice in (1, -1):
+            _assert_entry_points_read_analyze(ctx, TOLERANCE, sign_choice)
 
 
 @given(

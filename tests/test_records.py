@@ -5,10 +5,12 @@ tuples.  None of them may need ``dataclasses`` at import, and importing
 ``qlra.cli`` loads no ``random`` either, nor the object layer that defines them,
 nor ``qlra.synthetic``, which only ``generate``, ``sweep`` and ``demo-violation`` import.
 The library's entry points and ``qlra.synthetic`` load neither the CLI, ``argparse``
-nor the object layer.
+nor the object layer.  README's library examples print what their comments say.
 """
 
+import contextlib
 import copy
+import io
 import json
 import os
 import pickle
@@ -278,3 +280,16 @@ def test_package_root_reexports_each_module_all():
         and not name.startswith("_") and name not in module.__all__
     }
     assert unlisted == set()
+
+
+def test_readme_python_blocks_print_what_their_comments_say():
+    # The blocks run in order in one namespace, as a reader would paste them; each print call's line ends in a
+    # comment with the exact line it prints.
+    blocks = (TESTS.parent / "README.md").read_text().split("```python\n")[1:]
+    code = [block.split("```")[0] for block in blocks]
+    want = [line.partition("# ")[2] for block in code for line in block.splitlines() if line.startswith("print(")]
+    out, namespace = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        for block in code:
+            exec(block, namespace)
+    assert out.getvalue().splitlines() == want == ["True True", "True True", "True", "True", "True"]
