@@ -104,8 +104,8 @@ def _state(m0, m1, p, profile, direction, sign_choice, phase) -> QlraState:
     a10, a11 = math.sqrt(m0 * q), math.sqrt(m1 * p)
     amplitude = (a00 + pu * a01, a00 + pv * a01, a10 - pu * a11, a10 - pv * a11)
     # Every coordinate is finite: each entry of a valid ctx lies in [1e-12, 1 - 1e-12], so
-    # |lam| <= 1/(2*1e-24), e^theta <= 2|lam| <= 1e24, and every coordinate, here and in the verdict's
-    # transported amplitude, stays below 1e25.
+    # |lam| <= 1/(2*1e-24), e^theta <= 2|lam| <= 1e24, and every coordinate, here and in _born's
+    # inner products, stays below 1e25.
     rp, rq = math.sqrt(p), math.sqrt(q)
     return tuple.__new__(QlraState, (amplitude, direction, profile, (rp, rq, rq, rp), (m0, m1), sign_choice))
 
@@ -123,11 +123,12 @@ class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_re
 def verify_born_rule(state: QlraState, ctx: ProbContext) -> BornReport:
     """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs; ValueError for a bad direction."""
     c, o, _ = _oriented(ctx, state.direction)
-    return _born(state.amplitude, state.basis_roots, c, o)
+    return _born(state.amplitude, state.basis_roots, c, o)[0]
 
 
-def _born(amplitude, roots, c, o) -> BornReport:
-    """verify_born_rule on a state's floats, against conditioning marginals c and conditioned marginals o."""
+def _born(amplitude, roots, c, o) -> tuple[BornReport, tuple[float, float, float, float]]:
+    """verify_born_rule on a state's floats, against conditioning marginals c and conditioned marginals o, and the
+    null-cone coordinates of <psi, e_k>: U psi, as the pipeline's roots make U = [[r00, r01], [r10, -r11]] symmetric."""
     (c0, c1), (o0, o1) = c, o
     u1, v1, u2, v2 = amplitude
     r00, r01, r10, r11 = roots
@@ -137,7 +138,7 @@ def _born(amplitude, roots, c, o) -> BornReport:
     if not math.isfinite(iu1 + iv1 + iu2 + iv2):
         _require_finite(iu1, iv1, iu2, iv2)
     conditioned = (abs(u1 * v1 - o0), abs(u2 * v2 - o1))
-    return tuple.__new__(BornReport, (conditioned, (abs(iu1 * iv1 - c0), abs(iu2 * iv2 - c1))))
+    return tuple.__new__(BornReport, (conditioned, (abs(iu1 * iv1 - c0), abs(iu2 * iv2 - c1)))), (iu1, iv1, iu2, iv2)
 
 
 def expansion_consistency(state: QlraState) -> float:

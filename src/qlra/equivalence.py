@@ -148,15 +148,15 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
         t = sign_choice * profile.theta[0]
         phase = math.exp(t), math.exp(-t)  # exp_j(sc*theta), for the state and its expansion check
         state = _state(x, x1, diag, profile, d, sign_choice, phase)
-        born = _born(state.amplitude, state.basis_roots, c, o)
+        born, inner = _born(state.amplitude, state.basis_roots, c, o)
         entries.append((d, profile, born, _expansion_gap(state, phase), state))
         if d is _B_GIVEN_A:
-            state_ba = state
+            state_ba, transported = state, inner  # <psi_ba, e_k>, which is U psi_ba
         else:
             state_ab = state
     if state_ba is None or state_ab is None:  # one direction asked for, or one not hyperbolic
         return violations, entries, None, None
-    verdict = _verdict(state_ba, state_ab, p, q, tol)
+    verdict = _verdict(transported, state_ba.profile.epsilon[0], state_ab, p, q, tol)
     residual = _relation_residual(state_ab, state_ba) if verdict.symmetry_holds else None
     return violations, entries, verdict, residual
 
@@ -185,12 +185,10 @@ def check_consistency(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int
     return _analyzed(ctx, tol, sign_choice, tuple(Direction))[1]
 
 
-def _verdict(state_ba: QlraState, state_ab: QlraState, p: float, q: float, tol: float) -> EquivalenceVerdict:
-    """check_consistency's comparison of two states of one sign_choice, given the matrices' diagonals p and p' = q."""
-    # The transition unitary's columns are the b|a conditioning basis: U = [[r00, r01], [r10, -r11]].
-    r00, r01, r10, r11 = state_ba.basis_roots
-    bu1, bv1, bu2, bv2 = state_ba.amplitude
-    transported = (r00 * bu1 + r01 * bu2, r00 * bv1 + r01 * bv2, r10 * bu1 - r11 * bu2, r10 * bv1 - r11 * bv2)
+def _verdict(transported, eps_ba, state_ab: QlraState, p: float, q: float, tol: float) -> EquivalenceVerdict:
+    """check_consistency's comparison of U psi_ba, the b|a Born check's coordinates of <psi_ba, e_k>, with the a|b
+    state of one sign_choice, given the b|a profile's epsilon[0] and the matrices' diagonals p and p' = q."""
+    # U psi_ba is <psi_ba, e_k>: U's columns are the b|a conditioning basis e_k, and U is symmetric.
     # The theorem fixes the a|b phase sign sc' that engine._state leaves free.
     # A DS P is [[p, q], [q, p]], so U = [[sqrt p, sqrt q], [sqrt q, -sqrt p]] has U^2 = I,
     # and a symmetric context has psi_ab = U (sqrt p_b1, eps_ab exp_j(sc' theta_ab) sqrt p_b2):
@@ -200,7 +198,7 @@ def _verdict(state_ba: QlraState, state_ab: QlraState, p: float, q: float, tol: 
     # (|c| = 1), so sc' = -eps_ba eps_ab sc.  With one sc for both, equal signs of lambda_1
     # call for the other branch: the conjugate amplitude, u and v swapped.
     u1, v1, u2, v2 = state_ab.amplitude
-    if state_ba.profile.epsilon[0] == state_ab.profile.epsilon[0]:
+    if eps_ba == state_ab.profile.epsilon[0]:
         u1, v1, u2, v2 = v1, u1, v2, u2
     return _equivalent((u1, v1, u2, v2), transported, tol, abs(p - q) <= tol)  # symmetry: |p - p'| <= tol
 

@@ -17,12 +17,14 @@ from qlra import (
     interference_coefficients,
     proof_relation_residual,
     run_qlra,
+    transition_unitary,
     validate_context,
     verify_born_rule,
 )
+from qlra import equivalence
 from qlra.algebra import HNumber, exp_j, h_arg
 from qlra.context import POSITIVITY_MARGIN
-from qlra.linear import HVector2, inner_product
+from qlra.linear import HVector2, inner_product, mat_apply
 from qlra.synthetic import born_violation_demo, random_hyperbolic_context
 
 
@@ -351,6 +353,43 @@ def test_entry_points_read_analyze_on_extreme_contexts(extreme_contexts):
     for ctx in extreme_contexts:
         for sign_choice in (1, -1):
             _assert_entry_points_read_analyze(ctx, TOLERANCE, sign_choice)
+
+
+def _assert_born_coordinates_are_u_psi(ctx, tol, sign_choice, ds_form):
+    # The verdict reads U psi_ba off the b|a Born check.  For each state analyze builds, the coordinates of
+    # <psi, e_k> that engine._born returns beside its report are, bit for bit, the transition unitary of the
+    # direction's doubly stochastic matrix [[p, 1 - p], [1 - p, p]] applied to psi.
+    born, returned = equivalence._born, []
+
+    def recorded(*args):
+        returned.append(born(*args))
+        return returned[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equivalence, "_born", recorded)
+        _, entries, _, _ = analyze(ctx, tol, sign_choice)
+    form = ds_form(ctx, tol)
+    states = [(direction, state) for direction, *_, state in entries if state is not None]
+    assert len(returned) == len(states)
+    for (direction, state), (_, coordinates) in zip(states, returned):
+        M = form.p_b_given_a if direction is Direction.B_GIVEN_A else form.p_a_given_b
+        transported = mat_apply(transition_unitary(M), state.psi)
+        assert _bits(coordinates) == _bits((transported.c1.u, transported.c1.v, transported.c2.u, transported.c2.v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_contexts(), st.sampled_from((1, -1)))
+@example(_corner(_LO, _LO, _LO), 1)
+@example(_corner(0.5, 0.9, 0.9), -1)  # CTX1: lambda_1 has opposite signs in the two directions
+@example(_corner(0.1, 0.05, 0.7), 1)  # lambda_1 has one sign in both directions
+def test_born_coordinates_are_the_transported_amplitude(ds_form, case, sign_choice):
+    _assert_born_coordinates_are_u_psi(*case, sign_choice, ds_form)
+
+
+def test_born_coordinates_are_the_transported_amplitude_on_extreme_contexts(extreme_contexts, ds_form):
+    for ctx in extreme_contexts:
+        for sign_choice in (1, -1):
+            _assert_born_coordinates_are_u_psi(ctx, TOLERANCE, sign_choice, ds_form)
 
 
 @given(
