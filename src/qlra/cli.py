@@ -1,15 +1,11 @@
-"""Command-line front-end.
+"""Command-line front-end: ``analyze`` runs the full pipeline on a JSON context.
 
-Subcommands: ``analyze`` (full pipeline on a JSON context), ``generate``
-(emit contexts, fixed-parameter or random), ``sweep`` (CSV feasibility
-map), ``demo-violation`` (the non-doubly-stochastic counterexample).
-The last three import qlra.synthetic in their bodies, so an ``analyze``
-process never loads it.
+The parser also declares ``generate`` (emit contexts, fixed-parameter or random), ``sweep`` (CSV feasibility map)
+and ``demo-violation`` (the non-doubly-stochastic counterexample).  Their code lives in qlra.synthetic, which one
+forwarder imports when they run, so an ``analyze`` process never loads it.
 
-Reports are serialized deterministically: fixed field order and floats
-rendered with 12 significant digits, so identical inputs produce
-byte-identical output.  ``generate`` writes each context as one line of
-``json.dumps``, whose floats read back exactly.
+Reports are serialized deterministically: fixed field order and floats rendered with 12 significant digits, so
+identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -199,80 +195,11 @@ def cmd_analyze(args, out) -> int:
     return EXIT_INCONSISTENT if verdict is not None and not verdict.equivalent else EXIT_OK
 
 
-def cmd_generate(args, out) -> int:
-    from .synthetic import generate_hyperbolic_context, random_hyperbolic_context
+def _synthetic(args, out) -> int:
+    """Run generate, sweep or demo-violation, which live beside their data: qlra.synthetic._<command>, - as _."""
+    from . import synthetic
 
-    if args.random:
-        if args.p is not None or args.p_a1 is not None or args.lambda1 is not None:
-            raise ValueError("--random excludes --p/--p-a1/--lambda")
-        count = 1 if args.count is None else args.count
-        if count < 1:
-            raise ValueError(f"--count must be at least 1, got {count}")
-        import random  # here, not at the top: no other command needs it
-
-        rng = random.Random(0 if args.seed is None else args.seed)
-        contexts = (random_hyperbolic_context(rng) for _ in range(count))
-    elif args.count is not None or args.seed is not None:
-        raise ValueError("--count and --seed need --random")
-    elif args.p is None or args.p_a1 is None or args.lambda1 is None:
-        raise ValueError("provide --p, --p-a1 and --lambda (or --random)")
-    else:
-        contexts = [generate_hyperbolic_context(args.p, args.p_a1, args.lambda1)]
-    for ctx in contexts:
-        print(json.dumps(ctx.to_dict()), file=out)
-    return EXIT_OK
-
-
-def _parse_grid(spec: str) -> list[float]:
-    try:
-        a, b, step = (float(x) for x in spec.split(":"))
-    except ValueError:
-        raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-    # The step is tested before it divides: a step of 0 or -0 is a bad grid, not a ZeroDivisionError.
-    if not (0.0 < step < float("inf") and float("-inf") < a <= b and (count := (b - a) / step) < float("inf")):
-        raise ValueError(f"bad grid {spec!r}")
-    # Only the points a + i*step with i from -a/step to (1 - a)/step can lie in
-    # (0, 1); the filter drops what rounding puts on or past either end.
-    n = round(count)
-    first = math.floor(min(max(-a / step, 0.0), n))
-    last = math.ceil(min(max((1.0 - a) / step, 0.0), n))
-    return [v for v in (a + i * step for i in range(first, last + 1)) if 0.0 < v < 1.0]
-
-
-def cmd_sweep(args, out) -> int:
-    from .synthetic import _band
-
-    # A bad grid exits before the header; a point whose band underflows, after the rows before it.
-    p_grid = _parse_grid(args.p_grid)
-    pa_grid = _parse_grid(args.pa_grid)
-    print("p,p_a1,band_low,band_high,hyperbolic_feasible", file=out)
-    for p in p_grid:
-        for p_a1 in pa_grid:
-            # Raw band before the |lambda| > 1 cut; lambda_feasible_range is nonempty exactly when it crosses it.
-            _, _, lo, hi = _band(p, p_a1)
-            feasible = lo < -1.0 or hi > 1.0
-            print(
-                f"{_fmt_float(p)},{_fmt_float(p_a1)},{_fmt_float(lo)},"
-                f"{_fmt_float(hi)},{'true' if feasible else 'false'}",
-                file=out,
-            )
-    return EXIT_OK
-
-
-def cmd_demo_violation(args, out) -> int:
-    # A tiny p fails in the demo (a degenerate denominator, or an overflowing
-    # basis_overlap_sq); main reports that p as unusable input.  The report's
-    # fields after the version are the ViolationReport's, in its order.
-    from .synthetic import born_violation_demo
-
-    rep = born_violation_demo(args.p)
-    note = (
-        "basis_overlap = p - q^2/p; nonzero overlap means the "
-        "conditioning basis is not orthogonal and the reconstruction "
-        "cannot satisfy the squared-modulus rule for both observables"
-    )
-    print(dumps({"tool": "qlra", "version": __version__, **rep._asdict(), "note": note}), file=out)
-    return EXIT_OK
+    return getattr(synthetic, "_" + args.command.replace("-", "_"))(args, out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -319,18 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--random", action="store_true")
     p_gen.add_argument("--seed", type=int, default=None, help="with --random; default 0")
     p_gen.add_argument("--count", type=int, default=None, help="with --random; default 1")
-    p_gen.set_defaults(func=cmd_generate)
+    p_gen.set_defaults(func=_synthetic)
 
     p_sw = sub.add_parser("sweep", help="CSV feasibility map over (p, p_a1)")
     p_sw.add_argument("--p-grid", required=True, help="start:stop:step")
     p_sw.add_argument("--pa-grid", required=True, help="start:stop:step")
-    p_sw.set_defaults(func=cmd_sweep)
+    p_sw.set_defaults(func=_synthetic)
 
     p_dv = sub.add_parser(
         "demo-violation", help="non-doubly-stochastic counterexample diagnostics"
     )
     p_dv.add_argument("--p", type=float, required=True)
-    p_dv.set_defaults(func=cmd_demo_violation)
+    p_dv.set_defaults(func=_synthetic)
 
     return parser
 

@@ -1,14 +1,18 @@
 """Synthetic data: feasible hyperbolic contexts, their lambda band, and the non-doubly-stochastic counterexample.
 
-Only ``qlra generate``, ``sweep`` and ``demo-violation`` run it.  Like qlra.algebra and qlra.linear, it is imported
-on its own: the package root does not re-export it.
+It also holds the commands that print it, ``qlra generate``, ``sweep`` and ``demo-violation``, which qlra.cli
+forwards here; only they run this module.  Like qlra.algebra and qlra.linear, it is imported on its own: the
+package root does not re-export it.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import random
 from collections import namedtuple
 
+from . import __version__
 from .context import (_B_GIVEN_A, POSITIVITY_MARGIN, Direction, Matrix2, ProbContext, Regime, _transpose,
                       interference_coefficients, validate_context)
 from .errors import InfeasibleContextError, RegimeError
@@ -152,3 +156,71 @@ def born_violation_demo(p: float) -> ViolationReport:
         prof = interference_coefficients(ProbContext((0.5, 0.5), (p_b1, 1.0 - p_b1), M), _B_GIVEN_A)
         worst = max(worst, abs(prof.lam[0] + (q / p) * prof.lam[1]))
     return ViolationReport(p, q, M, overlap, overlap_sq, worst)
+
+
+def _generate(args, out) -> int:
+    if args.random:
+        if args.p is not None or args.p_a1 is not None or args.lambda1 is not None:
+            raise ValueError("--random excludes --p/--p-a1/--lambda")
+        count = 1 if args.count is None else args.count
+        if count < 1:
+            raise ValueError(f"--count must be at least 1, got {count}")
+        rng = random.Random(0 if args.seed is None else args.seed)
+        contexts = (random_hyperbolic_context(rng) for _ in range(count))
+    elif args.count is not None or args.seed is not None:
+        raise ValueError("--count and --seed need --random")
+    elif args.p is None or args.p_a1 is None or args.lambda1 is None:
+        raise ValueError("provide --p, --p-a1 and --lambda (or --random)")
+    else:
+        contexts = [generate_hyperbolic_context(args.p, args.p_a1, args.lambda1)]
+    for ctx in contexts:  # one line each, whose floats read back exactly
+        print(json.dumps(ctx.to_dict()), file=out)
+    return 0
+
+
+def _parse_grid(spec: str) -> list[float]:
+    try:
+        a, b, step = (float(x) for x in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"grid must be start:stop:step, got {spec!r}")
+    # The step is tested before it divides: a step of 0 or -0 is a bad grid, not a ZeroDivisionError.
+    if not (0.0 < step < float("inf") and float("-inf") < a <= b and (count := (b - a) / step) < float("inf")):
+        raise ValueError(f"bad grid {spec!r}")
+    # Only the points a + i*step with i from -a/step to (1 - a)/step can lie in
+    # (0, 1); the filter drops what rounding puts on or past either end.
+    n = round(count)
+    first = math.floor(min(max(-a / step, 0.0), n))
+    last = math.ceil(min(max((1.0 - a) / step, 0.0), n))
+    return [v for v in (a + i * step for i in range(first, last + 1)) if 0.0 < v < 1.0]
+
+
+def _sweep(args, out) -> int:
+    from .cli import _fmt_float  # already loaded: the command came through qlra.cli
+
+    # A bad grid exits before the header; a point whose band underflows, after the rows before it.
+    p_grid = _parse_grid(args.p_grid)
+    pa_grid = _parse_grid(args.pa_grid)
+    print("p,p_a1,band_low,band_high,hyperbolic_feasible", file=out)
+    for p in p_grid:
+        for p_a1 in pa_grid:
+            # Raw band before the |lambda| > 1 cut; lambda_feasible_range is nonempty exactly when it crosses it.
+            _, _, lo, hi = _band(p, p_a1)
+            feasible = lo < -1.0 or hi > 1.0
+            row = f"{_fmt_float(p)},{_fmt_float(p_a1)},{_fmt_float(lo)},{_fmt_float(hi)}"
+            print(row + (",true" if feasible else ",false"), file=out)
+    return 0
+
+
+def _demo_violation(args, out) -> int:
+    # A tiny p fails in the demo (a degenerate denominator, or an overflowing basis_overlap_sq); main reports that
+    # p as unusable input.  The report's fields after the version are the ViolationReport's, in its order.
+    from .cli import dumps
+
+    rep = born_violation_demo(args.p)
+    note = (
+        "basis_overlap = p - q^2/p; nonzero overlap means the "
+        "conditioning basis is not orthogonal and the reconstruction "
+        "cannot satisfy the squared-modulus rule for both observables"
+    )
+    print(dumps({"tool": "qlra", "version": __version__, **rep._asdict(), "note": note}), file=out)
+    return 0

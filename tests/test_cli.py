@@ -21,7 +21,7 @@ import qlra.equivalence
 import qlra.linear
 from qlra.cli import main
 from qlra.context import ProbContext
-from qlra.synthetic import generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context
+from qlra.synthetic import _parse_grid, generate_hyperbolic_context, lambda_feasible_range, random_hyperbolic_context
 
 
 def run_cli(argv, stdin_text=None):
@@ -734,7 +734,7 @@ def test_sweep_grid_shape():
     assert len(rows) == 81
     assert "nan" not in text.lower()
     # A point is hyperbolic_feasible exactly when lambda_feasible_range gives it an interval, on either side.
-    grid = qlra.cli._parse_grid("0.1:0.9:0.1")
+    grid = _parse_grid("0.1:0.9:0.1")
     points = [(p, p_a1) for p in grid for p_a1 in grid]
     flags = [row.rsplit(",", 1)[1] for row in rows]
     assert flags == ["true" if lambda_feasible_range(p, p_a1) else "false" for p, p_a1 in points]
@@ -757,7 +757,7 @@ def test_sweep_skips_points_outside_unit_interval():
     # 12 million grid points, 2 of them in (0, 1): only those are built.
     tracemalloc.start()
     try:
-        assert qlra.cli._parse_grid("-3e6:0.5:0.25") == [0.25, 0.5]
+        assert _parse_grid("-3e6:0.5:0.25") == [0.25, 0.5]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

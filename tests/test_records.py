@@ -3,7 +3,7 @@
 HNumber and HVector2 are slots classes; the other records are named
 tuples.  None of them may need ``dataclasses`` at import, and importing
 ``qlra.cli`` loads no ``random`` either, nor the object layer that defines them,
-nor ``qlra.synthetic``, which only ``generate``, ``sweep`` and ``demo-violation`` import.
+nor ``qlra.synthetic``, where the code of ``generate``, ``sweep`` and ``demo-violation`` lives.
 The library's entry points and ``qlra.synthetic`` load neither the CLI, ``argparse``
 nor the object layer.  README's library examples print what their comments say.
 """
@@ -17,6 +17,7 @@ import pickle
 import subprocess
 import sys
 import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -222,25 +223,53 @@ print(qlra.synthetic.born_violation_demo(0.7).basis_overlap != 0.0)""")
     assert not {"qlra.cli", "argparse", "qlra.algebra", "qlra.linear"} & modules
 
 
+# The names generate, sweep and demo-violation had in qlra.cli before they moved to qlra.synthetic.
+MOVED_COMMANDS = {"cmd_generate", "cmd_sweep", "cmd_demo_violation", "_parse_grid"}
+
+
 def test_analyze_process_loads_no_synthetic_data(ctx1, tmp_path):
     assert "qlra.synthetic" not in _imported_modules(", qlra\nfrom qlra import *")
     path = tmp_path / "ctx1.json"
     path.write_text(json.dumps(ctx1.to_dict()))
-    printed, modules = _run_child(f", qlra.cli\nprint(qlra.cli.main(['analyze', {str(path)!r}]))")
-    assert "".join(line + "\n" for line in printed) == (TESTS / "ctx1_report.json").read_text() + "0\n"
+    # After the run, the child prints which moved names qlra.cli still holds: as attributes, or anywhere in the code
+    # objects of its functions and methods, nested ones included.
+    printed, modules = _run_child(f""", qlra.cli, types
+print(qlra.cli.main(['analyze', {str(path)!r}]))
+names = {MOVED_COMMANDS!r}
+found = names & set(vars(qlra.cli))
+objects = [o for o in vars(qlra.cli).values() if getattr(o, "__module__", None) == "qlra.cli"]
+objects += [f for cls in objects if isinstance(cls, type) for f in vars(cls).values()]
+codes = [o.__code__ for o in objects if isinstance(o, types.FunctionType)]
+while codes:
+    code = codes.pop()
+    found |= names & {{code.co_name, *code.co_names, *code.co_varnames, *code.co_consts}}
+    codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+print(sorted(found))""")
+    *report, found = printed
+    assert "".join(line + "\n" for line in report) == (TESTS / "ctx1_report.json").read_text() + "0\n"
+    assert found == "[]"
     assert not {"qlra.synthetic", "random", "qlra.algebra", "qlra.linear"} & modules
 
 
 @pytest.mark.parametrize("argv, golden", [
     (["demo-violation", "--p", "0.7"], "demo_violation_report.json"),
     (["generate", "--p", "0.9", "--p-a1", "0.5", "--lambda", "1.3333333333"], "generate_ctx1.jsonl"),
-], ids=["demo-violation", "generate"])
+    # These two reach qlra.cli's serializer and qlra.synthetic's module-level random.
+    (["sweep", "--p-grid", "0.1:0.9:0.4", "--pa-grid", "0.5:0.5:0.1"], "sweep_small.csv"),
+    (["generate", "--random", "--seed", "3", "--count", "2"], "generate_random_seed3.jsonl"),
+], ids=["demo-violation", "generate", "sweep", "generate-random"])
 def test_synthetic_commands_import_it_in_a_fresh_process(argv, golden):
     # In-process runs find qlra.synthetic already imported by other tests; a fresh process must import it itself.
     code = f", qlra.cli\nassert 'qlra.synthetic' not in sys.modules\nprint(qlra.cli.main({argv!r}))"
     printed, modules = _run_child(code)
     assert "".join(line + "\n" for line in printed) == (TESTS / golden).read_text() + "0\n"
     assert "qlra.synthetic" in modules
+
+
+def test_synthetic_annotations_resolve():
+    # Annotations are postponed strings; each name in them must be bound in the module for them to resolve.
+    for name in qlra.synthetic.__all__:
+        typing.get_type_hints(getattr(qlra.synthetic, name))
 
 
 def test_relation_residual_domain_error_loads_no_object_layer():
