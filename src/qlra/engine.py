@@ -7,11 +7,12 @@ pipeline, equivalence.analyze, reads a valid context once as its four
 numbers (p_a1, p_b1, p, p'); per direction, context._coefficients computes
 lam0 and sets lam1 = -lam0 (Proposition 1), analyze computes
 exp_j(sc*theta) once, _state builds the state on floats, and _born and
-_expansion_gap check it.  run_qlra hands out analyze's state.  HVector2s
-are built only by QlraState's ``psi`` and ``conditioning_basis``
-properties and by equivalence.transition_unitary, whose columns are a
-matrix's conditioning basis; they import qlra.algebra and qlra.linear in
-their bodies: the pipeline never loads the object layer.
+_expansion_gap check it.  A state's transition matrix is its diagonal p.
+run_qlra hands out analyze's state.  The object layer is built only by
+QlraState's ``psi`` property, an HVector2, and by
+equivalence.transition_unitary, whose HNumber columns are a matrix's
+conditioning basis; they import it in their bodies: the pipeline never
+loads the object layer.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ __all__ = [
 
 
 class QlraState(namedtuple(
-    "QlraState", "amplitude direction profile basis_roots conditioning_marginals sign_choice", defaults=(1,)
+    "QlraState", "amplitude direction profile diagonal conditioning_marginals sign_choice", defaults=(1,)
 )):
     """A reconstructed amplitude ``psi`` in the conditioned observable's basis, as floats.
 
-    ``amplitude`` is psi in null-cone coordinates (u1, v1, u2, v2), and ``basis_roots``
-    the roots (r00, r01, r10, r11) of the transition matrix: the other observable's
-    eigenvectors, ``conditioning_basis``, are (r00, r10) and (r01, -r11).  The ``psi`` and
-    ``conditioning_basis`` properties build HVector2s on each access.
+    ``amplitude`` is psi in null-cone coordinates (u1, v1, u2, v2), and ``diagonal`` the p, in
+    [0, 1], of the doubly stochastic transition matrix [[p, 1 - p], [1 - p, p]]: the other
+    observable's eigenvectors are (sqrt p, sqrt(1 - p)) and (sqrt(1 - p), -sqrt p), the columns
+    of equivalence.transition_unitary of that matrix.  The ``psi`` property builds psi as an
+    HVector2 on each access.
     ``conditioning_marginals`` are the conditioning observable's marginals (the basis
     expansion's coefficients); ``sign_choice`` selects the branch of the hyperbolic
     phase: the amplitude uses exp_j(sign_choice * theta).
@@ -47,25 +49,11 @@ class QlraState(namedtuple(
     __slots__ = ()
 
     @property
-    def psi(self) -> HVector2:
+    def psi(self):
         from .algebra import _hn
         from .linear import HVector2
         u1, v1, u2, v2 = self.amplitude
         return HVector2(_hn(u1, v1), _hn(u2, v2))
-
-    @property
-    def conditioning_basis(self) -> tuple[HVector2, HVector2]:
-        return _basis_vectors(self.basis_roots)
-
-
-def _basis_vectors(roots: tuple[float, float, float, float]) -> tuple[HVector2, HVector2]:
-    from .algebra import _hn
-    from .linear import HVector2
-    r00, r01, r10, r11 = roots
-    # A real number r has null-cone coordinates (r, r); HNumber(-0.0) would make u +0.0.
-    e1 = HVector2(_hn(r00, r00), _hn(r10, r10))
-    e2 = HVector2(_hn(r01, r01), _hn(-r11, -r11))
-    return (e1, e2)
 
 
 def _require_finite(*coords: float) -> None:
@@ -105,9 +93,8 @@ def _state(m0, m1, p, profile, direction, sign_choice, phase) -> QlraState:
     amplitude = (a00 + pu * a01, a00 + pv * a01, a10 - pu * a11, a10 - pv * a11)
     # Every coordinate is finite: each entry of a valid ctx lies in [1e-12, 1 - 1e-12], so
     # |lam| <= 1/(2*1e-24), e^theta <= 2|lam| <= 1e24, and every coordinate, here and in _born's
-    # inner products, stays below 1e25.
-    rp, rq = math.sqrt(p), math.sqrt(q)
-    return tuple.__new__(QlraState, (amplitude, direction, profile, (rp, rq, rq, rp), (m0, m1), sign_choice))
+    # inner products with the roots of p and q, which lie in [0, 1], stays below 1e25.
+    return tuple.__new__(QlraState, (amplitude, direction, profile, p, (m0, m1), sign_choice))
 
 
 class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_residuals")):
@@ -123,18 +110,19 @@ class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_re
 def verify_born_rule(state: QlraState, ctx: ProbContext) -> BornReport:
     """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs; ValueError for a bad direction."""
     c, o, _ = _oriented(ctx, state.direction)
-    return _born(state.amplitude, state.basis_roots, c, o)[0]
+    return _born(state.amplitude, state.diagonal, c, o)[0]
 
 
-def _born(amplitude, roots, c, o) -> tuple[BornReport, tuple[float, float, float, float]]:
-    """verify_born_rule on a state's floats, against conditioning marginals c and conditioned marginals o, and the
-    null-cone coordinates of <psi, e_k>: U psi, as the pipeline's roots make U = [[r00, r01], [r10, -r11]] symmetric."""
+def _born(amplitude, p, c, o) -> tuple[BornReport, tuple[float, float, float, float]]:
+    """verify_born_rule on a state's amplitude and diagonal p, against conditioning marginals c and conditioned
+    marginals o, and the null-cone coordinates of <psi, e_k>: U psi, as U = [[sqrt p, sqrt q], [sqrt q, -sqrt p]],
+    q = 1 - p, is symmetric with the basis e_k as its columns.  ValueError for a p outside [0, 1]."""
     (c0, c1), (o0, o1) = c, o
     u1, v1, u2, v2 = amplitude
-    r00, r01, r10, r11 = roots
+    rp, rq = math.sqrt(p), math.sqrt(1.0 - p)
     # For the real e_k, conj(e_k) = e_k: <psi, e_k> = psi_1*e_k1 + psi_2*e_k2.
-    iu1, iv1 = u1 * r00 + u2 * r10, v1 * r00 + v2 * r10
-    iu2, iv2 = u1 * r01 - u2 * r11, v1 * r01 - v2 * r11
+    iu1, iv1 = u1 * rp + u2 * rq, v1 * rp + v2 * rq
+    iu2, iv2 = u1 * rq - u2 * rp, v1 * rq - v2 * rp
     if not math.isfinite(iu1 + iv1 + iu2 + iv2):
         _require_finite(iu1, iv1, iu2, iv2)
     conditioned = (abs(u1 * v1 - o0), abs(u2 * v2 - o1))
@@ -161,8 +149,8 @@ def _expansion_gap(state: QlraState, phase: tuple[float, float]) -> float:
     r2 = state.profile.epsilon[0] * math.sqrt(m1)
     ku, kv = r2 * eu, r2 * ev
     u1, v1, u2, v2 = state.amplitude
-    r00, r01, r10, r11 = state.basis_roots
-    du1, dv1 = u1 - (r1 * r00 + ku * r01), v1 - (r1 * r00 + kv * r01)
-    du2, dv2 = u2 - (r1 * r10 - ku * r11), v2 - (r1 * r10 - kv * r11)
+    rp, rq = math.sqrt(state.diagonal), math.sqrt(1.0 - state.diagonal)
+    du1, dv1 = u1 - (r1 * rp + ku * rq), v1 - (r1 * rp + kv * rq)
+    du2, dv2 = u2 - (r1 * rq - ku * rp), v2 - (r1 * rq - kv * rp)
     # A component's gap max(|re|, |hy|) is (|du| + |dv|)/2, as max(|a + b|, |a - b|) = |a| + |b|.
     return 0.5 * max(abs(du1) + abs(dv1), abs(du2) + abs(dv2))

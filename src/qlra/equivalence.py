@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
                       _coefficients, _oriented, _require_tolerance, validate_context)
-from .engine import QlraState, _basis_vectors, _born, _expansion_gap, _state
+from .engine import QlraState, _born, _expansion_gap, _state
 from .errors import ArgDomainError, DegenerateStateError, RegimeError, StochasticityError
 
 __all__ = [
@@ -56,8 +56,8 @@ def _arg(u: float, v: float) -> float:
     return 0.5 * (math.log(abs(u)) - math.log(abs(v)))
 
 
-def transition_unitary(p_b_given_a: Matrix2) -> tuple[tuple[HNumber, HNumber], tuple[HNumber, HNumber]]:
-    """Basis-change matrix [[sqrt(P00), sqrt(P01)], [sqrt(P10), -sqrt(P11)]], row-major.
+def transition_unitary(p_b_given_a: Matrix2):
+    """Basis-change matrix [[sqrt(P00), sqrt(P01)], [sqrt(P10), -sqrt(P11)]], row-major, of HNumbers.
 
     Its columns are the b|a conditioning basis, a matrix's one public basis: e1 = (sqrt(P00), sqrt(P10)),
     e2 = (sqrt(P01), -sqrt(P11)), orthonormal under inner_product exactly when P is doubly stochastic,
@@ -65,15 +65,17 @@ def transition_unitary(p_b_given_a: Matrix2) -> tuple[tuple[HNumber, HNumber], t
     StochasticityError unless every entry is nonnegative (a zero, as in the identity, is allowed) and
     every line sums to 1 within TOLERANCE.
     """
+    from .algebra import _hn
     (a, b), (c, d) = _as_matrix(p_b_given_a)
     if min(a, b, c, d) < 0.0 or not all(abs(s - 1.0) <= TOLERANCE for s in (a + b, c + d, a + c, b + d)):
         raise StochasticityError("conditioning basis requires a doubly stochastic matrix")
-    e1, e2 = _basis_vectors((math.sqrt(a), math.sqrt(b), math.sqrt(c), math.sqrt(d)))
-    return ((e1.c1, e2.c1), (e1.c2, e2.c2))
+    # A real number r has null-cone coordinates (r, r); HNumber(-0.0) would make u +0.0.
+    r00, r01, r10, r11 = math.sqrt(a), math.sqrt(b), math.sqrt(c), -math.sqrt(d)
+    return ((_hn(r00, r00), _hn(r01, r01)), (_hn(r10, r10), _hn(r11, r11)))
 
 
-def states_equivalent(v1: HVector2, v2: HVector2, tol: float = TOLERANCE) -> EquivalenceVerdict:
-    """Decide whether v1 = s * exp_j(gamma) * v2 for some sign s and real gamma.
+def states_equivalent(v1, v2, tol: float = TOLERANCE) -> EquivalenceVerdict:
+    """Decide whether the HVector2 v1 is s * exp_j(gamma) * v2 for some sign s and real gamma.
 
     Both vectors must have unit squared norm within max(tol, 1e-6), else ValueError; a v2 with
     every component on the null cone raises DegenerateStateError.  The multiplier is extracted from
@@ -148,7 +150,7 @@ def analyze(ctx: ProbContext, tol: float = TOLERANCE, sign_choice: int = 1, dire
         t = sign_choice * profile.theta[0]
         phase = math.exp(t), math.exp(-t)  # exp_j(sc*theta), for the state and its expansion check
         state = _state(x, x1, diag, profile, d, sign_choice, phase)
-        born, inner = _born(state.amplitude, state.basis_roots, c, o)
+        born, inner = _born(state.amplitude, diag, c, o)
         entries.append((d, profile, born, _expansion_gap(state, phase), state))
         if d is _B_GIVEN_A:
             state_ba, transported = state, inner  # <psi_ba, e_k>, which is U psi_ba

@@ -26,7 +26,7 @@ from qlra import (
 )
 from qlra.algebra import HNumber, exp_j
 from qlra.cli import main as cli_main
-from qlra.linear import inner_product
+from qlra.linear import HVector2, inner_product
 from qlra.synthetic import born_violation_demo, random_hyperbolic_context
 from test_equivalence import perturbed_a_given_b
 from test_linear import columns_orthonormal
@@ -228,7 +228,9 @@ def test_criterion_10_measurement_invariance():
                     - state.psi.components()[i].sq_modulus()
                 ),
             )
-        for e in state.conditioning_basis:
+        p = state.diagonal
+        (u00, u01), (u10, u11) = transition_unitary(((p, 1 - p), (1 - p, p)))
+        for e in (HVector2(u00, u10), HVector2(u01, u11)):  # the columns of U
             worst = max(
                 worst,
                 abs(

@@ -108,7 +108,7 @@ def test_verify_born_rule_detects_corruption(ctx1):
         amplitude=(scaled.c1.u, scaled.c1.v, scaled.c2.u, scaled.c2.v),
         direction=state.direction,
         profile=state.profile,
-        basis_roots=state.basis_roots,
+        diagonal=state.diagonal,
         conditioning_marginals=state.conditioning_marginals,
         sign_choice=state.sign_choice,
     )
@@ -123,6 +123,10 @@ def test_verify_born_rule_detects_corruption(ctx1):
     # A direction that is not a Direction raises here too, as it does in run_qlra.
     with pytest.raises(ValueError, match="direction must be a Direction"):
         verify_born_rule(state._replace(direction="b_given_a"), ctx1)
+    # A diagonal outside [0, 1] has no doubly stochastic matrix, so no real roots for the basis.
+    for diagonal in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError):
+            verify_born_rule(state._replace(diagonal=diagonal), ctx1)
 
 
 def test_born_rule_random_contexts(rng):
@@ -162,7 +166,7 @@ def test_mismatched_expansion_is_incoherent(ctx1):
         amplitude=state.amplitude,
         direction=state.direction,
         profile=state.profile,
-        basis_roots=state.basis_roots,
+        diagonal=state.diagonal,
         conditioning_marginals=state.conditioning_marginals,
         sign_choice=-1,
     )
@@ -255,11 +259,11 @@ def test_valid_contexts_keep_every_coordinate_finite_and_below_1e25(case, sign_c
         if state is None:
             continue
         t = sign_choice * profile.theta[0]
-        coords += [*state.amplitude, *state.basis_roots, math.exp(t), math.exp(-t)]  # e^{+-sc*theta}
+        rp, rq = math.sqrt(state.diagonal), math.sqrt(1.0 - state.diagonal)
+        coords += [*state.amplitude, rp, rq, math.exp(t), math.exp(-t)]  # e^{+-sc*theta}
         if direction is Direction.B_GIVEN_A:  # the verdict's transported amplitude U psi_ba
-            r00, r01, r10, r11 = state.basis_roots
             u1, v1, u2, v2 = state.amplitude
-            coords += [r00 * u1 + r01 * u2, r00 * v1 + r01 * v2, r10 * u1 - r11 * u2, r10 * v1 - r11 * v2]
+            coords += [rp * u1 + rq * u2, rp * v1 + rq * v2, rq * u1 - rp * u2, rq * v1 - rp * v2]
     assert all(math.isfinite(x) and abs(x) < 1e25 for x in coords), coords
     if coords:
         target(math.log10(max(map(abs, coords))))
@@ -358,7 +362,8 @@ def test_entry_points_read_analyze_on_extreme_contexts(extreme_contexts):
 def _assert_born_coordinates_are_u_psi(ctx, tol, sign_choice, ds_form):
     # The verdict reads U psi_ba off the b|a Born check.  For each state analyze builds, the coordinates of
     # <psi, e_k> that engine._born returns beside its report are, bit for bit, the transition unitary of the
-    # direction's doubly stochastic matrix [[p, 1 - p], [1 - p, p]] applied to psi.
+    # direction's doubly stochastic matrix [[p, 1 - p], [1 - p, p]] applied to psi, and the state's diagonal
+    # is that p: p for b|a, p' for a|b.
     born, returned = equivalence._born, []
 
     def recorded(*args):
@@ -373,6 +378,7 @@ def _assert_born_coordinates_are_u_psi(ctx, tol, sign_choice, ds_form):
     assert len(returned) == len(states)
     for (direction, state), (_, coordinates) in zip(states, returned):
         M = form.p_b_given_a if direction is Direction.B_GIVEN_A else form.p_a_given_b
+        assert state.diagonal.hex() == M[0][0].hex() == M[1][1].hex()
         transported = mat_apply(transition_unitary(M), state.psi)
         assert _bits(coordinates) == _bits((transported.c1.u, transported.c1.v, transported.c2.u, transported.c2.v))
 

@@ -333,7 +333,9 @@ def test_measurement_invariance(rng):
                 assert new.components()[i].sq_modulus() == pytest.approx(
                     comp.sq_modulus(), abs=1e-10
                 )
-            for e in state.conditioning_basis:
+            p = state.diagonal
+            (u00, u01), (u10, u11) = transition_unitary(((p, 1 - p), (1 - p, p)))
+            for e in (HVector2(u00, u10), HVector2(u01, u11)):  # the columns of U
                 assert inner_product(new, e).sq_modulus() == pytest.approx(
                     inner_product(orig, e).sq_modulus(), abs=1e-10
                 )

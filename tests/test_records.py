@@ -40,11 +40,9 @@ TESTS = Path(__file__).parent
 M = ((0.9, 0.1), (0.1, 0.9))
 PSI = HVector2(HNumber(1.2, 0.3), HNumber(-0.4, 0.5))
 PROFILE = InterferenceProfile((4 / 3, -4 / 3), (1, -1), (0.79, 0.79), Regime.HYPERBOLIC)
-BASIS = (HVector2(0.9, 0.1), HVector2(0.1, -0.9))
-# PSI and BASIS as QlraState holds them: PSI's null-cone coordinates, and the
-# roots r with BASIS = ((r00, r10), (r01, -r11)).
+# PSI as QlraState holds it: its null-cone coordinates; M as QlraState holds it: its diagonal.
 AMPLITUDE = (PSI.c1.u, PSI.c1.v, PSI.c2.u, PSI.c2.v)
-ROOTS = (0.9, 0.1, 0.1, 0.9)
+DIAGONAL = M[0][0]
 
 # (class, positional arguments, the same as keywords)
 RECORDS = [
@@ -62,12 +60,12 @@ RECORDS = [
     ),
     (
         QlraState,
-        (AMPLITUDE, Direction.B_GIVEN_A, PROFILE, ROOTS, (0.5, 0.5), -1),
+        (AMPLITUDE, Direction.B_GIVEN_A, PROFILE, DIAGONAL, (0.5, 0.5), -1),
         {
             "amplitude": AMPLITUDE,
             "direction": Direction.B_GIVEN_A,
             "profile": PROFILE,
-            "basis_roots": ROOTS,
+            "diagonal": DIAGONAL,
             "conditioning_marginals": (0.5, 0.5),
             "sign_choice": -1,
         },
@@ -125,7 +123,7 @@ def test_fields_cannot_be_assigned(cls, args, kwargs):
 
 
 def test_defaults():
-    assert QlraState(AMPLITUDE, Direction.A_GIVEN_B, PROFILE, ROOTS, (0.5, 0.5)).sign_choice == 1
+    assert QlraState(AMPLITUDE, Direction.A_GIVEN_B, PROFILE, DIAGONAL, (0.5, 0.5)).sign_choice == 1
     assert EquivalenceVerdict(False, None, None, 0.5).symmetry_holds is None
     ctx = ProbContext((0.5, 0.5), (0.9, 0.1), M)
     assert ctx.p_a_given_b is None and ctx.a_given_b_defaulted
@@ -133,11 +131,10 @@ def test_defaults():
 
 def test_record_methods_and_properties():
     assert BornReport((1e-16, 4e-16), (3e-16, 0.0)).max_residual == 4e-16
-    state = QlraState(AMPLITUDE, Direction.B_GIVEN_A, PROFILE, ROOTS, (0.5, 0.5))
-    assert state.psi == PSI and state.conditioning_basis == BASIS
-    for name in ("psi", "conditioning_basis"):
-        with pytest.raises(AttributeError):
-            setattr(state, name, None)
+    state = QlraState(AMPLITUDE, Direction.B_GIVEN_A, PROFILE, DIAGONAL, (0.5, 0.5))
+    assert state.psi == PSI
+    with pytest.raises(AttributeError):
+        state.psi = None
 
 
 def test_values_are_equal_only_to_their_own_class():
@@ -268,8 +265,20 @@ def test_synthetic_commands_import_it_in_a_fresh_process(argv, golden):
 
 def test_synthetic_annotations_resolve():
     # Annotations are postponed strings; each name in them must be bound in the module for them to resolve.
-    for name in qlra.synthetic.__all__:
-        typing.get_type_hints(getattr(qlra.synthetic, name))
+    # That holds for qlra.synthetic and every other module: each public function and class, and each
+    # property and public method of a class.  A module that imports the object layer only in function
+    # bodies cannot name its classes in annotations.
+    modules = (qlra.context, qlra.engine, qlra.equivalence, qlra.errors, qlra.synthetic, qlra.algebra, qlra.linear)
+    for module in modules:
+        for obj in (getattr(module, name) for name in module.__all__):
+            if not callable(obj):  # a constant, such as TOLERANCE
+                continue
+            typing.get_type_hints(obj)
+            for attr_name, attr in vars(obj).items() if isinstance(obj, type) else ():
+                if isinstance(attr, property):
+                    typing.get_type_hints(attr.fget)
+                elif isinstance(attr, types.FunctionType) and not attr_name.startswith("_"):
+                    typing.get_type_hints(attr)
 
 
 def test_relation_residual_domain_error_loads_no_object_layer():
@@ -278,9 +287,8 @@ def test_relation_residual_domain_error_loads_no_object_layer():
 from qlra import ArgDomainError, Direction, InterferenceProfile, QlraState, Regime
 from qlra.equivalence import _relation_residual
 profile = InterferenceProfile((4 / 3, -4 / 3), (1, -1), (0.79, 0.79), Regime.HYPERBOLIC)
-roots = (0.9, 0.1, 0.1, 0.9)
-state_ab = QlraState((1.0, -1.0, 1.0, 1.0), Direction.A_GIVEN_B, profile, roots, (0.9, 0.1))
-state_ba = QlraState((1.0, 1.0, 1.0, 1.0), Direction.B_GIVEN_A, profile, roots, (0.5, 0.5))
+state_ab = QlraState((1.0, -1.0, 1.0, 1.0), Direction.A_GIVEN_B, profile, 0.9, (0.9, 0.1))
+state_ba = QlraState((1.0, 1.0, 1.0, 1.0), Direction.B_GIVEN_A, profile, 0.9, (0.5, 0.5))
 try:
     _relation_residual(state_ab, state_ba)
 except ArgDomainError as exc:
