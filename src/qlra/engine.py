@@ -56,6 +56,12 @@ class QlraState(namedtuple(
         return HVector2(_hn(u1, v1), _hn(u2, v2))
 
 
+def _require_diagonal(p: float) -> None:
+    """The public checks' gate on a state's diagonal p: ValueError unless 0 <= p <= 1, which NaN fails."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"diagonal must lie in [0, 1], got {p!r}")
+
+
 def _require_finite(*coords: float) -> None:
     """algebra._hn's check on each null-cone pair (u, v) of coords: ValueError names the first bad one."""
     for u, v in zip(coords[::2], coords[1::2]):
@@ -108,15 +114,17 @@ class BornReport(namedtuple("BornReport", "conditioned_residuals conditioning_re
 
 
 def verify_born_rule(state: QlraState, ctx: ProbContext) -> BornReport:
-    """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs; ValueError for a bad direction."""
+    """Check |psi_i|^2 = u_i*v_i and |<psi, e_k>|^2 against both marginal pairs; ValueError for a bad direction
+    or a diagonal outside [0, 1]."""
     c, o, _ = _oriented(ctx, state.direction)
+    _require_diagonal(state.diagonal)
     return _born(state.amplitude, state.diagonal, c, o)[0]
 
 
 def _born(amplitude, p, c, o) -> tuple[BornReport, tuple[float, float, float, float]]:
     """verify_born_rule on a state's amplitude and diagonal p, against conditioning marginals c and conditioned
     marginals o, and the null-cone coordinates of <psi, e_k>: U psi, as U = [[sqrt p, sqrt q], [sqrt q, -sqrt p]],
-    q = 1 - p, is symmetric with the basis e_k as its columns.  ValueError for a p outside [0, 1]."""
+    q = 1 - p, is symmetric with the basis e_k as its columns.  It checks nothing on p, which must lie in [0, 1]."""
     (c0, c1), (o0, o1) = c, o
     u1, v1, u2, v2 = amplitude
     rp, rq = math.sqrt(p), math.sqrt(1.0 - p)
@@ -133,8 +141,9 @@ def expansion_consistency(state: QlraState) -> float:
     """Max componentwise gap between the amplitude and its basis expansion.
 
     The expansion sqrt(m1)*e1 + s*exp_j(sc*theta)*sqrt(m2)*e2 must
-    coincide with the coordinate form produced by run_qlra.
+    coincide with the coordinate form produced by run_qlra.  ValueError for a diagonal outside [0, 1].
     """
+    _require_diagonal(state.diagonal)
     t = state.sign_choice * state.profile.theta[0]
     eu, ev = math.exp(t), math.exp(-t)  # exp_j(sc*theta)
     if not math.isfinite(eu + ev):

@@ -12,32 +12,27 @@ import math
 from collections import namedtuple
 
 from .context import (_A_GIVEN_B, _B_GIVEN_A, _HYPERBOLIC, TOLERANCE, Direction, Matrix2, ProbContext, _as_matrix,
-                      _coefficients, _oriented, _require_tolerance, validate_context)
+                      _coefficients, _oriented, validate_context)
 from .engine import QlraState, _born, _expansion_gap, _state
-from .errors import ArgDomainError, DegenerateStateError, RegimeError, StochasticityError
+from .errors import ArgDomainError, RegimeError, StochasticityError
 
 __all__ = [
     "analyze",
     "EquivalenceVerdict",
     "transition_unitary",
-    "states_equivalent",
     "check_consistency",
     "proof_relation_residual",
 ]
 
-# Below this |z|^2 no component of v2 can anchor states_equivalent's multiplier: division degenerates.
-_NULL_CONE_FLOOR = 1e-6
-
 
 class EquivalenceVerdict(namedtuple(
-    "EquivalenceVerdict", "equivalent gamma sign max_component_deviation symmetry_holds", defaults=(None,)
+    "EquivalenceVerdict", "equivalent gamma sign max_component_deviation symmetry_holds"
 )):
-    """Outcome of comparing two states up to a +-exp_j(gamma) multiplier.
+    """Outcome of comparing U psi_ba with psi_ab up to a +-exp_j(gamma) multiplier.
 
     ``gamma`` (a float) and ``sign`` (+-1) are None unless ``equivalent``.
     ``symmetry_holds`` is the transpose condition |p - p'| <= tol on the
-    transition matrices; it is None when the comparison was made on bare
-    vectors with no matrices in play.
+    transition matrices.
     """
 
     __slots__ = ()
@@ -74,29 +69,13 @@ def transition_unitary(p_b_given_a: Matrix2):
     return ((_hn(r00, r00), _hn(r01, r01)), (_hn(r10, r10), _hn(r11, r11)))
 
 
-def states_equivalent(v1, v2, tol: float = TOLERANCE) -> EquivalenceVerdict:
-    """Decide whether the HVector2 v1 is s * exp_j(gamma) * v2 for some sign s and real gamma.
+def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool) -> EquivalenceVerdict:
+    """The verdict's comparison: whether a = s * exp_j(gamma) * b, on null-cone coordinates (u1, v1, u2, v2).
 
-    Both vectors must have unit squared norm within max(tol, 1e-6), else ValueError; a v2 with
-    every component on the null cone raises DegenerateStateError.  The multiplier is extracted from
-    the component of v2 farthest from the null cone; equivalence requires it to have unit squared
-    modulus and to map v2 onto v1 componentwise within tol times the largest null-cone coordinate
-    of either vector (at least 1).  Raises ValueError unless tol is positive and finite.
+    The multiplier is read off the component of b farthest from the null cone; equivalence requires it
+    to have unit squared modulus within tol and to map b onto a componentwise within tol times the
+    largest null-cone coordinate of either vector (at least 1).  The verdict carries symmetry_holds.
     """
-    _require_tolerance(tol)
-    a = (v1.c1.u, v1.c1.v, v1.c2.u, v1.c2.v)
-    b = (v2.c1.u, v2.c1.v, v2.c2.u, v2.c2.v)
-    for name, x in (("v1", a), ("v2", b)):
-        n = x[0] * x[1] + x[2] * x[3]
-        if abs(n - 1.0) > max(tol, 1e-6):
-            raise ValueError(f"{name} is not a unit vector (sq_norm={n!r})")
-    if max(abs(b[0] * b[1]), abs(b[2] * b[3])) < _NULL_CONE_FLOOR:
-        raise DegenerateStateError("every component of v2 lies (numerically) on the null cone")
-    return _equivalent(a, b, tol)
-
-
-def _equivalent(a: tuple, b: tuple, tol: float, symmetry_holds: bool | None = None) -> EquivalenceVerdict:
-    """states_equivalent on the null-cone coordinates (u1, v1, u2, v2) of two vectors, without its checks."""
     au1, av1, au2, av2 = a
     bu1, bv1, bu2, bv2 = b
     # The multiplier c = a_k / b_k, componentwise in null-cone coordinates.

@@ -6,7 +6,6 @@ __all__ = [
     "StochasticityError",
     "RegimeError",
     "InfeasibleContextError",
-    "DegenerateStateError",
 ]
 
 
@@ -28,7 +27,3 @@ class RegimeError(QlraError):
 
 class InfeasibleContextError(QlraError):
     """Requested generator parameters admit no valid probabilistic context."""
-
-
-class DegenerateStateError(QlraError):
-    """State comparison impossible: every component lies on the null cone."""

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st, target
@@ -123,10 +124,14 @@ def test_verify_born_rule_detects_corruption(ctx1):
     # A direction that is not a Direction raises here too, as it does in run_qlra.
     with pytest.raises(ValueError, match="direction must be a Direction"):
         verify_born_rule(state._replace(direction="b_given_a"), ctx1)
-    # A diagonal outside [0, 1] has no doubly stochastic matrix, so no real roots for the basis.
+    # A diagonal outside [0, 1] has no doubly stochastic matrix, so no real roots for the basis; NaN is outside too.
     for diagonal in (-0.1, 1.1, math.nan):
-        with pytest.raises(ValueError):
-            verify_born_rule(state._replace(diagonal=diagonal), ctx1)
+        corrupted = state._replace(diagonal=diagonal)
+        message = re.escape(f"diagonal must lie in [0, 1], got {diagonal!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_born_rule(corrupted, ctx1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expansion_consistency(corrupted)
 
 
 def test_born_rule_random_contexts(rng):

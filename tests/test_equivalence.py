@@ -4,8 +4,8 @@ import random
 import pytest
 
 from qlra import (
+    TOLERANCE,
     ArgDomainError,
-    DegenerateStateError,
     Direction,
     ProbContext,
     RegimeError,
@@ -15,13 +15,12 @@ from qlra import (
     interference_coefficients,
     proof_relation_residual,
     run_qlra,
-    states_equivalent,
     transition_unitary,
     validate_context,
     Regime,
 )
 from qlra.algebra import HNumber, exp_j
-from qlra.equivalence import _relation_residual
+from qlra.equivalence import _equivalent, _relation_residual
 from qlra.linear import HVector2, inner_product, mat_apply
 from qlra.synthetic import random_hyperbolic_context
 from test_linear import columns_orthonormal
@@ -87,9 +86,19 @@ def _unit_vector(rng):
     return run_qlra(ctx, Direction.B_GIVEN_A).psi
 
 
+def _coords(v: HVector2) -> tuple:
+    """The null-cone coordinates (u1, v1, u2, v2) of v, as the verdict's comparison takes them."""
+    return v.c1.u, v.c1.v, v.c2.u, v.c2.v
+
+
+def _compare(v1: HVector2, v2: HVector2, tol: float = TOLERANCE):
+    """The verdict's comparison of v1 with v2, with no transition matrices in play."""
+    return _equivalent(_coords(v1), _coords(v2), tol, None)
+
+
 def test_states_equivalent_reflexive(rng):
     v = _unit_vector(rng)
-    verdict = states_equivalent(v, v)
+    verdict = _compare(v, v)
     assert verdict.equivalent
     assert verdict.gamma == pytest.approx(0.0, abs=1e-12)
     assert verdict.sign == 1
@@ -98,7 +107,7 @@ def test_states_equivalent_reflexive(rng):
 def test_states_equivalent_constructed_multiplier(rng):
     v = _unit_vector(rng)
     w = v.scale(-exp_j(0.4))
-    verdict = states_equivalent(w, v)
+    verdict = _compare(w, v)
     assert verdict.equivalent
     assert verdict.sign == -1
     assert verdict.gamma == pytest.approx(0.4, abs=1e-9)
@@ -107,23 +116,7 @@ def test_states_equivalent_constructed_multiplier(rng):
 def test_states_equivalent_rejects_basis_pair():
     e1 = HVector2(HNumber(1), HNumber(0))
     e2 = HVector2(HNumber(0), HNumber(1))
-    assert not states_equivalent(e1, e2).equivalent
-
-
-def test_states_equivalent_requires_unit_norm(rng):
-    v = _unit_vector(rng)
-    with pytest.raises(ValueError):
-        states_equivalent(v, v.scale(HNumber(2.0)))
-
-
-def test_states_equivalent_degenerate():
-    # Both components on the null cone; loosen tol so the norm
-    # precondition does not trip first.
-    r = math.sqrt(0.5)
-    null = HVector2(HNumber(r, r), HNumber(r, -r))
-    v = HVector2(HNumber(1), HNumber(0))
-    with pytest.raises(DegenerateStateError):
-        states_equivalent(v, null, tol=2.0)
+    assert not _compare(e1, e2).equivalent
 
 
 def test_states_equivalent_is_equivalence_relation(rng):
@@ -131,9 +124,9 @@ def test_states_equivalent_is_equivalence_relation(rng):
         v = _unit_vector(rng)
         a = v.scale(rng.choice([1, -1]) * exp_j(rng.uniform(-2, 2)))
         b = a.scale(rng.choice([1, -1]) * exp_j(rng.uniform(-2, 2)))
-        assert states_equivalent(v, a, tol=1e-9).equivalent  # symmetry with below
-        assert states_equivalent(a, v, tol=1e-9).equivalent
-        assert states_equivalent(v, b, tol=1e-9).equivalent  # transitivity
+        assert _compare(v, a, tol=1e-9).equivalent  # symmetry with below
+        assert _compare(a, v, tol=1e-9).equivalent
+        assert _compare(v, b, tol=1e-9).equivalent  # transitivity
 
 
 def test_unit_multiplier_real_part_bound(rng):
@@ -374,7 +367,7 @@ def test_phase_branch_follows_lambda_signs(rng, extreme_contexts):
         for sc in (1, -1):
             transported = mat_apply(U, run_qlra(ctx, Direction.B_GIVEN_A, sc).psi)
             branch = -eps_ba * eps_ab * sc
-            picked = states_equivalent(run_qlra(ctx, Direction.A_GIVEN_B, branch).psi, transported)
+            picked = _compare(run_qlra(ctx, Direction.A_GIVEN_B, branch).psi, transported)
             assert picked.equivalent
             # check_consistency compares exactly this pair.
             verdict = check_consistency(ctx, sign_choice=sc)
@@ -383,7 +376,7 @@ def test_phase_branch_follows_lambda_signs(rng, extreme_contexts):
             )
             other = run_qlra(ctx, Direction.A_GIVEN_B, -branch)
             if other.profile.theta[0] > 1e-3:
-                assert not states_equivalent(other.psi, transported).equivalent
+                assert not _compare(other.psi, transported).equivalent
                 discriminating += 1
             checked += 1
     assert checked == 680

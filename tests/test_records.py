@@ -124,7 +124,7 @@ def test_fields_cannot_be_assigned(cls, args, kwargs):
 
 def test_defaults():
     assert QlraState(AMPLITUDE, Direction.A_GIVEN_B, PROFILE, DIAGONAL, (0.5, 0.5)).sign_choice == 1
-    assert EquivalenceVerdict(False, None, None, 0.5).symmetry_holds is None
+    assert EquivalenceVerdict._field_defaults == {}  # every verdict comes from analyze, which sets symmetry_holds
     ctx = ProbContext((0.5, 0.5), (0.9, 0.1), M)
     assert ctx.p_a_given_b is None and ctx.a_given_b_defaulted
 
