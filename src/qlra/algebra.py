@@ -8,7 +8,7 @@ product, with no cancelling x^2 - y^2.  The algebra is commutative but
 has zero divisors on the null cone u*v = 0, where the argument is
 undefined.  This is the object layer over the float core, which never
 imports it, so it is not tuned for speed: h_arg is the core's float
-argument equivalence._arg, which holds the domain check.
+argument engine._arg, which holds the domain check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .equivalence import _arg
+from .engine import _arg
 
 __all__ = [
     "HNumber",

@@ -19,7 +19,7 @@ from functools import partial
 
 from . import __version__
 from .context import TOLERANCE, Direction, ProbContext, Regime, _require_tolerance
-from .equivalence import analyze
+from .engine import analyze
 from .errors import QlraError
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ def _matrix_template(M) -> str:
 
 
 def _report_json(ctx, tolerance, sign_branch, violations, directions, verdict, residual) -> str:
-    """The analyze report from equivalence.analyze's result (directions: its entries), filled with one %.
+    """The analyze report from engine.analyze's result (directions: its entries), filled with one %.
 
     An entry's state is not printed, its Born report and expansion deviation are.  Each float slot is
     written as _fmt_float writes it: a non-finite value raises, and -0 is 0.  A valid context comes with

@@ -407,6 +407,9 @@ CONSOLE_ROWS = [
     (None, ["generate", "--p", "0.9", "--p-a1", "0.5", "--lambda", "0.5"], 1, None),
     (None, ["demo-violation", "--p", "0.5"], 1, None),
     (None, ["sweep", "--p-grid", "0.1:0.9:0", "--pa-grid", "0.5:0.5:0.1"], 1, None),
+    # The worked example with every number quoted: the parse gate's converter reads what float() reads.
+    ({"p_a": ["0.5", "0.5"], "p_b": ["0.9", "0.1"], "P_b_given_a": [["0.9", "0.1"], ["0.1", "0.9"]],
+      "P_a_given_b": [["0.9", "0.1"], ["0.1", "0.9"]]}, [], 0, "ctx1_report.json"),
 ]
 
 
@@ -479,8 +482,8 @@ def test_analyze_python_calls(ctx1_file):
     # One of them writes the report, _report_json: a valid context's matrices are laid out without a call.
     assert len(calls) == 27, sorted(calls)
     # analyze reads the context once as its four numbers, so no direction asks context._oriented; each
-    # direction runs the pass once.  The finiteness the pipeline's bound makes certain is tested inline, without
-    # a call.
+    # direction runs the pass once.  The pipeline's bound makes every coordinate finite, so no stage tests it:
+    # verify_born_rule does, for the hand-built states it takes.
     stages = ("_oriented", "_coefficients", "_state", "_born", "_expansion_gap", "expansion_consistency",
               "_require_finite")
     assert {name: calls.count(name) for name in stages} == {

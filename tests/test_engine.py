@@ -22,7 +22,7 @@ from qlra import (
     validate_context,
     verify_born_rule,
 )
-from qlra import equivalence
+from qlra import engine
 from qlra.algebra import HNumber, exp_j, h_arg
 from qlra.context import POSITIVITY_MARGIN
 from qlra.linear import HVector2, inner_product, mat_apply
@@ -369,14 +369,14 @@ def _assert_born_coordinates_are_u_psi(ctx, tol, sign_choice, ds_form):
     # <psi, e_k> that engine._born returns beside its report are, bit for bit, the transition unitary of the
     # direction's doubly stochastic matrix [[p, 1 - p], [1 - p, p]] applied to psi, and the state's diagonal
     # is that p: p for b|a, p' for a|b.
-    born, returned = equivalence._born, []
+    born, returned = engine._born, []
 
     def recorded(*args):
         returned.append(born(*args))
         return returned[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(equivalence, "_born", recorded)
+        mp.setattr(engine, "_born", recorded)
         _, entries, _, _ = analyze(ctx, tol, sign_choice)
     form = ds_form(ctx, tol)
     states = [(direction, state) for direction, *_, state in entries if state is not None]

@@ -20,7 +20,7 @@ from qlra import (
     Regime,
 )
 from qlra.algebra import HNumber, exp_j
-from qlra.equivalence import _equivalent, _relation_residual
+from qlra.engine import _equivalent, _relation_residual
 from qlra.linear import HVector2, inner_product, mat_apply
 from qlra.synthetic import random_hyperbolic_context
 from test_linear import columns_orthonormal

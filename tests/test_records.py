@@ -8,6 +8,7 @@ The library's entry points and ``qlra.synthetic`` load neither the CLI, ``argpar
 nor the object layer.  README's library examples print what their comments say.
 """
 
+import ast
 import contextlib
 import copy
 import io
@@ -123,15 +124,16 @@ def test_fields_cannot_be_assigned(cls, args, kwargs):
 
 
 def test_defaults():
-    assert QlraState(AMPLITUDE, Direction.A_GIVEN_B, PROFILE, DIAGONAL, (0.5, 0.5)).sign_choice == 1
-    assert EquivalenceVerdict._field_defaults == {}  # every verdict comes from analyze, which sets symmetry_holds
+    # Every state and verdict comes from analyze: _state sets sign_choice, _verdict symmetry_holds.
+    assert QlraState._field_defaults == {}
+    assert EquivalenceVerdict._field_defaults == {}
     ctx = ProbContext((0.5, 0.5), (0.9, 0.1), M)
     assert ctx.p_a_given_b is None and ctx.a_given_b_defaulted
 
 
 def test_record_methods_and_properties():
     assert BornReport((1e-16, 4e-16), (3e-16, 0.0)).max_residual == 4e-16
-    state = QlraState(AMPLITUDE, Direction.B_GIVEN_A, PROFILE, DIAGONAL, (0.5, 0.5))
+    state = QlraState(AMPLITUDE, Direction.B_GIVEN_A, PROFILE, DIAGONAL, (0.5, 0.5), 1)
     assert state.psi == PSI
     with pytest.raises(AttributeError):
         state.psi = None
@@ -285,16 +287,16 @@ def test_relation_residual_domain_error_loads_no_object_layer():
     # Component 1 of the a|b amplitude, (u, v) = (1.0, -1.0), lies off the cone; component 2 does not.
     printed, modules = _run_child("""
 from qlra import ArgDomainError, Direction, InterferenceProfile, QlraState, Regime
-from qlra.equivalence import _relation_residual
+from qlra.engine import _relation_residual
 profile = InterferenceProfile((4 / 3, -4 / 3), (1, -1), (0.79, 0.79), Regime.HYPERBOLIC)
-state_ab = QlraState((1.0, -1.0, 1.0, 1.0), Direction.A_GIVEN_B, profile, 0.9, (0.9, 0.1))
-state_ba = QlraState((1.0, 1.0, 1.0, 1.0), Direction.B_GIVEN_A, profile, 0.9, (0.5, 0.5))
+state_ab = QlraState((1.0, -1.0, 1.0, 1.0), Direction.A_GIVEN_B, profile, 0.9, (0.9, 0.1), 1)
+state_ba = QlraState((1.0, 1.0, 1.0, 1.0), Direction.B_GIVEN_A, profile, 0.9, (0.5, 0.5), 1)
 try:
     _relation_residual(state_ab, state_ba)
 except ArgDomainError as exc:
     print(exc)""")
     assert printed == ["argument undefined for null-cone coordinates (1.0, -1.0): x^2 - y^2 <= 0"]
-    assert "qlra.equivalence" in modules
+    assert "qlra.engine" in modules
     assert not {"qlra.algebra", "qlra.linear"} & modules
 
 
@@ -317,6 +319,42 @@ def test_package_root_reexports_each_module_all():
         and not name.startswith("_") and name not in module.__all__
     }
     assert unlisted == set()
+
+
+# The imports a library module makes in a function body, as (module, function, imported module): the two object-layer
+# handouts, which load qlra.algebra and qlra.linear on first use, and the forwarders between qlra.cli and
+# qlra.synthetic.  Every other import is at a module's top, so the pipeline's imports run one way:
+# context -> engine -> equivalence.
+BODY_IMPORTS = {
+    ("engine", "QlraState.psi", "algebra"),
+    ("engine", "QlraState.psi", "linear"),
+    ("equivalence", "transition_unitary", "algebra"),
+    ("cli", "_synthetic", "synthetic"),
+    ("synthetic", "_sweep", "cli"),
+    ("synthetic", "_demo_violation", "cli"),
+}
+
+
+def test_imports_in_function_bodies_are_the_handouts_and_forwarders():
+    found = set()
+
+    def visit(node, module, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if in_function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                if isinstance(child, ast.ImportFrom) and child.module is not None:
+                    targets = [child.module]
+                else:  # import x, or from . import x
+                    targets = [alias.name for alias in child.names]
+                found.update((module, ".".join(scope), target) for target in targets)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_function or isinstance(child, ast.ClassDef):
+                visit(child, module, [*scope, child.name], in_function or is_function)
+            else:
+                visit(child, module, scope, in_function)
+
+    for path in sorted(Path(qlra.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, [], False)
+    assert found == BODY_IMPORTS, found ^ BODY_IMPORTS
 
 
 def test_readme_python_blocks_print_what_their_comments_say():
